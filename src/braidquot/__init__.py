@@ -7,7 +7,8 @@ Subpackages:
   classification into the two standard models per class.
 - :mod:`braidquot.braid` -- surface braid presentations, reduced relations,
   witness search and the minimal-quotient sweep.
-- :mod:`braidquot.oracle` -- independent brute-force cross-checks.
+- :mod:`braidquot.oracle` -- independent brute-force cross-checks and
+  reference constructions of the standard groups.
 - :mod:`braidquot.cli` -- command-line front end.
 """
 
@@ -32,20 +33,16 @@ from .fingroup import (
     read_cayley,
     relabel,
     random_relabeling,
-    structural_invariants,
     subgroup_generated,
     symmetric,
     to_cayley_text,
     write_cayley,
 )
 from .jn2 import (
-    Jn2Element,
     Jn2Spec,
     SymplecticData,
-    central_product,
     classify,
     is_jn2,
-    jn2_multiply,
     materialize,
     normalize_basis,
     parse_spec,
@@ -60,7 +57,6 @@ from .braid import (
     check_reduced_witness,
     find_witness,
     minimal_braid_reduced_search,
-    non_nilpotency_check,
     predicted_minimum,
     reduced_relations,
     standard_witness,

@@ -17,7 +17,6 @@ group as a braid-reduced quotient.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Optional
@@ -153,11 +152,17 @@ def evaluate_word(G: FiniteGroup, images: Mapping[str, int], word: Word) -> int:
 
 @dataclass(frozen=True)
 class QuotientReport:
-    """Relator-by-relator evaluation of a presentation in a finite group."""
+    """Relator-by-relator evaluation of a presentation in a finite group.
+
+    ``sigma_central`` and ``derived_identity_ok`` are the two consequences
+    checked for reduced witnesses only; they stay True otherwise.
+    """
 
     presentation: Presentation
     relator_results: tuple[tuple[str, bool], ...]
     generates: bool
+    sigma_central: bool = True
+    derived_identity_ok: bool = True   # [a_r, b_r^-1] = sigma^-2 for all r
 
     @property
     def relators_ok(self) -> bool:
@@ -165,7 +170,8 @@ class QuotientReport:
 
     @property
     def ok(self) -> bool:
-        return self.relators_ok and self.generates
+        return (self.relators_ok and self.generates
+                and self.sigma_central and self.derived_identity_ok)
 
     def family_ok(self, family: str) -> bool:
         results = [ok for label, ok in self.relator_results
@@ -187,6 +193,14 @@ class Witness:
     a: tuple[int, ...]
     b: tuple[int, ...]
 
+    def __post_init__(self):
+        if len(self.a) != self.g or len(self.b) != self.g:
+            raise ValueError("witness a/b lists must have g entries each")
+        for x in (self.sigma, *self.a, *self.b):
+            if not 0 <= x < self.group.order:
+                raise ValueError(f"element index {x} outside the group "
+                                 f"of order {self.group.order}")
+
     def images(self) -> dict[str, int]:
         img = {"s": self.sigma}
         for r in range(self.g):
@@ -203,30 +217,14 @@ class Witness:
         return img
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    witness: Witness
-    relator_results: tuple[tuple[str, bool], ...]
-    generates: bool
-    sigma_central: bool
-    derived_identity_ok: bool   # [a_r, b_r^-1] = sigma^-2 for all r
-
-    @property
-    def relators_ok(self) -> bool:
-        return all(ok for _, ok in self.relator_results)
-
-    @property
-    def ok(self) -> bool:
-        return (self.relators_ok and self.generates
-                and self.sigma_central and self.derived_identity_ok)
-
-    def family_ok(self, family: str) -> bool:
-        results = [ok for label, ok in self.relator_results
-                   if label.split("[", 1)[0] == family]
-        return bool(results) and all(results)
-
-    def failures(self) -> tuple[str, ...]:
-        return tuple(label for label, ok in self.relator_results if not ok)
+def _evaluate(G: FiniteGroup, pres: Presentation, images: Mapping[str, int],
+              **consequences: bool) -> QuotientReport:
+    """Evaluate every relator, then test whether the images generate G."""
+    results = tuple((rel.label, evaluate_word(G, images, rel.word) == 0)
+                    for rel in pres.relators)
+    gen_set = subgroup_generated(G, [images[gen] for gen in pres.generators])
+    return QuotientReport(presentation=pres, relator_results=results,
+                          generates=gen_set.is_whole, **consequences)
 
 
 def check_full_quotient(G: FiniteGroup, n: int, g: int,
@@ -236,29 +234,19 @@ def check_full_quotient(G: FiniteGroup, n: int, g: int,
     missing = [gen for gen in pres.generators if gen not in images]
     if missing:
         raise ValueError(f"images missing for generators {missing}")
-    results = tuple((rel.label, evaluate_word(G, images, rel.word) == 0)
-                    for rel in pres.relators)
-    gen_set = subgroup_generated(G, [images[gen] for gen in pres.generators])
-    return QuotientReport(presentation=pres, relator_results=results,
-                          generates=gen_set.is_whole)
+    return _evaluate(G, pres, images)
 
 
-def check_reduced_witness(w: Witness) -> WitnessReport:
+def check_reduced_witness(w: Witness) -> QuotientReport:
     """Verify the reduced relations, generation, and the two consequences
     (sigma central; [a_r, b_r^-1] = sigma^-2)."""
     G = w.group
-    pres = reduced_relations(w.n, w.g)
-    images = w.images()
-    results = tuple((rel.label, evaluate_word(G, images, rel.word) == 0)
-                    for rel in pres.relators)
-    gen_set = subgroup_generated(G, [w.sigma, *w.a, *w.b])
-    central = bool(G.center_mask[w.sigma])
     sig_inv2 = G.power(w.sigma, -2)
     derived_ok = all(G.commutator(w.a[r], G.inv(w.b[r])) == sig_inv2
                      for r in range(w.g))
-    return WitnessReport(witness=w, relator_results=results,
-                         generates=gen_set.is_whole, sigma_central=central,
-                         derived_identity_ok=derived_ok)
+    return _evaluate(G, reduced_relations(w.n, w.g), w.images(),
+                     sigma_central=bool(G.center_mask[w.sigma]),
+                     derived_identity_ok=derived_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -376,21 +364,12 @@ class PredictedMinimum:
     order: int
 
 
-def _least_prime_factor(n: int) -> int:
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
-
-
 def predicted_minimum(n: int, g: int) -> PredictedMinimum:
     """Formula value p^(2g+j): p the least prime factor of g+n-1, j = 2 for
     p = 2 and j = 1 otherwise."""
     if n < 5 or g < 1:
         raise ParamRange(f"need n >= 5 and g >= 1, got n={n}, g={g}")
-    p = _least_prime_factor(g + n - 1)
+    p = fingroup.least_prime_factor(g + n - 1)
     j = 2 if p == 2 else 1
     return PredictedMinimum(p=p, j=j, order=p ** (2 * g + j))
 
@@ -480,19 +459,6 @@ def minimal_braid_reduced_search(n: int, g: int, bound: int,
                         attained=tuple(attained), provenance=_PROVENANCE)
 
 
-def non_nilpotency_check(m: int) -> bool:
-    """True iff the symmetric group on m points is not nilpotent."""
-    if math.factorial(m) > fingroup.TABLE_CAP:
-        raise SizeLimit(f"order {math.factorial(m)} exceeds table cap")
-    return fingroup.nilpotency_class(fingroup.symmetric(m)) is None
-
-
-def kolay_bound(n: int) -> int:
-    """External lower bound n! for non-braid-reduced nonabelian quotients
-    (Kolay); displayed as a constant, not re-derived here."""
-    return math.factorial(n)
-
-
 # ---------------------------------------------------------------------------
 # witness files
 
@@ -527,9 +493,7 @@ def witness_from_text(text: str, *, base_dir=None) -> Witness:
 
         path = ref if base_dir is None else os.path.join(base_dir, ref)
         group = fingroup.read_cayley(path)
-    n, g = int(fields["n"]), int(fields["g"])
-    a = tuple(int(x) for x in fields["a"].split())
-    b = tuple(int(x) for x in fields["b"].split())
-    if len(a) != g or len(b) != g:
-        raise ValueError("witness a/b lists must have g entries each")
-    return Witness(group=group, n=n, g=g, sigma=int(fields["sigma"]), a=a, b=b)
+    return Witness(group=group, n=int(fields["n"]), g=int(fields["g"]),
+                   sigma=int(fields["sigma"]),
+                   a=tuple(int(x) for x in fields["a"].split()),
+                   b=tuple(int(x) for x in fields["b"].split()))

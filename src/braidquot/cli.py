@@ -11,6 +11,7 @@ Timings go to stderr so stdout stays byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -39,26 +40,32 @@ def build_parser() -> argparse.ArgumentParser:
                     "appearing in the surface-braid minimal-quotient story")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(verb: str, help_: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(verb, help=help_)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--g", type=int, default=None)
-        p.add_argument("--bound", type=int, default=None)
-        p.add_argument("--spec", type=str, default=None)
-        p.add_argument("--in", dest="infile", type=str, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--witness", type=str, default=None)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=None)
-        return p
-
-    add("construct", "materialize a standard JN2 group to a Cayley-table file")
-    add("classify", "decide the standard model of a JN2 group")
-    add("check-witness", "verify the reduced relations for a witness file")
-    add("check-full", "verify the full presentation for an extended witness")
-    add("search-min", "sweep candidates for the minimal braid-reduced quotient")
-    add("verify-paper", "run the whole verification matrix")
-    add("enumerate", "exhaustively enumerate small groups / export the catalog")
+    p = sub.add_parser("construct",
+                       help="materialize a standard JN2 group to a Cayley-table file")
+    p.add_argument("--spec", required=True)
+    p.add_argument("--out")
+    p = sub.add_parser("classify", help="decide the standard model of a JN2 group")
+    p.add_argument("--in", dest="infile", required=True)
+    p = sub.add_parser("check-witness",
+                       help="verify the reduced relations for a witness file")
+    p.add_argument("--witness", required=True)
+    p = sub.add_parser("check-full",
+                       help="verify the full presentation for an extended witness")
+    p.add_argument("--witness", required=True)
+    p = sub.add_parser("search-min",
+                       help="sweep candidates for the minimal braid-reduced quotient")
+    for flag in ("--n", "--g", "--bound"):
+        p.add_argument(flag, type=int, required=True)
+    p.add_argument("--budget", type=int)
+    p.add_argument("--witness")
+    p = sub.add_parser("verify-paper", help="run the whole verification matrix")
+    for flag in ("--n", "--g", "--budget", "--bound"):
+        p.add_argument(flag, type=int)
+    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("enumerate",
+                       help="exhaustively enumerate small groups / export the catalog")
+    p.add_argument("--bound", type=int, default=8)
+    p.add_argument("--out")
     return parser
 
 
@@ -72,15 +79,7 @@ def _emit(human: list[str], machine: dict[str, object]) -> None:
         print(f"{key}={value}")
 
 
-def _require(args, *fields: str) -> None:
-    for f in fields:
-        attr = "infile" if f == "in" else f
-        if getattr(args, attr) is None:
-            raise ParamRange(f"--{f} is required for this verb")
-
-
 def cmd_construct(args) -> int:
-    _require(args, "spec")
     spec = jn2.parse_spec(args.spec)
     std = jn2.materialize(spec)
     human = []
@@ -105,7 +104,6 @@ def cmd_construct(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    _require(args, "in")
     G = fingroup.read_cayley(args.infile)
     params = jn2.is_jn2(G)
     if params is None:
@@ -134,7 +132,6 @@ def cmd_classify(args) -> int:
 
 
 def _load_witness(args) -> braid.Witness:
-    _require(args, "witness")
     with open(args.witness, "r", newline="") as fh:
         text = fh.read()
     return braid.witness_from_text(text, base_dir=os.path.dirname(args.witness) or ".")
@@ -187,7 +184,6 @@ def cmd_check_full(args) -> int:
 
 
 def cmd_search_min(args) -> int:
-    _require(args, "n", "g", "bound")
     report = braid.minimal_braid_reduced_search(args.n, args.g, args.bound,
                                                 args.budget)
     pred = report.predicted
@@ -250,7 +246,7 @@ def cmd_verify_paper(args) -> int:
         minimum = row.report.minimum
         mintext = str(minimum) if minimum is not None else f"> {row.bound}"
         att = ",".join(row.report.attained) if row.report.attained else "-"
-        sn = braid.kolay_bound(row.n)
+        sn = math.factorial(row.n)
         human.append(
             f"(n={row.n},g={row.g}) braid-reduced minimum {mintext} "
             f"attained by {att}; S_{row.n} order {sn} (Kolay bound); "
@@ -267,12 +263,11 @@ def cmd_verify_paper(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    bound = args.bound if args.bound is not None else 8
-    human = [f"group enumeration up to order {min(bound, 15)}"]
-    machine: dict[str, object] = {"verb": "enumerate", "bound": bound}
+    human = [f"group enumeration up to order {min(args.bound, 15)}"]
+    machine: dict[str, object] = {"verb": "enumerate", "bound": args.bound}
     files = []
     total = 0
-    for k in range(1, min(bound, 8) + 1):
+    for k in range(1, min(args.bound, 8) + 1):
         groups = oracle.enumerate_groups_exhaustive(k)
         nonab = sum(1 for G in groups if not G.is_abelian)
         human.append(f"order {k}: {len(groups)} classes ({nonab} nonabelian) "
@@ -281,9 +276,9 @@ def cmd_enumerate(args) -> int:
         for i, G in enumerate(groups):
             files.append((f"order{k}_{i}.grp", G, "exhaustive"))
         total += len(groups)
-    if bound > 8:
+    if args.bound > 8:
         catalog = oracle.nonabelian_catalog_upto(15)
-        for k in range(9, min(bound, 15) + 1):
+        for k in range(9, min(args.bound, 15) + 1):
             tier = catalog.tier(k)
             if not tier:
                 continue
@@ -328,7 +323,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return _DISPATCH[args.verb](args)
     except (SizeLimit, SearchBudgetExceeded) as exc:
-        print(f"budget error: {exc}", file=sys.stderr)
+        explored = getattr(exc, "explored", None)
+        work = f" (explored {explored} nodes)" if explored is not None else ""
+        print(f"budget error: {exc}{work}", file=sys.stderr)
         return EXIT_BUDGET
     except (ParamRange, HypothesisFailed, NotAGroup, ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

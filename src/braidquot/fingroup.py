@@ -28,15 +28,15 @@ ISO_SIZE_LIMIT = 2_000
 _ASSOC_BLOCK = 4_000_000
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+def least_prime_factor(n: int) -> int:
+    """Smallest prime dividing n >= 2, by trial division; n is prime exactly
+    when the result is n itself."""
     d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
+            return d
         d += 1
-    return True
+    return n
 
 
 def closure_indices(table: np.ndarray, seeds: Iterable[int]) -> np.ndarray:
@@ -76,9 +76,6 @@ class FiniteGroup:
 
     def inv(self, x: int) -> int:
         return int(self.inverse[x])
-
-    def conjugate(self, x: int, by: int) -> int:
-        return int(self.table[self.table[by, x], self.inverse[by]])
 
     def commutator(self, x: int, y: int) -> int:
         t = self.table
@@ -281,7 +278,7 @@ def cyclic(n: int) -> FiniteGroup:
 
 @lru_cache(maxsize=None)
 def elementary_abelian(p: int, k: int) -> FiniteGroup:
-    if not is_prime(p):
+    if p < 2 or least_prime_factor(p) != p:
         raise ValueError(f"p must be prime, got {p}")
     if k < 1:
         raise ValueError("k must be positive")
@@ -472,19 +469,10 @@ def center(G: FiniteGroup) -> Subgroup:
 
 
 def derived_subgroup(G: FiniteGroup) -> Subgroup:
-    """Subgroup generated by all commutators, closed to its normal closure."""
-    comm = np.unique(G.commutators)
-    # close the generating set under conjugation before taking the closure
-    gens = comm
-    t, inv = G.table, G.inverse
-    ys = np.arange(G.order)
-    while True:
-        conj = np.unique(t[t[ys[:, None], gens[None, :]], inv[ys][:, None]])
-        merged = np.unique(np.concatenate([gens, conj]))
-        if merged.size == gens.size:
-            break
-        gens = merged
-    return subgroup_generated(G, gens)
+    """Subgroup generated by all commutators.  The commutator set is closed
+    under conjugation, g[x,y]g^-1 = [gxg^-1, gyg^-1], so this is already the
+    normal closure."""
+    return subgroup_generated(G, np.unique(G.commutators))
 
 
 def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, "GroupMap"]:
@@ -558,25 +546,7 @@ class GroupMap:
 
 
 # ---------------------------------------------------------------------------
-# structural invariants
-
-
-@dataclass(frozen=True)
-class StructuralInvariants:
-    order: int
-    is_abelian: bool
-    elementary_abelian_prime: Optional[int]
-    exponent: int
-    order_profile: dict[int, int]
-    lower_central_series: tuple[Subgroup, ...]
-    nilpotency_class: Optional[int]   # None means not nilpotent
-
-    @property
-    def is_nilpotent(self) -> bool:
-        return self.nilpotency_class is not None
-
-    def is_elementary_abelian(self, p: int) -> bool:
-        return self.elementary_abelian_prime == p
+# nilpotency
 
 
 def lower_central_series(G: FiniteGroup) -> tuple[Subgroup, ...]:
@@ -602,29 +572,6 @@ def nilpotency_class(G: FiniteGroup) -> Optional[int]:
     if series[-1].order != 1:
         return None
     return len(series) - 1
-
-
-def structural_invariants(G: FiniteGroup) -> StructuralInvariants:
-    profile = G.order_profile
-    ab = G.is_abelian
-    el_prime = None
-    if ab and G.order > 1:
-        ords = set(profile) - {1}
-        if len(ords) == 1:
-            p = ords.pop()
-            if is_prime(p):
-                el_prime = p
-    series = lower_central_series(G)
-    cls = len(series) - 1 if series[-1].order == 1 else None
-    return StructuralInvariants(
-        order=G.order,
-        is_abelian=ab,
-        elementary_abelian_prime=el_prime,
-        exponent=G.exponent,
-        order_profile=profile,
-        lower_central_series=series,
-        nilpotency_class=cls,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -764,18 +711,28 @@ def to_cayley_text(G: FiniteGroup) -> str:
 
 
 def from_cayley_text(text: str) -> FiniteGroup:
+    """Parse the text form.  The order is checked against the table cap
+    before any row is read; the table must be exactly ``order`` rows of
+    exactly ``order`` integers."""
     lines = text.splitlines()
     label = None
-    pos = 0
     if lines and lines[0].startswith("#"):
-        head = lines[0][1:].strip()
+        head = lines.pop(0)[1:].strip()
         if head.startswith("label:"):
             label = head[len("label:"):].strip()
-        pos = 1
-    if pos >= len(lines):
+    if not lines:
         raise NotAGroup("missing order line")
-    order = int(lines[pos])
-    rows = [[int(v) for v in lines[pos + 1 + i].split()] for i in range(order)]
+    order = int(lines[0])
+    if order > TABLE_CAP:
+        raise SizeLimit(f"order {order} exceeds table cap {TABLE_CAP}")
+    if len(lines) - 1 != order:
+        raise NotAGroup(f"expected {order} table rows, found {len(lines) - 1}")
+    rows = []
+    for i, line in enumerate(lines[1:]):
+        row = [int(v) for v in line.split()]
+        if len(row) != order:
+            raise NotAGroup(f"row {i} has {len(row)} entries, expected {order}")
+        rows.append(row)
     return from_table(order, rows, label=label)
 
 

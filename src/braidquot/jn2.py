@@ -22,30 +22,20 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import fingroup
-from .errors import (
-    CenterMismatch,
-    NotCentral,
-    NotGenerator,
-    NotJn2,
-    SizeLimit,
-    Unsupported,
-)
+from .errors import NotCentral, NotGenerator, NotJn2, SizeLimit, Unsupported
 from .fingroup import (
     FiniteGroup,
     GroupMap,
-    Subgroup,
-    is_prime,
     center,
     derived_subgroup,
-    direct_product,
     from_table,
     is_isomorphic,
-    quotient,
+    least_prime_factor,
 )
 
 
@@ -59,7 +49,7 @@ class Jn2Spec:
     variant: str  # "I" or "II"
 
     def __post_init__(self):
-        if not is_prime(self.p):
+        if self.p < 2 or least_prime_factor(self.p) != self.p:
             raise ValueError(f"p must be prime, got {self.p}")
         if self.j < 1 or self.m < 1:
             raise ValueError("j and m must be positive")
@@ -91,59 +81,15 @@ def parse_spec(text: str) -> Jn2Spec:
     return Jn2Spec(p=p, j=1 if j is None else int(j), m=rank, variant=variant)
 
 
-@dataclass(frozen=True)
-class Jn2Element:
-    """Normal form z^k * prod_i a_i^alpha_i b_i^beta_i of a standard group."""
-
-    k: int
-    alpha: tuple[int, ...]
-    beta: tuple[int, ...]
-
-
-def jn2_identity(spec: Jn2Spec) -> Jn2Element:
-    return Jn2Element(0, (0,) * spec.m, (0,) * spec.m)
-
-
-def jn2_multiply(spec: Jn2Spec, x: Jn2Element, y: Jn2Element) -> Jn2Element:
-    """Collection formula for products of normal forms.
-
-    Moving the left factor's b-powers past the right factor's a-powers costs
-    z^(p^(j-1)) per swap ([a_i, b_i] = z^(p^(j-1)), distinct pairs commute);
-    for variant II the first pair additionally carries a^p = b^p = z.
-    """
-    p, j = spec.p, spec.j
-    pj = p ** j
-    k = x.k + y.k - p ** (j - 1) * sum(bx * ay for bx, ay in zip(x.beta, y.alpha))
-    alpha = []
-    beta = []
-    for i in range(spec.m):
-        sa = x.alpha[i] + y.alpha[i]
-        sb = x.beta[i] + y.beta[i]
-        if spec.variant == "II" and i == 0:
-            k += sa // p + sb // p
-        alpha.append(sa % p)
-        beta.append(sb % p)
-    return Jn2Element(k % pj, tuple(alpha), tuple(beta))
-
-
-def _encode(spec: Jn2Spec, el: Jn2Element) -> int:
-    idx = el.k
-    for a in el.alpha:
-        idx = idx * spec.p + a
-    for b in el.beta:
-        idx = idx * spec.p + b
-    return idx
-
-
-def _decode(spec: Jn2Spec, idx: int) -> Jn2Element:
+def _decode(spec: Jn2Spec, idx: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(k, alpha, beta) of the normal form z^k * prod_i a_i^alpha_i b_i^beta_i
+    stored at index idx: base-p digits k, alpha_1..alpha_m, beta_1..beta_m."""
     p, m = spec.p, spec.m
     digits = []
     for _ in range(2 * m):
         digits.append(idx % p)
         idx //= p
-    beta = tuple(reversed(digits[:m]))
-    alpha = tuple(reversed(digits[m:]))
-    return Jn2Element(idx, alpha, beta)
+    return idx, tuple(reversed(digits[m:])), tuple(reversed(digits[:m]))
 
 
 @dataclass(frozen=True)
@@ -160,7 +106,9 @@ class StandardJn2:
 @lru_cache(maxsize=None)
 def materialize(spec: Jn2Spec) -> StandardJn2:
     """Cayley table of the standard group, enumerated from normal forms in
-    lexicographic (k, alpha, beta) order so the identity is element 0."""
+    lexicographic (k, alpha, beta) order so the identity is element 0.  An
+    index is the base-p digit string (k, alpha, beta), hence
+    a_i = p^(2m-1-i), b_i = p^(m-1-i) and z = p^(2m) (i counted from 0)."""
     p, j, m = spec.p, spec.j, spec.m
     order = spec.order
     if order > fingroup.TABLE_CAP:
@@ -188,77 +136,15 @@ def materialize(spec: Jn2Spec) -> StandardJn2:
     for i in range(m):
         table = table * p + (B[:, None, i] + B[None, :, i]) % p
 
-    names = {"z": p ** (2 * m)}
-    a_idx, b_idx = [], []
+    z = p ** (2 * m)
+    a_idx = tuple(p ** (2 * m - 1 - i) for i in range(m))
+    b_idx = tuple(p ** (m - 1 - i) for i in range(m))
+    names = {"z": z}
     for i in range(m):
-        ai = _encode(spec, Jn2Element(0, tuple(int(t == i) for t in range(m)), (0,) * m))
-        bi = _encode(spec, Jn2Element(0, (0,) * m, tuple(int(t == i) for t in range(m))))
-        names[f"a{i + 1}"] = ai
-        names[f"b{i + 1}"] = bi
-        a_idx.append(ai)
-        b_idx.append(bi)
+        names[f"a{i + 1}"] = a_idx[i]
+        names[f"b{i + 1}"] = b_idx[i]
     group = from_table(order, table, label=str(spec), names=names)
-    return StandardJn2(spec=spec, group=group, z=p ** (2 * m),
-                       a=tuple(a_idx), b=tuple(b_idx))
-
-
-# ---------------------------------------------------------------------------
-# central products
-
-
-@dataclass(frozen=True)
-class CentralProduct:
-    group: FiniteGroup
-    embed_left: GroupMap
-    embed_right: GroupMap
-    projection: GroupMap
-
-
-def center_identification(G: FiniteGroup, H: FiniteGroup,
-                          zg: Optional[int] = None,
-                          zh: Optional[int] = None) -> dict[int, int]:
-    """The isomorphism ZG -> ZH matching chosen cyclic generators zg -> zh."""
-    ZG, ZH = center(G), center(H)
-    if ZG.order != ZH.order:
-        raise CenterMismatch(f"centers have orders {ZG.order} != {ZH.order}")
-    if zg is None:
-        zg = min(x for x in ZG.elements if G.element_order(x) == ZG.order)
-    if zh is None:
-        zh = min(x for x in ZH.elements if H.element_order(x) == ZH.order)
-    if G.element_order(zg) != ZG.order or not G.center_mask[zg]:
-        raise CenterMismatch(f"{zg} does not generate the center of G")
-    if H.element_order(zh) != ZH.order or not H.center_mask[zh]:
-        raise CenterMismatch(f"{zh} does not generate the center of H")
-    phi = {}
-    x, y = 0, 0
-    for _ in range(ZG.order):
-        phi[x] = y
-        x, y = G.mul(x, zg), H.mul(y, zh)
-    return phi
-
-
-def central_product(G: FiniteGroup, H: FiniteGroup,
-                    phi: Mapping[int, int]) -> CentralProduct:
-    """(G x H) / {(g, phi(g)^-1)} for an isomorphism phi of the full centers."""
-    ZG, ZH = center(G), center(H)
-    if set(phi) != ZG.element_set:
-        raise CenterMismatch("phi is not defined exactly on the center of G")
-    if set(phi.values()) != ZH.element_set:
-        raise CenterMismatch("phi is not onto the center of H")
-    for x in ZG.elements:
-        for y in ZG.elements:
-            if phi[G.mul(x, y)] != H.mul(phi[x], phi[y]):
-                raise CenterMismatch(f"phi is not multiplicative at ({x},{y})")
-    P = direct_product(G, H)
-    nelems = sorted(g * H.order + H.inv(phi[g]) for g in ZG.elements)
-    N = Subgroup(P, tuple(nelems))
-    Q, proj = quotient(P, N)
-    embed_left = GroupMap(G, Q, proj.images[np.arange(G.order) * H.order])
-    embed_right = GroupMap(H, Q, proj.images[np.arange(H.order)])
-    assert len(set(map(int, embed_left.images))) == G.order
-    assert len(set(map(int, embed_right.images))) == H.order
-    return CentralProduct(group=Q, embed_left=embed_left,
-                          embed_right=embed_right, projection=proj)
+    return StandardJn2(spec=spec, group=group, z=z, a=a_idx, b=b_idx)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +159,7 @@ def is_jn2(G: FiniteGroup) -> Optional[tuple[int, int, int]]:
     of exponent p.
     """
     D = derived_subgroup(G)
-    if not is_prime(D.order):
+    if D.order < 2 or least_prime_factor(D.order) != D.order:
         return None
     p = D.order
     Z = center(G)
@@ -587,11 +473,11 @@ def classify(G: FiniteGroup) -> tuple[Jn2Spec, GroupMap]:
         S = std.group
         images_from_std = np.empty(S.order, dtype=np.int64)
         for idx in range(S.order):
-            el = _decode(spec, idx)
-            g = G.power(z, el.k)
+            k, alpha, beta = _decode(spec, idx)
+            g = G.power(z, k)
             for i in range(m):
-                g = G.mul(g, G.power(data.reps[2 * i], el.alpha[i]))
-                g = G.mul(g, G.power(data.reps[2 * i + 1], el.beta[i]))
+                g = G.mul(g, G.power(data.reps[2 * i], alpha[i]))
+                g = G.mul(g, G.power(data.reps[2 * i + 1], beta[i]))
             images_from_std[idx] = g
         assert len(set(images_from_std.tolist())) == S.order, \
             "normal forms must enumerate the group"
@@ -614,7 +500,7 @@ def enumerate_specs(max_order: int) -> list[Jn2Spec]:
     out = []
     p = 2
     while p ** 3 <= max_order:
-        if is_prime(p):
+        if least_prime_factor(p) == p:
             m = 1
             while p ** (2 * m + 1) <= max_order:
                 jj = 1

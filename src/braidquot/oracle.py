@@ -1,10 +1,12 @@
-"""Independent brute-force cross-checks.
+"""Independent brute-force cross-checks and reference constructions.
 
 Nothing here depends on the classification machinery: groups are enumerated
 directly from the axioms, normal subgroups come from conjugacy-class
 closures, and the just-nonabelian test literally builds every proper
-quotient.  These are the oracles against which the constructive algorithms
-are validated.
+quotient.  The standard JN2 groups are rebuilt two more ways, by scalar
+normal-form arithmetic and by central products taken from the definition.
+These are the oracles against which the constructive algorithms are
+validated.
 """
 
 from __future__ import annotations
@@ -12,22 +14,30 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
-from .errors import SearchBudgetExceeded
+import numpy as np
+
+from .errors import CenterMismatch, SearchBudgetExceeded
 from .fingroup import (
     FiniteGroup,
+    GroupMap,
     Subgroup,
     alternating,
+    center,
     closure_indices,
     dicyclic,
     dihedral,
+    direct_product,
     from_table,
     is_isomorphic,
     quotient,
     subgroup_generated,
     symmetric,
 )
+
+if TYPE_CHECKING:
+    from .jn2 import Jn2Spec
 
 _ENUM_BUDGET = 3_000_000
 
@@ -329,3 +339,107 @@ def find_witness_naive(G: FiniteGroup, n: int, g: int
         if closure_indices(T, tup).size == N:
             return (sigma, tuple(a), tuple(b))
     return None
+
+
+# ---------------------------------------------------------------------------
+# reference constructions of the standard JN2 groups
+
+
+@dataclass(frozen=True)
+class Jn2Element:
+    """Normal form z^k * prod_i a_i^alpha_i b_i^beta_i of a standard group."""
+
+    k: int
+    alpha: tuple[int, ...]
+    beta: tuple[int, ...]
+
+
+def jn2_identity(spec: Jn2Spec) -> Jn2Element:
+    return Jn2Element(0, (0,) * spec.m, (0,) * spec.m)
+
+
+def jn2_multiply(spec: Jn2Spec, x: Jn2Element, y: Jn2Element) -> Jn2Element:
+    """Collection formula for products of normal forms.
+
+    Moving the left factor's b-powers past the right factor's a-powers costs
+    z^(p^(j-1)) per swap ([a_i, b_i] = z^(p^(j-1)), distinct pairs commute);
+    for variant II the first pair additionally carries a^p = b^p = z.
+    """
+    p, j = spec.p, spec.j
+    pj = p ** j
+    k = x.k + y.k - p ** (j - 1) * sum(bx * ay for bx, ay in zip(x.beta, y.alpha))
+    alpha = []
+    beta = []
+    for i in range(spec.m):
+        sa = x.alpha[i] + y.alpha[i]
+        sb = x.beta[i] + y.beta[i]
+        if spec.variant == "II" and i == 0:
+            k += sa // p + sb // p
+        alpha.append(sa % p)
+        beta.append(sb % p)
+    return Jn2Element(k % pj, tuple(alpha), tuple(beta))
+
+
+def _encode(spec: Jn2Spec, el: Jn2Element) -> int:
+    """Index of a normal form in the materialized table (base-p digits)."""
+    idx = el.k
+    for a in el.alpha:
+        idx = idx * spec.p + a
+    for b in el.beta:
+        idx = idx * spec.p + b
+    return idx
+
+
+@dataclass(frozen=True)
+class CentralProduct:
+    group: FiniteGroup
+    embed_left: GroupMap
+    embed_right: GroupMap
+    projection: GroupMap
+
+
+def center_identification(G: FiniteGroup, H: FiniteGroup,
+                          zg: Optional[int] = None,
+                          zh: Optional[int] = None) -> dict[int, int]:
+    """The isomorphism ZG -> ZH matching chosen cyclic generators zg -> zh."""
+    ZG, ZH = center(G), center(H)
+    if ZG.order != ZH.order:
+        raise CenterMismatch(f"centers have orders {ZG.order} != {ZH.order}")
+    if zg is None:
+        zg = min(x for x in ZG.elements if G.element_order(x) == ZG.order)
+    if zh is None:
+        zh = min(x for x in ZH.elements if H.element_order(x) == ZH.order)
+    if G.element_order(zg) != ZG.order or not G.center_mask[zg]:
+        raise CenterMismatch(f"{zg} does not generate the center of G")
+    if H.element_order(zh) != ZH.order or not H.center_mask[zh]:
+        raise CenterMismatch(f"{zh} does not generate the center of H")
+    phi = {}
+    x, y = 0, 0
+    for _ in range(ZG.order):
+        phi[x] = y
+        x, y = G.mul(x, zg), H.mul(y, zh)
+    return phi
+
+
+def central_product(G: FiniteGroup, H: FiniteGroup,
+                    phi: Mapping[int, int]) -> CentralProduct:
+    """(G x H) / {(g, phi(g)^-1)} for an isomorphism phi of the full centers."""
+    ZG, ZH = center(G), center(H)
+    if set(phi) != ZG.element_set:
+        raise CenterMismatch("phi is not defined exactly on the center of G")
+    if set(phi.values()) != ZH.element_set:
+        raise CenterMismatch("phi is not onto the center of H")
+    for x in ZG.elements:
+        for y in ZG.elements:
+            if phi[G.mul(x, y)] != H.mul(phi[x], phi[y]):
+                raise CenterMismatch(f"phi is not multiplicative at ({x},{y})")
+    P = direct_product(G, H)
+    nelems = sorted(g * H.order + H.inv(phi[g]) for g in ZG.elements)
+    N = Subgroup(P, tuple(nelems))
+    Q, proj = quotient(P, N)
+    embed_left = GroupMap(G, Q, proj.images[np.arange(G.order) * H.order])
+    embed_right = GroupMap(H, Q, proj.images[np.arange(H.order)])
+    assert len(set(map(int, embed_left.images))) == G.order
+    assert len(set(map(int, embed_right.images))) == H.order
+    return CentralProduct(group=Q, embed_left=embed_left,
+                          embed_right=embed_right, projection=proj)

@@ -5,19 +5,19 @@ this module packages them for the command line."""
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
-from . import braid, fingroup, oracle
+from . import braid, fingroup, jn2, oracle
 from .braid import (
     SearchReport,
     Witness,
     check_full_quotient,
     check_reduced_witness,
-    kolay_bound,
     minimal_braid_reduced_search,
-    non_nilpotency_check,
     predicted_minimum,
     standard_witness,
 )
@@ -158,7 +158,7 @@ def build_row(n: int, g: int, bound: Optional[int] = None,
 
     sn_ok = sn_quotient_ok(n, g)
 
-    factorial = kolay_bound(n)
+    factorial = math.factorial(n)
     if report.minimum is not None and report.minimum < factorial:
         smallest = (f"smallest nonabelian quotient: order {report.minimum} "
                     f"({pred.p}-group)")
@@ -291,15 +291,6 @@ def check_exponent_dichotomy(max_spec_order: int = 243) -> GlobalCheck:
                        detail=f"failures: {bad}")
 
 
-def _nu(G: FiniteGroup, z: int, p: int, x: int) -> int:
-    xp = G.power(x, p)
-    t, cur = 0, 0
-    while cur != xp:
-        cur = G.mul(cur, z)
-        t += 1
-    return t % p
-
-
 def check_nu_linearity(trials: int = 1000, seed: int = 0) -> GlobalCheck:
     """nu(xy) = nu(x) + nu(y) on random pairs, for central orders 3, 9, 5."""
     rng = random.Random(seed)
@@ -308,12 +299,13 @@ def check_nu_linearity(trials: int = 1000, seed: int = 0) -> GlobalCheck:
     for (p, j) in ((3, 1), (3, 2), (5, 1)):
         for variant in ("I", "II"):
             std = materialize(Jn2Spec(p, j, 1, variant))
-            G, z = std.group, std.z
+            G = std.group
+            nu = partial(jn2._nu_value, G, jn2._z_power_log(G, std.z), p)
             for _ in range(trials):
                 x = rng.randrange(G.order)
                 y = rng.randrange(G.order)
                 checked += 1
-                if _nu(G, z, p, G.mul(x, y)) != (_nu(G, z, p, x) + _nu(G, z, p, y)) % p:
+                if nu(G.mul(x, y)) != (nu(x) + nu(y)) % p:
                     violations += 1
     return GlobalCheck("nu-linearity", ok=violations == 0,
                        detail=f"{checked} pairs, {violations} violations")
@@ -343,7 +335,7 @@ def check_pairing_representative_independence(trials: int = 1000,
 
 
 def check_symmetric_non_nilpotent(ms: Sequence[int] = (3, 4, 5, 6)) -> GlobalCheck:
-    bad = [m for m in ms if not non_nilpotency_check(m)]
+    bad = [m for m in ms if nilpotency_class(symmetric(m)) is not None]
     return GlobalCheck("symmetric-non-nilpotent", ok=not bad,
                        detail=f"m in {tuple(ms)}; failures: {bad}")
 

@@ -336,12 +336,12 @@ def test_search_param_and_size_errors():
 
 @pytest.mark.parametrize("m,expected", [(2, False), (3, True), (5, True)])
 def test_non_nilpotency_check(m, expected):
-    assert braid.non_nilpotency_check(m) is expected
+    assert (fg.nilpotency_class(fg.symmetric(m)) is None) is expected
 
 
 def test_non_nilpotency_size_limit():
     with pytest.raises(SizeLimit):
-        braid.non_nilpotency_check(8)
+        fg.symmetric(8)
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +370,14 @@ def test_witness_text_roundtrip_property(data):
     w = Witness(group=G, n=n, g=g, sigma=sigma, a=a, b=b)
     back = braid.witness_from_text(braid.witness_to_text(w, "I(2^2,1)"))
     assert (back.n, back.g, back.sigma, back.a, back.b) == (n, g, sigma, a, b)
+
+
+@pytest.mark.parametrize("sigma,a,b", [(-12, (-15,), (-14,)), (99999, (1,), (2,)),
+                                       (0, (16,), (0,))])
+def test_witness_rejects_indices_outside_group(sigma, a, b):
+    G = materialize(Jn2Spec(2, 2, 1, "I")).group
+    with pytest.raises(ValueError, match="outside the group of order 16"):
+        Witness(group=G, n=6, g=1, sigma=sigma, a=a, b=b)
 
 
 def test_witness_file_with_cayley_path(tmp_path):

@@ -1,3 +1,5 @@
+import pytest
+
 from braidquot import cli, fingroup as fg
 
 
@@ -94,7 +96,69 @@ def test_budget_errors_exit_three(capsys):
     capsys.readouterr()
     assert cli.main(["search-min", "--n", "6", "--g", "1",
                      "--bound", "64", "--budget", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("budget error: witness search exceeded 3 nodes "
+                            "(explored 4 nodes)\n")
+
+
+# the flags each verb reads, with a valid value for each
+VERB_FLAGS = {
+    "construct": {"--spec": "I(2,1)", "--out": "g.grp"},
+    "classify": {"--in": "g.grp"},
+    "check-witness": {"--witness": "w.txt"},
+    "check-full": {"--witness": "w.txt"},
+    "search-min": {"--n": "6", "--g": "1", "--bound": "16", "--budget": "9",
+                   "--witness": "w.txt"},
+    "verify-paper": {"--n": "6", "--g": "1", "--seed": "1", "--budget": "9",
+                     "--bound": "16"},
+    "enumerate": {"--bound": "8", "--out": "cat"},
+}
+ALL_FLAGS = ("--n", "--g", "--bound", "--spec", "--in", "--out", "--witness",
+             "--seed", "--budget")
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_FLAGS))
+def test_each_verb_accepts_only_the_flags_it_reads(verb, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a verb that did run would write here
+    flags = VERB_FLAGS[verb]
+    argv = [verb] + [x for pair in flags.items() for x in pair]
+    parser = cli.build_parser()
+    parser.parse_args(argv)  # every flag the verb reads parses
+    for flag in ALL_FLAGS:
+        if flag not in flags:
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv + [flag, "1"])
+            assert exc.value.code == 2, flag
+            assert cli.main(argv + [flag, "1"]) == 2, flag
     capsys.readouterr()
+    assert sum(map(len, VERB_FLAGS.values())) == 17
+
+
+@pytest.mark.parametrize("verb", ["check-witness", "check-full"])
+@pytest.mark.parametrize("indices", ["sigma -12\na -15\nb -14\n",
+                                     "sigma 99999\na 1\nb 2\n"])
+def test_witness_indices_outside_group_exit_two(tmp_path, capsys, verb, indices):
+    wpath = tmp_path / "w.txt"
+    wpath.write_text("n 6\ng 1\ngroup I(2^2,1)\n" + indices)
+    assert cli.main([verb, "--witness", str(wpath)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "outside the group of order 16" in captured.err
+
+
+@pytest.mark.parametrize("text,code", [
+    ("3\n0 1 2\n1 2 0\n", 2),                    # truncated
+    ("3\n0 1 2\n1 2 0 1\n2 0 1\n", 2),          # a row with an extra column
+    ("10001\n0\n", 3),                            # order over the table cap
+])
+def test_malformed_cayley_files_exit_codes(tmp_path, capsys, text, code):
+    path = tmp_path / "g.grp"
+    path.write_text(text)
+    assert cli.main(["classify", "--in", str(path)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
 
 
 def test_enumerate_counts_and_export(tmp_path, capsys):

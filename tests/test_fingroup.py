@@ -168,6 +168,7 @@ def test_derived_plain_closure_equals_normal_closure(small_corpus):
     for G in small_corpus:
         plain = fg.subgroup_generated(G, np.unique(G.commutators))
         assert plain.elements == fg.derived_subgroup(G).elements
+        assert plain.is_normal
 
 
 # ---------------------------------------------------------------------------
@@ -240,28 +241,28 @@ def test_groupmap_rejects_non_homomorphism():
 
 
 # ---------------------------------------------------------------------------
-# structural invariants
+# nilpotency and element orders
 
 
 def test_s3_not_nilpotent():
     S3 = fg.symmetric(3)
-    inv = fg.structural_invariants(S3)
-    assert inv.nilpotency_class is None
+    assert fg.nilpotency_class(S3) is None
     # gamma_2 = gamma_3 = the subgroup of 3-cycles
-    series = inv.lower_central_series
+    series = fg.lower_central_series(S3)
     assert series[-1].order == 3
 
 
 def test_d8_class_two():
-    assert fg.structural_invariants(fg.dihedral(8)).nilpotency_class == 2
+    assert fg.nilpotency_class(fg.dihedral(8)) == 2
 
 
 def test_elementary_abelian_invariants():
-    inv = fg.structural_invariants(fg.elementary_abelian(3, 2))
-    assert inv.exponent == 3
-    assert inv.is_elementary_abelian(3)
-    assert not inv.is_elementary_abelian(2)
-    assert inv.nilpotency_class == 1
+    G = fg.elementary_abelian(3, 2)
+    assert G.exponent == 3
+    # elementary abelian of exponent 3: abelian, every element of order 1 or 3
+    assert G.is_abelian and set(G.order_profile) - {1} == {3}
+    assert set(G.order_profile) - {1} != {2}
+    assert fg.nilpotency_class(G) == 1
 
 
 def test_order_profile():
@@ -350,3 +351,22 @@ def test_cayley_file_roundtrip(tmp_path):
     H = fg.read_cayley(path)
     assert np.array_equal(G.table, H.table)
     assert path.read_bytes() == fg.to_cayley_text(G).encode()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "missing order line"),
+    ("# label: C3\n", "missing order line"),
+    ("3\n0 1 2\n1 2 0\n", "expected 3 table rows, found 2"),
+    ("3\n0 1 2\n1 2 0\n2 0 1\n2 0 1\n", "expected 3 table rows, found 4"),
+    ("3\n0 1 2\n1 2 0 1\n2 0 1\n", "row 1 has 4 entries, expected 3"),
+    ("3\n0 1 2\n1 2\n2 0 1\n", "row 1 has 2 entries, expected 3"),
+])
+def test_cayley_text_rejects_malformed_tables(text, message):
+    with pytest.raises(NotAGroup, match=message):
+        fg.from_cayley_text(text)
+
+
+def test_cayley_text_checks_cap_before_rows():
+    # no rows follow: the order alone must trip the cap
+    with pytest.raises(SizeLimit):
+        fg.from_cayley_text(f"{fg.TABLE_CAP + 1}\n")
