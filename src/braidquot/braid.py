@@ -271,7 +271,7 @@ def find_witness(G: FiniteGroup, n: int, g: int,
     comm = G.commutators
     commutes = G.commutes
     orders = G.element_orders
-    derived = set(derived_subgroup(G).elements)
+    derived = derived_subgroup(G).mask
     nonabelian = not G.is_abelian
     explored = 0
 
@@ -311,7 +311,7 @@ def find_witness(G: FiniteGroup, n: int, g: int,
 
     for sigma in sigmas:
         s2 = int(T[sigma, sigma])
-        if s2 not in derived:
+        if not derived[s2]:
             continue
         if nonabelian and s2 == 0:
             continue  # commuting tuple generates an abelian subgroup only
@@ -357,6 +357,12 @@ def standard_witness(spec: Jn2Spec, n: int, g: int) -> Witness:
 # minimal-quotient search
 
 
+# g + n - 1 is factored by trial division, and p^(2g+j) is printed in full
+# (g <= 100 keeps it under 1,000 digits; Python prints at most 4,300).
+MAX_N = fingroup.TABLE_CAP
+MAX_G = 100
+
+
 @dataclass(frozen=True)
 class PredictedMinimum:
     p: int
@@ -366,9 +372,10 @@ class PredictedMinimum:
 
 def predicted_minimum(n: int, g: int) -> PredictedMinimum:
     """Formula value p^(2g+j): p the least prime factor of g+n-1, j = 2 for
-    p = 2 and j = 1 otherwise."""
-    if n < 5 or g < 1:
-        raise ParamRange(f"need n >= 5 and g >= 1, got n={n}, g={g}")
+    p = 2 and j = 1 otherwise.  Range-checks n and g for every search."""
+    if not (5 <= n <= MAX_N and 1 <= g <= MAX_G):
+        raise ParamRange(f"need 5 <= n <= {MAX_N} and 1 <= g <= {MAX_G}, "
+                         f"got n={n}, g={g}")
     p = fingroup.least_prime_factor(g + n - 1)
     j = 2 if p == 2 else 1
     return PredictedMinimum(p=p, j=j, order=p ** (2 * g + j))
@@ -416,12 +423,11 @@ def minimal_braid_reduced_search(n: int, g: int, bound: int,
     oracle catalog of nonabelian groups through order 15, so minimality is
     unconditional below 16.
     """
-    if n < 5 or g < 1:
-        raise ParamRange(f"need n >= 5 and g >= 1, got n={n}, g={g}")
+    predicted = predicted_minimum(n, g)
     if bound > fingroup.TABLE_CAP:
         raise SizeLimit(f"bound {bound} exceeds table cap {fingroup.TABLE_CAP}")
     cands: list[tuple[int, int, str, Optional[Jn2Spec], FiniteGroup]] = []
-    catalog = oracle.nonabelian_catalog_upto(15)
+    catalog = oracle.nonabelian_catalog_upto()
     for entry in catalog.entries:
         if entry.order <= bound:
             cands.append((entry.order, 0, entry.group.label or "?", None, entry.group))
@@ -454,7 +460,7 @@ def minimal_braid_reduced_search(n: int, g: int, bound: int,
                            for s in spec_winners):
                     attained.append(v.label)
     return SearchReport(n=n, g=g, bound=bound,
-                        predicted=predicted_minimum(n, g),
+                        predicted=predicted,
                         candidates=tuple(verdicts), minimum=minimum,
                         attained=tuple(attained), provenance=_PROVENANCE)
 

@@ -22,6 +22,7 @@ from .errors import (
     GroupError,
     HypothesisFailed,
     NotAGroup,
+    NotJn2,
     ParamRange,
     SearchBudgetExceeded,
     SizeLimit,
@@ -31,6 +32,13 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,17 +62,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", required=True)
     p = sub.add_parser("search-min",
                        help="sweep candidates for the minimal braid-reduced quotient")
-    for flag in ("--n", "--g", "--bound"):
+    for flag in ("--n", "--g"):
         p.add_argument(flag, type=int, required=True)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--bound", type=_positive, required=True)
+    p.add_argument("--budget", type=_positive)
     p.add_argument("--witness")
     p = sub.add_parser("verify-paper", help="run the whole verification matrix")
-    for flag in ("--n", "--g", "--budget", "--bound"):
+    for flag in ("--n", "--g"):
         p.add_argument(flag, type=int)
+    for flag in ("--budget", "--bound"):
+        p.add_argument(flag, type=_positive)
     p.add_argument("--seed", type=int, default=0)
     p = sub.add_parser("enumerate",
                        help="exhaustively enumerate small groups / export the catalog")
-    p.add_argument("--bound", type=int, default=8)
+    p.add_argument("--bound", type=_positive, default=8)
     p.add_argument("--out")
     return parser
 
@@ -105,12 +116,12 @@ def cmd_construct(args) -> int:
 
 def cmd_classify(args) -> int:
     G = fingroup.read_cayley(args.infile)
-    params = jn2.is_jn2(G)
-    if params is None:
+    try:
+        spec, iso = jn2.classify(G)
+    except NotJn2:
         _emit([f"group of order {G.order}: not JN2"],
               {"verb": "classify", "order": G.order, "jn2": False})
         return EXIT_NEGATIVE
-    spec, iso = jn2.classify(G)
     human = [
         f"group of order {G.order}: JN2 of class "
         f"({spec.p}^{spec.j}, {spec.m}), variant {spec.variant}",
@@ -277,7 +288,7 @@ def cmd_enumerate(args) -> int:
             files.append((f"order{k}_{i}.grp", G, "exhaustive"))
         total += len(groups)
     if args.bound > 8:
-        catalog = oracle.nonabelian_catalog_upto(15)
+        catalog = oracle.nonabelian_catalog_upto()
         for k in range(9, min(args.bound, 15) + 1):
             tier = catalog.tier(k)
             if not tier:

@@ -191,21 +191,24 @@ def _first_assoc_violation(t: np.ndarray) -> Optional[tuple[int, int, int]]:
     return None
 
 
+def _check_order(order: int) -> None:
+    if order < 1:
+        raise NotAGroup(f"order must be >= 1, got {order}")
+    if order > TABLE_CAP:
+        raise SizeLimit(f"order {order} exceeds table cap {TABLE_CAP}")
+
+
 def from_table(order: int,
                table,
                label: Optional[str] = None,
                *,
-               names: Optional[Mapping[str, int]] = None,
-               cap: int = TABLE_CAP) -> FiniteGroup:
+               names: Optional[Mapping[str, int]] = None) -> FiniteGroup:
     """Validate a multiplication table and wrap it as a FiniteGroup.
 
     Raises :class:`NotAGroup` naming the first violated law, or
     :class:`SizeLimit` when the order exceeds the table cap.
     """
-    if order < 1:
-        raise NotAGroup(f"order must be >= 1, got {order}")
-    if order > cap:
-        raise SizeLimit(f"order {order} exceeds table cap {cap}")
+    _check_order(order)
     t = np.array(table, dtype=np.int32)
     if t.shape != (order, order):
         raise NotAGroup(f"table shape {t.shape} does not match order {order}")
@@ -248,7 +251,8 @@ def from_table(order: int,
 def relabel(G: FiniteGroup, perm: Sequence[int]) -> tuple[FiniteGroup, "GroupMap"]:
     """Relabel elements by ``perm`` (which must fix 0); returns (H, iso G->H)."""
     p = np.asarray(perm, dtype=np.int32)
-    if p.shape != (G.order,) or p[0] != 0 or len(set(int(v) for v in p)) != G.order:
+    if (p.shape != (G.order,) or p[0] != 0
+            or not np.array_equal(np.sort(p), np.arange(G.order))):
         raise ValueError("perm must be a permutation of 0..order-1 fixing 0")
     t2 = np.empty_like(G.table)
     t2[p[:, None], p[None, :]] = p[G.table]
@@ -315,7 +319,7 @@ def symmetric(n: int) -> FiniteGroup:
     import math
 
     if math.factorial(n) > TABLE_CAP:
-        raise SizeLimit(f"order {math.factorial(n)} exceeds table cap {TABLE_CAP}")
+        raise SizeLimit(f"order {n}! exceeds table cap {TABLE_CAP}")
     perms = [tuple(p) for p in itertools.permutations(range(n))]
     perms.sort()
     rank = {p: i for i, p in enumerate(perms)}
@@ -344,7 +348,7 @@ def alternating(n: int) -> FiniteGroup:
 
     order = math.factorial(n) // 2 if n > 1 else 1
     if order > TABLE_CAP:
-        raise SizeLimit(f"order {order} exceeds table cap {TABLE_CAP}")
+        raise SizeLimit(f"order {n}!/2 exceeds table cap {TABLE_CAP}")
     perms = [tuple(p) for p in itertools.permutations(range(n)) if _parity(tuple(p)) == 0]
     return _perm_group(perms, f"A{n}")
 
@@ -413,20 +417,25 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
 
 @dataclass(frozen=True, eq=False)
 class Subgroup:
-    """A subgroup of ``parent`` given as a sorted index tuple containing 0."""
+    """A subgroup of ``parent``: a sorted index tuple containing 0, and its
+    membership ``mask``."""
 
     parent: FiniteGroup
     elements: tuple[int, ...]
 
     def __post_init__(self):
-        els = self.elements
-        if not els or els[0] != 0 or list(els) != sorted(set(els)):
+        els = np.asarray(self.elements)
+        if els.size == 0 or els[0] != 0 or (np.diff(els) <= 0).any():
             raise ValueError("elements must be sorted, unique, and contain 0")
-        t = self.parent.table
-        arr = np.asarray(els)
-        sub = t[np.ix_(arr, arr)]
-        if not np.isin(sub, arr).all():
+        if not self.mask[self.parent.table[np.ix_(els, els)]].all():
             raise ValueError("set is not closed under multiplication")
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        m = np.zeros(self.parent.order, dtype=bool)
+        m[list(self.elements)] = True
+        m.flags.writeable = False
+        return m
 
     @property
     def order(self) -> int:
@@ -436,20 +445,15 @@ class Subgroup:
     def is_whole(self) -> bool:
         return self.order == self.parent.order
 
-    @cached_property
-    def element_set(self) -> frozenset[int]:
-        return frozenset(self.elements)
-
     def normality_violation(self) -> Optional[tuple[int, int]]:
-        """First (x, s) with x s x^-1 outside the subgroup, or None."""
+        """First (x, s), x-major, with x s x^-1 outside the subgroup, or None."""
         G = self.parent
         arr = np.asarray(self.elements)
-        for x in range(G.order):
-            conj = G.table[G.table[x, arr], G.inverse[x]]
-            bad = ~np.isin(conj, arr)
-            if bad.any():
-                return (x, int(arr[np.argwhere(bad)[0][0]]))
-        return None
+        outside = ~self.mask[G.table[G.table[:, arr], G.inverse[:, None]]]
+        if not outside.any():
+            return None
+        x, i = np.argwhere(outside)[0]
+        return (int(x), int(arr[i]))
 
     @cached_property
     def is_normal(self) -> bool:
@@ -487,16 +491,10 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, "GroupMap"]:
     if viol is not None:
         x, s = viol
         raise NotNormal(f"{x}*{s}*{x}^-1 lies outside the subgroup")
-    arr = np.asarray(N.elements)
-    reps = G.table[:, arr].min(axis=1)          # min of the left coset xN
-    rep_list = np.unique(reps)
-    coset_of = {int(r): i for i, r in enumerate(rep_list)}
-    q = len(rep_list)
-    qtable = np.empty((q, q), dtype=np.int32)
-    for i, r in enumerate(rep_list):
-        qtable[i] = [coset_of[int(reps[G.table[r, s]])] for s in rep_list]
-    Q = from_table(q, qtable, label=f"{G.label or '?'}/N{N.order}")
-    images = np.array([coset_of[int(reps[x])] for x in range(G.order)], dtype=np.int32)
+    reps = G.table[:, np.asarray(N.elements)].min(axis=1)  # min of the left coset xN
+    rep_list, images = np.unique(reps, return_inverse=True)
+    qtable = images[G.table[np.ix_(rep_list, rep_list)]]
+    Q = from_table(len(rep_list), qtable, label=f"{G.label or '?'}/N{N.order}")
     return Q, GroupMap(G, Q, images)
 
 
@@ -526,11 +524,11 @@ class GroupMap:
 
     @cached_property
     def is_bijective(self) -> bool:
-        return len(set(int(v) for v in self.images)) == self.target.order == self.source.order
+        return self.source.order == self.target.order and self.is_surjective
 
     @cached_property
     def is_surjective(self) -> bool:
-        return len(set(int(v) for v in self.images)) == self.target.order
+        return np.unique(self.images).size == self.target.order
 
     def compose(self, then: "GroupMap") -> "GroupMap":
         if then.source is not self.target:
@@ -587,26 +585,32 @@ def _signatures(G: FiniteGroup) -> np.ndarray:
                      G.element_orders[sq]], axis=1)
 
 
+def span_walk(G: FiniteGroup, candidates: Iterable[int],
+              base: Sequence[int] = ()) -> list[int]:
+    """Greedy span walk: keep each candidate, in order, that lies outside
+    the subgroup generated by ``base`` and the candidates kept so far; stop
+    once that subgroup is all of G."""
+    inside = np.zeros(G.order, dtype=bool)
+    inside[closure_indices(G.table, base)] = True
+    picks: list[int] = []
+    for x in candidates:
+        if inside.all():
+            break
+        if not inside[x]:
+            picks.append(int(x))
+            inside[closure_indices(G.table, [*base, *picks])] = True
+    return picks
+
+
 def generating_sequence(G: FiniteGroup) -> list[int]:
     """Greedy short generating sequence: high element order first, small
     centralizer next; deterministic for a fixed labeling."""
     orders = G.element_orders
     csz = G.centralizer_sizes
-    cands = sorted(range(1, G.order), key=lambda x: (-orders[x], csz[x], x))
-    seq: list[int] = []
-    span = {0}
-    for x in cands:
-        if x in span:
-            continue
-        seq.append(x)
-        span = set(int(e) for e in closure_indices(G.table, seq))
-        if len(span) == G.order:
-            break
-    return seq
+    return span_walk(G, sorted(range(1, G.order), key=lambda x: (-orders[x], csz[x], x)))
 
 
-def is_isomorphic(G: FiniteGroup, H: FiniteGroup,
-                  *, size_limit: int = ISO_SIZE_LIMIT) -> Optional[GroupMap]:
+def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupMap]:
     """Explicit isomorphism G -> H, or None.
 
     Backtracks over images of a greedy generating sequence of G, pruning by
@@ -615,8 +619,8 @@ def is_isomorphic(G: FiniteGroup, H: FiniteGroup,
     """
     if G.order != H.order:
         return None
-    if G.order > size_limit:
-        raise SizeLimit(f"order {G.order} exceeds isomorphism bound {size_limit}")
+    if G.order > ISO_SIZE_LIMIT:
+        raise SizeLimit(f"order {G.order} exceeds isomorphism bound {ISO_SIZE_LIMIT}")
     sigG, sigH = _signatures(G), _signatures(H)
     if sorted(map(tuple, sigG.tolist())) != sorted(map(tuple, sigH.tolist())):
         return None
@@ -711,9 +715,9 @@ def to_cayley_text(G: FiniteGroup) -> str:
 
 
 def from_cayley_text(text: str) -> FiniteGroup:
-    """Parse the text form.  The order is checked against the table cap
-    before any row is read; the table must be exactly ``order`` rows of
-    exactly ``order`` integers."""
+    """Parse the text form.  The order is range-checked before any row is
+    read; the table must be exactly ``order`` rows of exactly ``order``
+    integers."""
     lines = text.splitlines()
     label = None
     if lines and lines[0].startswith("#"):
@@ -723,8 +727,7 @@ def from_cayley_text(text: str) -> FiniteGroup:
     if not lines:
         raise NotAGroup("missing order line")
     order = int(lines[0])
-    if order > TABLE_CAP:
-        raise SizeLimit(f"order {order} exceeds table cap {TABLE_CAP}")
+    _check_order(order)
     if len(lines) - 1 != order:
         raise NotAGroup(f"expected {order} table rows, found {len(lines) - 1}")
     rows = []

@@ -49,6 +49,8 @@ class Jn2Spec:
     variant: str  # "I" or "II"
 
     def __post_init__(self):
+        if self.p > fingroup.TABLE_CAP:  # order >= p^3; refused before trial division
+            raise SizeLimit(f"p={self.p} exceeds table cap {fingroup.TABLE_CAP}")
         if self.p < 2 or least_prime_factor(self.p) != self.p:
             raise ValueError(f"p must be prime, got {self.p}")
         if self.j < 1 or self.m < 1:
@@ -110,9 +112,11 @@ def materialize(spec: Jn2Spec) -> StandardJn2:
     index is the base-p digit string (k, alpha, beta), hence
     a_i = p^(2m-1-i), b_i = p^(m-1-i) and z = p^(2m) (i counted from 0)."""
     p, j, m = spec.p, spec.j, spec.m
+    # p >= 2: the exponent alone shows most over-cap orders, without the power
+    if (2 * m + j >= fingroup.TABLE_CAP.bit_length()
+            or spec.order > fingroup.TABLE_CAP):
+        raise SizeLimit(f"{spec} has order over table cap {fingroup.TABLE_CAP}")
     order = spec.order
-    if order > fingroup.TABLE_CAP:
-        raise SizeLimit(f"order {order} exceeds table cap {fingroup.TABLE_CAP}")
     pj = p ** j
     idx = np.arange(order, dtype=np.int64)
     digits = []
@@ -170,14 +174,16 @@ def is_jn2(G: FiniteGroup) -> Optional[tuple[int, int, int]]:
         j += 1
     if zorder != 1 or j < 1:
         return None
-    if max(G.element_order(x) for x in Z.elements) != Z.order:
+    if G.element_orders[Z.mask].max() != Z.order:
         return None  # center not cyclic
-    if not D.element_set <= Z.element_set:
+    if not Z.mask[D.mask].all():
         return None  # central quotient not abelian
-    zset = Z.element_set
-    for x in range(G.order):
-        if G.power(x, p) not in zset:
-            return None  # central quotient not of exponent p
+    ids = np.arange(G.order)
+    xp = np.zeros_like(ids)  # x^p for every x, one table lookup per factor
+    for _ in range(p):
+        xp = G.table[xp, ids]
+    if not Z.mask[xp].all():
+        return None  # central quotient not of exponent p
     v = G.order // Z.order
     e = 0
     while v % p == 0:
@@ -252,18 +258,9 @@ def symplectic_data(G: FiniteGroup, z: int) -> SymplecticData:
         c_log[x] = t
         x = G.mul(x, c)
 
-    # greedy coset basis: smallest-index representatives independent mod ZG
-    zg = sorted(z_log)
-    span = set(zg)
-    reps: list[int] = []
-    for x in range(G.order):
-        if len(reps) == 2 * m:
-            break
-        if x in span:
-            continue
-        reps.append(x)
-        span = set(int(e) for e in
-                   fingroup.closure_indices(G.table, zg + reps))
+    # greedy coset basis: smallest-index representatives independent mod
+    # ZG; V is elementary abelian, so the walk ends after exactly 2m picks
+    reps = fingroup.span_walk(G, range(G.order), base=[z])
     assert len(reps) == 2 * m
 
     def compute_gram(rr: list[int]) -> np.ndarray:
@@ -289,7 +286,7 @@ def symplectic_data(G: FiniteGroup, z: int) -> SymplecticData:
                 break
     assert (np.diagonal(gram) == 0).all()
     assert ((gram + gram.T) % p == 0).all()
-    if _rank_mod_p(gram, p) != 2 * m:
+    if _row_reduce(gram, p)[1] != 2 * m:
         raise NotJn2("commutator pairing is degenerate")
 
     nu = tuple(_nu_value(G, z_log, p, r) for r in reps)
@@ -297,39 +294,25 @@ def symplectic_data(G: FiniteGroup, z: int) -> SymplecticData:
                           gram=gram, nu=nu, basis_type=None)
 
 
-def _rank_mod_p(mat: np.ndarray, p: int) -> int:
+def _row_reduce(mat: np.ndarray, p: int) -> tuple[np.ndarray, int]:
+    """Reduced row echelon form of mat over F_p, and its rank."""
     a = np.array(mat % p, dtype=np.int64)
     rows, cols = a.shape
     rank = 0
     for col in range(cols):
-        piv = None
-        for r in range(rank, rows):
-            if a[r, col] % p:
-                piv = r
-                break
-        if piv is None:
+        nonzero = np.flatnonzero(a[rank:, col])
+        if nonzero.size == 0:
             continue
+        piv = rank + int(nonzero[0])
         a[[rank, piv]] = a[[piv, rank]]
         a[rank] = (a[rank] * pow(int(a[rank, col]), p - 2, p)) % p
         for r in range(rows):
-            if r != rank and a[r, col] % p:
+            if r != rank and a[r, col]:
                 a[r] = (a[r] - a[r, col] * a[rank]) % p
         rank += 1
-    return rank
-
-
-def _solve_mod_p(mat: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray:
-    """One solution of mat @ x = rhs over F_p (mat assumed invertible)."""
-    n = mat.shape[0]
-    a = np.concatenate([mat % p, (rhs % p).reshape(n, 1)], axis=1).astype(np.int64)
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r, col] % p)
-        a[[col, piv]] = a[[piv, col]]
-        a[col] = (a[col] * pow(int(a[col, col]), p - 2, p)) % p
-        for r in range(n):
-            if r != col and a[r, col] % p:
-                a[r] = (a[r] - a[r, col] * a[col]) % p
-    return a[:, n] % p
+        if rank == rows:
+            break
+    return a, rank
 
 
 def _pairing(gram: np.ndarray, p: int, u: np.ndarray, v: np.ndarray) -> int:
@@ -357,17 +340,11 @@ def _symplectic_pairs(gram: np.ndarray, p: int,
         for v in work:
             vv = (v - _pairing(gram, p, v, partner) * u
                   + _pairing(gram, p, v, u) * partner) % p
-            if vv.any() and not _in_span(projected + out, vv, p):
+            known = np.stack(projected + out)  # keep vv if it adds to the span
+            if _row_reduce(np.vstack([known, vv]), p)[1] > _row_reduce(known, p)[1]:
                 projected.append(vv)
         work = projected
     return out
-
-
-def _in_span(vecs: list[np.ndarray], v: np.ndarray, p: int) -> bool:
-    if not vecs:
-        return not v.any()
-    mat = np.stack(vecs + [v], axis=0)
-    return _rank_mod_p(mat, p) == _rank_mod_p(np.stack(vecs, axis=0), p)
 
 
 def normalize_basis(data: SymplecticData) -> SymplecticData:
@@ -388,24 +365,20 @@ def normalize_basis(data: SymplecticData) -> SymplecticData:
 
     if not nu_vec.any():
         basis_type = "I"
-        coords = _symplectic_pairs(gram, p, units)
+        first: list[np.ndarray] = []
     else:
         basis_type = "II"
         # dual vector u with nu(x) = <x, u>; then any first pair (e1, u + e1)
         # with <e1, u> = 1 confines nu to the first pair: the symplectic
-        # complement of the pair is exactly the kernel of nu.
-        u = _solve_mod_p(gram, nu_vec, p)
+        # complement of the pair is exactly the kernel of nu.  gram is
+        # invertible, so the reduced [gram | nu] ends in u.
+        u = _row_reduce(np.column_stack([gram, nu_vec]), p)[0][:, dim]
         vals = (gram @ u) % p
         t = int(np.flatnonzero(vals)[0])
         e1 = (units[t] * pow(int(vals[t]), p - 2, p)) % p
-        f1 = (u + e1) % p
-        rest = []
-        for v in units:
-            vv = (v - _pairing(gram, p, v, f1) * e1
-                  + _pairing(gram, p, v, e1) * f1) % p
-            if vv.any() and not _in_span(rest + [e1, f1], vv, p):
-                rest.append(vv)
-        coords = [e1, f1] + _symplectic_pairs(gram, p, rest)
+        first = [e1, (u + e1) % p]
+    # <e1, f1> = 1, so the extraction keeps (e1, f1) as its first pair
+    coords = _symplectic_pairs(gram, p, first + units)
     assert len(coords) == dim
 
     # lift coordinate vectors to group elements
@@ -479,7 +452,7 @@ def classify(G: FiniteGroup) -> tuple[Jn2Spec, GroupMap]:
                 g = G.mul(g, G.power(data.reps[2 * i], alpha[i]))
                 g = G.mul(g, G.power(data.reps[2 * i + 1], beta[i]))
             images_from_std[idx] = g
-        assert len(set(images_from_std.tolist())) == S.order, \
+        assert np.unique(images_from_std).size == S.order, \
             "normal forms must enumerate the group"
         std_to_g = GroupMap(S, G, images_from_std)
         return spec, std_to_g.inverted()

@@ -219,7 +219,6 @@ class CatalogEntry:
 
 @dataclass(frozen=True)
 class GroupCatalog:
-    max_order: int
     entries: tuple[CatalogEntry, ...]
 
     def tier(self, order: int) -> tuple[CatalogEntry, ...]:
@@ -227,15 +226,13 @@ class GroupCatalog:
 
 
 @lru_cache(maxsize=None)
-def nonabelian_catalog_upto(max_order: int = 15) -> GroupCatalog:
+def nonabelian_catalog_upto() -> GroupCatalog:
     """Complete catalog of nonabelian groups through order 15.
 
     Orders up to 8 are machine-verified complete against the exhaustive
     enumeration; orders 9 to 15 follow the classical classification
     (documented, not re-derived).
     """
-    if max_order != 15:
-        raise ValueError("the catalog is maintained exactly through order 15")
     groups = [
         (6, symmetric(3), "exhaustive"),
         (8, dihedral(8), "exhaustive"),
@@ -259,7 +256,7 @@ def nonabelian_catalog_upto(max_order: int = 15) -> GroupCatalog:
         assert len(nonab) == len(tier)
         for G in nonab:
             assert any(is_isomorphic(G, H) is not None for H in tier)
-    return GroupCatalog(max_order=max_order, entries=entries)
+    return GroupCatalog(entries=entries)
 
 
 def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
@@ -425,9 +422,10 @@ def central_product(G: FiniteGroup, H: FiniteGroup,
                     phi: Mapping[int, int]) -> CentralProduct:
     """(G x H) / {(g, phi(g)^-1)} for an isomorphism phi of the full centers."""
     ZG, ZH = center(G), center(H)
-    if set(phi) != ZG.element_set:
+    # set equalities; sorted distinct indices also rule out negative ones
+    if not np.array_equal(np.unique(list(phi)), ZG.elements):
         raise CenterMismatch("phi is not defined exactly on the center of G")
-    if set(phi.values()) != ZH.element_set:
+    if not np.array_equal(np.unique(list(phi.values())), ZH.elements):
         raise CenterMismatch("phi is not onto the center of H")
     for x in ZG.elements:
         for y in ZG.elements:
@@ -439,7 +437,7 @@ def central_product(G: FiniteGroup, H: FiniteGroup,
     Q, proj = quotient(P, N)
     embed_left = GroupMap(G, Q, proj.images[np.arange(G.order) * H.order])
     embed_right = GroupMap(H, Q, proj.images[np.arange(H.order)])
-    assert len(set(map(int, embed_left.images))) == G.order
-    assert len(set(map(int, embed_right.images))) == H.order
+    assert np.unique(embed_left.images).size == G.order
+    assert np.unique(embed_right.images).size == H.order
     return CentralProduct(group=Q, embed_left=embed_left,
                           embed_right=embed_right, projection=proj)

@@ -35,6 +35,7 @@ from .jn2 import Jn2Spec, classify, enumerate_specs, is_jn2, materialize
 DEFAULT_N = (5, 6)
 DEFAULT_G = (1, 2)
 ROW_BOUND_CAP = 128
+SPEC_MAX_ORDER = 243  # the standard groups the global checks sweep
 
 
 def default_bound(n: int, g: int) -> int:
@@ -97,11 +98,12 @@ def sn_quotient_ok(n: int, g: int) -> bool:
     return rep.ok
 
 
-def standard_witness_specs(n: int, g: int, max_order: int = 125) -> list[Jn2Spec]:
-    """Spec descriptors whose explicit witness recipe applies at (n, g)."""
+def standard_witness_specs(n: int, g: int) -> list[Jn2Spec]:
+    """Spec descriptors of order <= 125 whose explicit witness recipe
+    applies at (n, g)."""
     out = []
     s = g + n - 1
-    for spec in enumerate_specs(max_order):
+    for spec in enumerate_specs(125):
         if spec.m != g or s % spec.p:
             continue
         if spec.variant == "I":
@@ -129,9 +131,12 @@ def witness_dichotomies_ok(w: Witness) -> bool:
 
 def build_row(n: int, g: int, bound: Optional[int] = None,
               budget: Optional[int] = None) -> VerifyRow:
+    pred = predicted_minimum(n, g)  # range-checks n and g
+    # S_n is built first: n! within the table cap also keeps the full
+    # presentations evaluated below small
+    sn_ok = sn_quotient_ok(n, g)
     bound = bound if bound is not None else default_bound(n, g)
     report = minimal_braid_reduced_search(n, g, bound, budget)
-    pred = report.predicted
 
     if pred.order <= bound:
         min_ok = report.minimum == pred.order
@@ -156,8 +161,6 @@ def build_row(n: int, g: int, bound: Optional[int] = None,
         std_ok = std_ok and check_full_quotient(w.group, n, g, w.full_images()).ok
         std_ok = std_ok and witness_dichotomies_ok(w)
 
-    sn_ok = sn_quotient_ok(n, g)
-
     factorial = math.factorial(n)
     if report.minimum is not None and report.minimum < factorial:
         smallest = (f"smallest nonabelian quotient: order {report.minimum} "
@@ -181,52 +184,37 @@ def build_row(n: int, g: int, bound: Optional[int] = None,
 # global checks
 
 
-def classification_corpus(max_catalog_order: int = 64,
-                          max_spec_order: int = 243) -> list[FiniteGroup]:
-    """Exhaustive classes through order 8, the nonabelian catalog, and all
-    standard JN2 groups within the descriptor order cap."""
-    groups: list[FiniteGroup] = []
-    for k in range(1, 9):
-        groups.extend(oracle.enumerate_groups_exhaustive(k))
-    for entry in oracle.nonabelian_catalog_upto(15).entries:
-        groups.append(entry.group)
-    for spec in enumerate_specs(max_spec_order):
-        groups.append(materialize(spec).group)
-    return [G for G in groups if G.order <= max(max_catalog_order, max_spec_order)]
-
-
-def check_equivalence_with_definition(max_order: int = 64) -> GlobalCheck:
+def check_equivalence_with_definition() -> GlobalCheck:
     """is_jn2 agrees with the literal definition (nilpotency class 2 and
-    every proper quotient abelian) on every corpus group within budget."""
+    every proper quotient abelian) on the exhaustive classes through order
+    8, the nonabelian catalog and the standard JN2 groups of order <= 64."""
+    groups = [G for k in range(1, 9) for G in oracle.enumerate_groups_exhaustive(k)]
+    groups += [entry.group for entry in oracle.nonabelian_catalog_upto().entries]
+    groups += [materialize(spec).group for spec in enumerate_specs(64)]
     bad = []
-    tested = 0
-    for G in classification_corpus():
-        if G.order > max_order:
-            continue
-        tested += 1
+    for G in groups:
         direct = (nilpotency_class(G) == 2) and oracle.is_just_nonabelian(G)
         if (is_jn2(G) is not None) != direct:
             bad.append(G.label)
     return GlobalCheck("jn2-definition-equivalence",
                        ok=not bad,
-                       detail=f"{tested} groups <= {max_order}; mismatches: {bad}")
+                       detail=f"{len(groups)} groups <= 64; mismatches: {bad}")
 
 
-def check_classify_roundtrips(relabelings: int = 10, seed: int = 0,
-                              max_spec_order: int = 243) -> GlobalCheck:
-    """classify recovers the descriptor of every JN2 corpus group under
+def check_classify_roundtrips(seed: int = 0) -> GlobalCheck:
+    """classify recovers the descriptor of every JN2 corpus group under ten
     random relabelings, with a verified isomorphism each time."""
     rng = random.Random(seed)
     bad = []
     runs = 0
     targets: list[tuple[str, FiniteGroup, Optional[Jn2Spec]]] = []
-    for spec in enumerate_specs(max_spec_order):
+    for spec in enumerate_specs(SPEC_MAX_ORDER):
         targets.append((str(spec), materialize(spec).group, spec))
-    for entry in oracle.nonabelian_catalog_upto(15).entries:
+    for entry in oracle.nonabelian_catalog_upto().entries:
         if is_jn2(entry.group) is not None:
             targets.append((entry.group.label or "?", entry.group, None))
     for label, G, spec in targets:
-        for _ in range(relabelings):
+        for _ in range(10):
             H, _ = random_relabeling(G, rng)
             got, iso = classify(H)
             runs += 1
@@ -239,11 +227,11 @@ def check_classify_roundtrips(relabelings: int = 10, seed: int = 0,
                        detail=f"{runs} classifications; failures: {bad}")
 
 
-def check_variant_nonisomorphism(max_spec_order: int = 243) -> GlobalCheck:
+def check_variant_nonisomorphism() -> GlobalCheck:
     """I and II of the same class are never isomorphic; D8/Q8 have exactly
     2 and 6 elements of order 4."""
     bad = []
-    classes = sorted({(s.p, s.j, s.m) for s in enumerate_specs(max_spec_order)})
+    classes = sorted({(s.p, s.j, s.m) for s in enumerate_specs(SPEC_MAX_ORDER)})
     for p, j, m in classes:
         a = materialize(Jn2Spec(p, j, m, "I")).group
         b = materialize(Jn2Spec(p, j, m, "II")).group
@@ -273,12 +261,12 @@ def check_exhaustive_order8() -> GlobalCheck:
                        detail=f"{len(groups)} classes, {len(nonab)} nonabelian")
 
 
-def check_exponent_dichotomy(max_spec_order: int = 243) -> GlobalCheck:
+def check_exponent_dichotomy() -> GlobalCheck:
     """Variant II always contains an element of order p^(j+1); variant I has
     exponent at most p^j whenever p^j != 2 (for central order 2 both
     variants contain order-4 elements and are told apart by counting them)."""
     bad = []
-    for spec in enumerate_specs(max_spec_order):
+    for spec in enumerate_specs(SPEC_MAX_ORDER):
         G = materialize(spec).group
         pj = spec.p ** spec.j
         if spec.variant == "I":
@@ -291,7 +279,7 @@ def check_exponent_dichotomy(max_spec_order: int = 243) -> GlobalCheck:
                        detail=f"failures: {bad}")
 
 
-def check_nu_linearity(trials: int = 1000, seed: int = 0) -> GlobalCheck:
+def check_nu_linearity(seed: int = 0) -> GlobalCheck:
     """nu(xy) = nu(x) + nu(y) on random pairs, for central orders 3, 9, 5."""
     rng = random.Random(seed)
     violations = 0
@@ -301,7 +289,7 @@ def check_nu_linearity(trials: int = 1000, seed: int = 0) -> GlobalCheck:
             std = materialize(Jn2Spec(p, j, 1, variant))
             G = std.group
             nu = partial(jn2._nu_value, G, jn2._z_power_log(G, std.z), p)
-            for _ in range(trials):
+            for _ in range(1000):
                 x = rng.randrange(G.order)
                 y = rng.randrange(G.order)
                 checked += 1
@@ -311,8 +299,7 @@ def check_nu_linearity(trials: int = 1000, seed: int = 0) -> GlobalCheck:
                        detail=f"{checked} pairs, {violations} violations")
 
 
-def check_pairing_representative_independence(trials: int = 1000,
-                                              seed: int = 0) -> GlobalCheck:
+def check_pairing_representative_independence(seed: int = 0) -> GlobalCheck:
     """[x c, y] = [x, y] for central c: the pairing only sees cosets."""
     rng = random.Random(seed)
     violations = 0
@@ -322,7 +309,7 @@ def check_pairing_representative_independence(trials: int = 1000,
             std = materialize(Jn2Spec(p, j, 1, variant))
             G = std.group
             central = [x for x in range(G.order) if G.center_mask[x]]
-            for _ in range(trials):
+            for _ in range(1000):
                 x = rng.randrange(G.order)
                 y = rng.randrange(G.order)
                 c = central[rng.randrange(len(central))]
@@ -334,27 +321,28 @@ def check_pairing_representative_independence(trials: int = 1000,
                        detail=f"{checked} perturbations, {violations} violations")
 
 
-def check_symmetric_non_nilpotent(ms: Sequence[int] = (3, 4, 5, 6)) -> GlobalCheck:
+def check_symmetric_non_nilpotent() -> GlobalCheck:
+    ms = (3, 4, 5, 6)
     bad = [m for m in ms if nilpotency_class(symmetric(m)) is not None]
     return GlobalCheck("symmetric-non-nilpotent", ok=not bad,
-                       detail=f"m in {tuple(ms)}; failures: {bad}")
+                       detail=f"m in {ms}; failures: {bad}")
 
 
-def check_unconditional_below_16(n: int = 6, g: int = 1) -> GlobalCheck:
-    """Every nonabelian group of order < 16 rejects, by exhaustive tuple
-    search, independently of any classification."""
+def check_unconditional_below_16() -> GlobalCheck:
+    """Every nonabelian group of order < 16 rejects (n, g) = (6, 1), by
+    exhaustive tuple search, independently of any classification."""
     groups: list[FiniteGroup] = []
     for k in range(1, 9):
         groups.extend(G for G in oracle.enumerate_groups_exhaustive(k)
                       if not G.is_abelian)
-    for entry in oracle.nonabelian_catalog_upto(15).entries:
+    for entry in oracle.nonabelian_catalog_upto().entries:
         if entry.order > 8:
             groups.append(entry.group)
     bad = []
     for G in groups:
-        if braid.find_witness(G, n, g) is not None:
+        if braid.find_witness(G, 6, 1) is not None:
             bad.append(G.label)
-        if G.order <= 14 and oracle.find_witness_naive(G, n, g) is not None:
+        if G.order <= 14 and oracle.find_witness_naive(G, 6, 1) is not None:
             bad.append(f"{G.label} (naive)")
     return GlobalCheck("unconditional-minimality-below-16",
                        ok=not bad,

@@ -24,7 +24,7 @@ def exhaustive_tiers():
 
 @pytest.fixture(scope="session")
 def catalog():
-    return oracle.nonabelian_catalog_upto(15)
+    return oracle.nonabelian_catalog_upto()
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from braidquot import cli, fingroup as fg
@@ -159,6 +161,45 @@ def test_malformed_cayley_files_exit_codes(tmp_path, capsys, text, code):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err
+
+
+HUGE = "1000000000000000000000000000057"
+
+
+@pytest.mark.parametrize("argv,code", [
+    # a 31-digit prime must be refused before any trial division
+    (["construct", "--spec", f"I({HUGE},1)"], 3),
+    (["search-min", "--n", HUGE, "--g", "1", "--bound", "8"], 2),
+    (["construct", "--spec", "I(2^99999999,1)"], 3),
+    (["search-min", "--n", "5", "--g", HUGE, "--bound", "8"], 2),
+    (["search-min", "--n", "5", "--g", "101", "--bound", "8"], 2),
+    (["search-min", "--n", "10001", "--g", "1", "--bound", "8"], 2),
+    (["search-min", "--n", "4", "--g", "1", "--bound", "8"], 2),
+    (["verify-paper", "--n", HUGE], 2),
+    (["verify-paper", "--g", HUGE], 2),
+    (["verify-paper", "--n", "10000", "--g", "1"], 3),  # S_10000 over the cap
+    (["search-min", "--n", "5", "--g", "1", "--bound", "0"], 2),
+    (["search-min", "--n", "5", "--g", "1", "--bound", "-1"], 2),
+    (["search-min", "--n", "5", "--g", "1", "--bound", "8", "--budget", "0"], 2),
+    (["verify-paper", "--n", "5", "--g", "1", "--bound", "0"], 2),
+    (["verify-paper", "--n", "5", "--g", "1", "--budget", "0"], 2),
+    (["enumerate", "--bound", "0"], 2),
+    (["enumerate", "--bound", "-5"], 2),
+])
+def test_out_of_range_arguments_exit_fast(capsys, argv, code):
+    t0 = time.monotonic()
+    assert cli.main(argv) == code
+    assert time.monotonic() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
+def test_negative_order_file_message(tmp_path, capsys):
+    path = tmp_path / "g.grp"
+    path.write_text("-3\n")
+    assert cli.main(["classify", "--in", str(path)]) == 2
+    assert "order must be >= 1, got -3" in capsys.readouterr().err
 
 
 def test_enumerate_counts_and_export(tmp_path, capsys):

@@ -221,6 +221,44 @@ def test_quotient_by_derived_abelian(small_corpus):
         assert Q.is_abelian
 
 
+def _first_violation_by_loops(N):
+    G = N.parent
+    for x in range(G.order):
+        for s in N.elements:
+            if G.mul(G.mul(x, s), G.inv(x)) not in N.elements:
+                return (x, s)
+    return None
+
+
+def test_normality_violation_matches_double_loop(small_corpus):
+    # every cyclic subgroup of every corpus group, S4 included
+    for G in small_corpus:
+        for x in range(G.order):
+            N = fg.subgroup_generated(G, [x])
+            assert N.normality_violation() == _first_violation_by_loops(N), (G.label, x)
+            assert N.is_normal == (_first_violation_by_loops(N) is None)
+
+
+def test_quotient_matches_hand_built_cosets(small_corpus):
+    for G in small_corpus:
+        if G.order > 64:
+            continue
+        for N in oracle.normal_subgroups(G):
+            Q, proj = fg.quotient(G, N)
+            coset_min = [min(G.mul(x, s) for s in N.elements) for x in range(G.order)]
+            reps = sorted(set(coset_min))
+            assert list(proj.images) == [reps.index(r) for r in coset_min]
+            for i, r in enumerate(reps):
+                for k, s in enumerate(reps):
+                    assert Q.mul(i, k) == reps.index(coset_min[G.mul(r, s)])
+
+
+def test_subgroup_mask_is_membership(small_corpus):
+    for G in small_corpus:
+        for N in (fg.center(G), fg.derived_subgroup(G)):
+            assert list(np.flatnonzero(N.mask)) == list(N.elements)
+
+
 def test_subgroup_rejects_unclosed_set():
     S3 = fg.symmetric(3)
     transposition = next(x for x in range(6) if S3.element_order(x) == 2)
@@ -232,6 +270,11 @@ def test_subgroup_rejects_unclosed_set():
 def test_relabel_must_fix_identity():
     with pytest.raises(ValueError):
         fg.relabel(fg.cyclic(3), [1, 0, 2])
+
+
+def test_relabel_needs_a_permutation():
+    with pytest.raises(ValueError):
+        fg.relabel(fg.cyclic(3), [0, 1, 1])
 
 
 def test_groupmap_rejects_non_homomorphism():
@@ -360,6 +403,8 @@ def test_cayley_file_roundtrip(tmp_path):
     ("3\n0 1 2\n1 2 0\n2 0 1\n2 0 1\n", "expected 3 table rows, found 4"),
     ("3\n0 1 2\n1 2 0 1\n2 0 1\n", "row 1 has 4 entries, expected 3"),
     ("3\n0 1 2\n1 2\n2 0 1\n", "row 1 has 2 entries, expected 3"),
+    ("-3\n", "order must be >= 1, got -3"),
+    ("0\n", "order must be >= 1, got 0"),
 ])
 def test_cayley_text_rejects_malformed_tables(text, message):
     with pytest.raises(NotAGroup, match=message):

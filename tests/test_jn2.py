@@ -37,6 +37,15 @@ def test_spec_rejects_garbage():
             parse_spec(bad)
 
 
+def test_spec_over_cap_rejected_without_big_arithmetic():
+    with pytest.raises(SizeLimit):
+        Jn2Spec(10 ** 30 + 57, 1, 1, "I")  # never trial-divided
+    with pytest.raises(SizeLimit):
+        materialize(parse_spec("I(2^99999999,1)"))  # 2^100000001 never formed
+    with pytest.raises(SizeLimit):
+        materialize(Jn2Spec(3, 1, 4, "I"))  # order 3^9 just over the cap
+
+
 def test_spec_order():
     assert Jn2Spec(2, 2, 1, "I").order == 16
     assert Jn2Spec(5, 1, 1, "II").order == 125
@@ -210,6 +219,14 @@ def test_central_product_rejects_bad_phi():
         oracle.central_product(M9, M9, broken)
 
 
+def test_central_product_rejects_negative_indices():
+    C2 = fg.cyclic(2)
+    with pytest.raises(CenterMismatch):
+        oracle.central_product(C2, C2, {0: 0, -1: 1})
+    with pytest.raises(CenterMismatch):
+        oracle.central_product(C2, C2, {0: 0, 1: -1})
+
+
 def test_center_identification_rejects_mismatched_centers():
     with pytest.raises(CenterMismatch):
         oracle.center_identification(fg.cyclic(2), fg.cyclic(3))
@@ -247,6 +264,41 @@ def test_symplectic_n3_nu_nonzero():
     std = materialize(Jn2Spec(3, 1, 1, "II"))
     data = jn2.symplectic_data(std.group, std.z)
     assert all(v != 0 for v in data.nu)
+
+
+def test_coset_basis_walk_stops_at_2m(specs_243):
+    """The span walk, stopped when the span is the whole group, picks the
+    same representatives as a walk stopped after 2m picks."""
+    rng = random.Random(1)
+    for spec in specs_243:
+        G, _ = fg.random_relabeling(materialize(spec).group, rng)
+        z = min(x for x in fg.center(G).elements
+                if G.element_order(x) == spec.center_order)
+        span, counted = set(fg.center(G).elements), []
+        for x in range(G.order):
+            if len(counted) == 2 * spec.m:
+                break
+            if x not in span:
+                counted.append(x)
+                span = set(fg.subgroup_generated(G, [z] + counted).elements)
+        assert fg.span_walk(G, range(G.order), base=[z]) == counted, spec
+
+
+def test_row_reduce_rank_and_solve():
+    rng = random.Random(0)
+    for p in (2, 3, 5):
+        for _ in range(50):
+            mat = np.array([[rng.randrange(p) for _ in range(4)] for _ in range(3)])
+            # rank = log_p of the size of the row space
+            space = {tuple((np.array(c) @ mat) % p)
+                     for c in np.ndindex(*(p,) * 3)}
+            rank = jn2._row_reduce(mat, p)[1]
+            assert p ** rank == len(space)
+            square = mat[:, :3]
+            if jn2._row_reduce(square, p)[1] == 3:
+                rhs = mat[:, 3]
+                x = jn2._row_reduce(np.column_stack([square, rhs]), p)[0][:, 3]
+                assert ((square @ x - rhs) % p == 0).all()
 
 
 def test_symplectic_diagonal_zero(specs_243):
