@@ -2,9 +2,11 @@
 
 Verbs: construct | classify | check-witness | check-full | search-min |
 verify-paper | enumerate.  Exit codes: 0 success, 1 mathematical-negative
-result (e.g. no witness, not JN2, a failed verification), 2 usage errors,
-3 budget/size errors.  Output is deterministic for fixed inputs: human-
-readable lines, then a ``---`` separator, then ``key=value`` machine lines.
+result a verb returns (e.g. no witness, not JN2, a failed verification),
+2 usage errors, 3 budget/size errors, 4 internal errors (any other
+exception, reported on one ``internal error:`` line without a traceback).
+Output is deterministic for fixed inputs: human-readable lines, then a
+``---`` separator, then ``key=value`` machine lines.
 Timings go to stderr so stdout stays byte-identical across runs.
 """
 
@@ -19,7 +21,6 @@ from typing import Optional
 
 from . import braid, fingroup, jn2, oracle, verify
 from .errors import (
-    GroupError,
     HypothesisFailed,
     NotAGroup,
     NotJn2,
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _positive(text: str) -> int:
@@ -341,9 +343,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ParamRange, HypothesisFailed, NotAGroup, ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except GroupError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entrypoint() -> None:

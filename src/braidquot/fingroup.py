@@ -2,9 +2,10 @@
 
 A group is a full multiplication table over element indices 0..order-1 with
 the identity pinned at index 0.  Every constructor relabels to enforce this,
-and every table is validated in full (identity, inverses, associativity) on
-construction.  All values are immutable after construction; operations are
-pure functions of their inputs.
+and every table is validated in full on construction: identity and inverses
+cell by cell, associativity by Light's test on a set that generates the
+table, O(n^2) per generator.  All values are immutable after construction;
+operations are pure functions of their inputs.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -23,9 +24,6 @@ TABLE_CAP = 10_000
 
 # Isomorphism backtracking refuses beyond this many elements.
 ISO_SIZE_LIMIT = 2_000
-
-# Table entries processed per block in the associativity sweep.
-_ASSOC_BLOCK = 4_000_000
 
 
 def least_prime_factor(n: int) -> int:
@@ -176,21 +174,6 @@ class FiniteGroup:
         return f"<FiniteGroup{tag} order={self.order}>"
 
 
-def _first_assoc_violation(t: np.ndarray) -> Optional[tuple[int, int, int]]:
-    n = t.shape[0]
-    rows = max(1, _ASSOC_BLOCK // max(1, n * n))
-    for x0 in range(0, n, rows):
-        x1 = min(n, x0 + rows)
-        block = t[x0:x1]
-        lhs = t[block, :]          # (c, n, n): (x*y)*z
-        rhs = block[:, t]          # (c, n, n): x*(y*z)
-        bad = lhs != rhs
-        if bad.any():
-            i, y, z = np.argwhere(bad)[0]
-            return (int(x0 + i), int(y), int(z))
-    return None
-
-
 def _check_order(order: int) -> None:
     if order < 1:
         raise NotAGroup(f"order must be >= 1, got {order}")
@@ -205,15 +188,24 @@ def from_table(order: int,
                names: Optional[Mapping[str, int]] = None) -> FiniteGroup:
     """Validate a multiplication table and wrap it as a FiniteGroup.
 
+    Associativity is decided by Light's test (Clifford & Preston, *Algebraic
+    Theory of Semigroups* I, 1.2): the elements a with (x*a)*y = x*(a*y) for
+    all x, y form a submagma, so checking a set that generates the table
+    under multiplication checks every triple.
+
     Raises :class:`NotAGroup` naming the first violated law, or
     :class:`SizeLimit` when the order exceeds the table cap.
     """
     _check_order(order)
-    t = np.array(table, dtype=np.int32)
+    try:
+        t = np.array(table, dtype=np.int64)
+    except OverflowError:
+        raise NotAGroup("table entries out of range") from None
     if t.shape != (order, order):
         raise NotAGroup(f"table shape {t.shape} does not match order {order}")
     if t.min(initial=0) < 0 or t.max(initial=0) >= order:
         raise NotAGroup("table entries out of range")
+    t = t.astype(np.int32)
 
     idx = np.arange(order, dtype=np.int32)
     if not np.array_equal(t[0], idx):
@@ -223,20 +215,23 @@ def from_table(order: int,
         x = int(np.argwhere(t[:, 0] != idx)[0][0])
         raise NotAGroup(f"identity law fails: {x}*0 = {int(t[x, 0])}")
 
-    inv = np.full(order, -1, dtype=np.int32)
-    for x in range(order):
-        zeros = np.flatnonzero(t[x] == 0)
-        if zeros.size == 0:
+    zero = t == 0
+    inv = zero.argmax(axis=1).astype(np.int32)  # first y with x*y = 0
+    has_inv = zero[idx, inv]
+    fails = ~has_inv | (t[inv, idx] != 0)
+    if fails.any():
+        x = int(np.argmax(fails))
+        y = int(inv[x])
+        if not has_inv[x]:
             raise NotAGroup(f"no inverse for {x}")
-        y = int(zeros[0])
-        if t[y, x] != 0:
-            raise NotAGroup(f"inverse law fails: {x}*{y} = 0 but {y}*{x} = {int(t[y, x])}")
-        inv[x] = y
+        raise NotAGroup(f"inverse law fails: {x}*{y} = 0 but {y}*{x} = {int(t[y, x])}")
 
-    bad = _first_assoc_violation(t)
-    if bad is not None:
-        x, y, z = bad
-        raise NotAGroup(f"associativity fails at ({x},{y},{z})")
+    # element 0 is the identity, so the span walk's closures only grow
+    for a in span_walk(t, range(1, order)):
+        bad = t[t[:, a]] != t[:, t[a]]  # (x*a)*y != x*(a*y), indexed [x, y]
+        if bad.any():
+            x, y = np.argwhere(bad)[0]
+            raise NotAGroup(f"associativity fails at ({int(x)},{a},{int(y)})")
 
     t.flags.writeable = False
     inv.flags.writeable = False
@@ -585,21 +580,22 @@ def _signatures(G: FiniteGroup) -> np.ndarray:
                      G.element_orders[sq]], axis=1)
 
 
-def span_walk(G: FiniteGroup, candidates: Iterable[int],
-              base: Sequence[int] = ()) -> list[int]:
-    """Greedy span walk: keep each candidate, in order, that lies outside
-    the subgroup generated by ``base`` and the candidates kept so far; stop
-    once that subgroup is all of G."""
-    inside = np.zeros(G.order, dtype=bool)
-    inside[closure_indices(G.table, base)] = True
+def span_walk(table: np.ndarray, candidates: Iterable[int],
+              base: Sequence[int] = ()) -> Iterator[int]:
+    """Greedy span walk: yield each candidate, in order, that lies outside
+    the closure of ``base`` and the candidates yielded so far under
+    multiplication; stop once that closure is the whole table.  Each pick
+    is yielded before its closure is taken."""
+    inside = np.zeros(table.shape[0], dtype=bool)
+    inside[closure_indices(table, base)] = True
     picks: list[int] = []
     for x in candidates:
         if inside.all():
             break
         if not inside[x]:
             picks.append(int(x))
-            inside[closure_indices(G.table, [*base, *picks])] = True
-    return picks
+            yield int(x)
+            inside[closure_indices(table, [*base, *picks])] = True
 
 
 def generating_sequence(G: FiniteGroup) -> list[int]:
@@ -607,7 +603,8 @@ def generating_sequence(G: FiniteGroup) -> list[int]:
     centralizer next; deterministic for a fixed labeling."""
     orders = G.element_orders
     csz = G.centralizer_sizes
-    return span_walk(G, sorted(range(1, G.order), key=lambda x: (-orders[x], csz[x], x)))
+    return list(span_walk(G.table, sorted(range(1, G.order),
+                                          key=lambda x: (-orders[x], csz[x], x))))
 
 
 def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupMap]:

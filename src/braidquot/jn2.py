@@ -260,7 +260,7 @@ def symplectic_data(G: FiniteGroup, z: int) -> SymplecticData:
 
     # greedy coset basis: smallest-index representatives independent mod
     # ZG; V is elementary abelian, so the walk ends after exactly 2m picks
-    reps = fingroup.span_walk(G, range(G.order), base=[z])
+    reps = list(fingroup.span_walk(G.table, range(G.order), base=[z]))
     assert len(reps) == 2 * m
 
     def compute_gram(rr: list[int]) -> np.ndarray:
@@ -427,28 +427,26 @@ def normalize_basis(data: SymplecticData) -> SymplecticData:
 def classify(G: FiniteGroup) -> tuple[Jn2Spec, GroupMap]:
     """The standard model of a JN2 group plus a verified isomorphism onto it.
 
-    For p^j != 2 the variant is read off a normalized symplectic basis and
-    the isomorphism maps the lifted representatives to the standard
-    generators; for p^j = 2 the variant comes from the order profile and
-    the isomorphism from backtracking search.
+    A JN2 group of class (p^j, m) has a center of order p^j, so the center's
+    order picks the path, and each path recognises JN2 once.  For p^j != 2
+    the variant is read off a normalized symplectic basis and the
+    isomorphism maps the lifted representatives to the standard generators;
+    for p^j = 2 the variant comes from the order profile and the isomorphism
+    from backtracking search.
     """
-    params = is_jn2(G)
-    if params is None:
-        raise NotJn2("group fails the JN2 characterization")
-    p, j, m = params
-
-    if p ** j != 2:
-        Z = center(G)
-        z = min(x for x in Z.elements if G.element_order(x) == Z.order)
-        data = normalize_basis(symplectic_data(G, z))
-        spec = Jn2Spec(p=p, j=j, m=m, variant=data.basis_type)
-        std = materialize(spec)
-        S = std.group
+    Z = center(G)
+    if Z.order != 2:
+        z = min((x for x in Z.elements if G.element_order(x) == Z.order), default=None)
+        if z is None:
+            raise NotJn2("center is not cyclic")
+        data = normalize_basis(symplectic_data(G, z))  # recognises JN2
+        spec = Jn2Spec(p=data.p, j=data.j, m=data.m, variant=data.basis_type)
+        S = materialize(spec).group
         images_from_std = np.empty(S.order, dtype=np.int64)
         for idx in range(S.order):
             k, alpha, beta = _decode(spec, idx)
             g = G.power(z, k)
-            for i in range(m):
+            for i in range(spec.m):
                 g = G.mul(g, G.power(data.reps[2 * i], alpha[i]))
                 g = G.mul(g, G.power(data.reps[2 * i + 1], beta[i]))
             images_from_std[idx] = g
@@ -457,6 +455,10 @@ def classify(G: FiniteGroup) -> tuple[Jn2Spec, GroupMap]:
         std_to_g = GroupMap(S, G, images_from_std)
         return spec, std_to_g.inverted()
 
+    params = is_jn2(G)
+    if params is None:
+        raise NotJn2("group fails the JN2 characterization")
+    p, j, m = params
     candidates = [Jn2Spec(p=p, j=j, m=m, variant=v) for v in ("I", "II")]
     matches = [s for s in candidates
                if materialize(s).group.order_profile == G.order_profile]

@@ -1,12 +1,12 @@
 """Independent brute-force cross-checks and reference constructions.
 
-Nothing here depends on the classification machinery: groups are enumerated
-directly from the axioms, normal subgroups come from conjugacy-class
-closures, and the just-nonabelian test literally builds every proper
-quotient.  The standard JN2 groups are rebuilt two more ways, by scalar
-normal-form arithmetic and by central products taken from the definition.
-These are the oracles against which the constructive algorithms are
-validated.
+Nothing here depends on the classification machinery: associativity is
+swept over all n^3 triples, groups are enumerated directly from the axioms,
+normal subgroups come from conjugacy-class closures, and the
+just-nonabelian test literally builds every proper quotient.  The standard
+JN2 groups are rebuilt two more ways, by scalar normal-form arithmetic and
+by central products taken from the definition.  These are the oracles
+against which the constructive algorithms are validated.
 """
 
 from __future__ import annotations
@@ -40,6 +40,18 @@ if TYPE_CHECKING:
     from .jn2 import Jn2Spec
 
 _ENUM_BUDGET = 3_000_000
+
+
+def first_assoc_violation(table) -> Optional[tuple[int, int, int]]:
+    """Lexicographically first (x, y, z) with (x*y)*z != x*(y*z), from all
+    n^3 triples at once, or None when the table is associative.  The
+    reference for ``from_table``'s Light's test; meant for small tables."""
+    t = np.asarray(table)
+    bad = t[t] != t[:, t]  # [x, y, z]: (x*y)*z versus x*(y*z)
+    if not bad.any():
+        return None
+    x, y, z = np.argwhere(bad)[0]
+    return (int(x), int(y), int(z))
 
 
 def _semiregular(perm: tuple[int, ...]) -> bool:

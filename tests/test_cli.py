@@ -1,8 +1,14 @@
+import contextlib
+import io
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from braidquot import cli, fingroup as fg
+from braidquot import cli, fingroup as fg, oracle
+from braidquot.errors import NotCentral, Unsupported
 
 
 def run(capsys, *argv):
@@ -153,6 +159,7 @@ def test_witness_indices_outside_group_exit_two(tmp_path, capsys, verb, indices)
     ("3\n0 1 2\n1 2 0\n", 2),                    # truncated
     ("3\n0 1 2\n1 2 0 1\n2 0 1\n", 2),          # a row with an extra column
     ("10001\n0\n", 3),                            # order over the table cap
+    ("2\n0 1\n1 4294967296\n", 2),               # an entry beyond int32
 ])
 def test_malformed_cayley_files_exit_codes(tmp_path, capsys, text, code):
     path = tmp_path / "g.grp"
@@ -193,6 +200,87 @@ def test_out_of_range_arguments_exit_fast(capsys, argv, code):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("boom"), AssertionError("broken invariant"),
+                                 Unsupported("outside its hypotheses"),
+                                 NotCentral("element 3 is not central")])
+def test_unexpected_exceptions_exit_four(monkeypatch, capsys, exc):
+    def raiser(args):
+        raise exc
+    monkeypatch.setitem(cli._DISPATCH, "classify", raiser)
+    assert cli.main(["classify", "--in", "g.grp"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: {type(exc).__name__}: {exc}\n"
+
+
+def _is_group_text(text: str) -> bool:
+    """Reference verdict on a .grp text: it parses to a square table with
+    entries in range, identity 0 and two-sided inverses, and the oracle's
+    n^3 sweep finds no associativity failure."""
+    lines = text.splitlines()
+    if lines and lines[0].startswith("#"):
+        lines = lines[1:]
+    try:
+        order = int(lines[0])
+        t = np.array([[int(v) for v in line.split()] for line in lines[1:]])
+    except (IndexError, ValueError):
+        return False
+    idx = np.arange(order)
+    if order < 1 or t.shape != (order, order) or t.min() < 0 or t.max() >= order:
+        return False
+    if not (np.array_equal(t[0], idx) and np.array_equal(t[:, 0], idx)):
+        return False
+    if not ((t == 0) & (t.T == 0)).any(axis=1).all():
+        return False
+    return oracle.first_assoc_violation(t) is None
+
+
+FUZZ_GROUPS = [fg.cyclic(6), fg.symmetric(3), fg.dihedral(8), fg.dicyclic(8),
+               fg.alternating(4), fg.direct_product(fg.cyclic(2), fg.cyclic(4))]
+# small integers, integers beyond int64, and tokens int() refuses or reads
+# in an unusual way
+TOKENS = st.one_of(st.integers(-2, 20).map(str),
+                   st.sampled_from([str(10 ** 22), str(-10 ** 22), str(2 ** 63), "x", "1.5",
+                                    "", "0x3", "#", "1 2", "\t", "nan", "+2", "07"]))
+
+
+@st.composite
+def grp_texts(draw):
+    """A small group's .grp text with cells perturbed, then possibly a
+    label line, garbage tokens or a truncation."""
+    G = draw(st.sampled_from(FUZZ_GROUPS))
+    t = np.array(G.table)
+    for _ in range(draw(st.integers(0, 3))):
+        x, y = draw(st.integers(0, G.order - 1)), draw(st.integers(0, G.order - 1))
+        t[x, y] = draw(st.integers(-1, G.order))
+    rows = [[str(v) for v in row] for row in t]
+    damage = draw(st.sampled_from(["none", "garbage", "truncate"]))
+    if damage == "garbage":
+        for _ in range(draw(st.integers(1, 2))):
+            r, c = draw(st.integers(0, G.order - 1)), draw(st.integers(0, G.order - 1))
+            rows[r][c] = draw(TOKENS)
+    lines = [str(G.order)] + [" ".join(row) for row in rows]
+    if draw(st.booleans()):
+        lines.insert(0, f"# label: {G.label}")
+    text = "\n".join(lines) + "\n"
+    if damage == "truncate":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=grp_texts())
+def test_classify_fuzz_exit_codes(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "g.grp"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["classify", "--in", str(path)])
+    assert code in (0, 1, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert (code in (0, 1)) == _is_group_text(text), (code, err.getvalue())
 
 
 def test_negative_order_file_message(tmp_path, capsys):

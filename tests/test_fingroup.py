@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,14 @@ def test_missing_inverse_rejected():
         fg.from_table(2, [[0, 1], [1, 1]])
 
 
+def test_entries_range_checked_before_narrowing():
+    # 2**32 used to wrap to 0 in the int32 table and pass as Z2; a Python
+    # int beyond int64 used to escape as OverflowError
+    for table in (np.array([[0, 1], [1, 2 ** 32]], dtype=np.int64), [[0, 1], [1, 10 ** 22]]):
+        with pytest.raises(NotAGroup, match="table entries out of range"):
+            fg.from_table(2, table)
+
+
 def test_identity_violation_rejected():
     with pytest.raises(NotAGroup, match="identity law"):
         fg.from_table(2, [[1, 0], [0, 1]])
@@ -40,6 +49,124 @@ def test_associativity_violation_rejected():
     # identity and inverses fine, but (1*2)*2 != 1*(2*2)
     with pytest.raises(NotAGroup, match="associativity fails"):
         fg.from_table(3, [[0, 1, 2], [1, 0, 2], [2, 2, 0]])
+
+
+def _inverse_messages_by_loop(t: np.ndarray):
+    """The row-by-row inverse check, as a reference for the array form."""
+    for x in range(t.shape[0]):
+        zeros = np.flatnonzero(t[x] == 0)
+        if zeros.size == 0:
+            return f"no inverse for {x}"
+        y = int(zeros[0])
+        if t[y, x] != 0:
+            return f"inverse law fails: {x}*{y} = 0 but {y}*{x} = {int(t[y, x])}"
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(min_value=2, max_value=7), data=st.data())
+def test_inverse_check_names_first_failing_element(n, data):
+    # identity row and column, every other cell drawn from a few values so
+    # that rows without a 0 and one-sided inverses both come up
+    t = np.array([[data.draw(st.integers(0, min(2, n - 1))) for _ in range(n)]
+                  for _ in range(n)])
+    t[0] = t[:, 0] = np.arange(n)
+    expected = _inverse_messages_by_loop(t)
+    if expected is None:
+        return  # inverses hold; associativity decides the rest
+    with pytest.raises(NotAGroup) as exc:
+        fg.from_table(n, t)
+    assert str(exc.value) == expected
+
+
+# A loop (Latin square with identity 0 and two-sided inverses) that is not
+# associative.  The span walk over 1..5 picks 1, whose closure is {0, 1},
+# then 2.  Element 1 passes Light's test; element 2 fails it.
+LOOP6 = np.array([[0, 1, 2, 3, 4, 5],
+                  [1, 0, 5, 4, 3, 2],
+                  [2, 4, 1, 0, 5, 3],
+                  [3, 5, 0, 2, 1, 4],
+                  [4, 2, 3, 5, 0, 1],
+                  [5, 3, 4, 1, 2, 0]])
+
+
+def _is_violation(t: np.ndarray, x: int, a: int, y: int) -> bool:
+    return t[t[x, a], y] != t[x, t[a, y]]
+
+
+def _reported_triple(message: str) -> tuple[int, int, int]:
+    m = re.fullmatch(r"associativity fails at \((\d+),(\d+),(\d+)\)", message)
+    assert m, message
+    return tuple(int(v) for v in m.groups())
+
+
+def test_light_test_first_generator_passes_later_one_fails():
+    t = LOOP6
+    assert list(fg.span_walk(t, range(1, 6))) == [1, 2]
+    assert not any(_is_violation(t, x, 1, y) for x in range(6) for y in range(6))
+    assert oracle.first_assoc_violation(t) is not None
+    with pytest.raises(NotAGroup) as exc:
+        fg.from_table(6, t)
+    x, a, y = _reported_triple(str(exc.value))
+    assert a == 2
+    assert _is_violation(t, x, a, y)
+
+
+def _random_loop(n: int, rng: random.Random) -> np.ndarray:
+    """A random Latin square with identity 0 whose zeros are symmetric, so
+    the identity and inverse laws hold; filled by randomized backtracking."""
+    t = np.full((n, n), -1)
+    t[0] = t[:, 0] = np.arange(n)
+    cells = [(x, y) for x in range(1, n) for y in range(1, n)]
+
+    def fill(i: int) -> bool:
+        if i == len(cells):
+            return True
+        x, y = cells[i]
+        values = list(range(n))
+        rng.shuffle(values)
+        for v in values:
+            if v in t[x, :y] or v in t[:x, y]:
+                continue
+            if (v == 0) != (t[y, x] == 0) and y < x:
+                continue  # 0 sits at (x, y) exactly when it sits at (y, x)
+            t[x, y] = v
+            if fill(i + 1):
+                return True
+        t[x, y] = -1
+        return False
+
+    assert fill(0)
+    return t
+
+
+def _perturbed(G: fg.FiniteGroup, data) -> np.ndarray:
+    """G's table with a few nonzero cells off the identity row and column
+    set to other nonzero values; the zeros stay put, so the identity and
+    inverse laws still hold."""
+    t = np.array(G.table)
+    cells = [(x, y) for x in range(1, G.order) for y in range(1, G.order) if t[x, y]]
+    for x, y in data.draw(st.lists(st.sampled_from(cells), min_size=1, max_size=3)):
+        t[x, y] = data.draw(st.integers(1, G.order - 1))
+    return t
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_light_test_agrees_with_full_sweep(small_corpus, data):
+    if data.draw(st.booleans()):
+        G = data.draw(st.sampled_from([G for G in small_corpus if G.order >= 3]))
+        t = _perturbed(G, data)
+    else:
+        n = data.draw(st.integers(1, 7))
+        t = _random_loop(n, random.Random(data.draw(st.integers(0, 2 ** 32))))
+    sweep = oracle.first_assoc_violation(t)
+    if sweep is None:
+        assert np.array_equal(fg.from_table(len(t), t).table, t)
+        return
+    with pytest.raises(NotAGroup) as exc:
+        fg.from_table(len(t), t)
+    assert _is_violation(t, *_reported_triple(str(exc.value)))
 
 
 def test_table_cap():

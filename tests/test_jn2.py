@@ -281,7 +281,7 @@ def test_coset_basis_walk_stops_at_2m(specs_243):
             if x not in span:
                 counted.append(x)
                 span = set(fg.subgroup_generated(G, [z] + counted).elements)
-        assert fg.span_walk(G, range(G.order), base=[z]) == counted, spec
+        assert list(fg.span_walk(G.table, range(G.order), base=[z])) == counted, spec
 
 
 def test_row_reduce_rank_and_solve():
