@@ -262,6 +262,14 @@ def find_witness(G: FiniteGroup, n: int, g: int,
     R1' together with generation); sigma^2 must land in the derived subgroup
     (it is a commutator of witness elements), and for nonabelian G the case
     sigma^2 = 1 is skipped since a pairwise-commuting tuple cannot generate.
+
+    For G of prime-power order, generation is tested by the Burnside basis
+    theorem: a set generates G exactly when its image spans the Frattini
+    quotient G/Phi(G), of rank d.  A sigma whose rank plus 2g is below d is
+    skipped, since 2g + 1 elements cannot span.  Groups of any other order
+    use the closure of the candidate set.  Both tests are exact and the cut
+    skips only sigmas that admit no witness, so the verdict and the first
+    witness returned do not depend on which test runs.
     """
     if n < 3 or g < 1:
         raise ParamRange(f"need n >= 3 and g >= 1, got n={n}, g={g}")
@@ -273,7 +281,17 @@ def find_witness(G: FiniteGroup, n: int, g: int,
     orders = G.element_orders
     derived = derived_subgroup(G).mask
     nonabelian = not G.is_abelian
+    frattini = G.frattini
+    ranks: dict[bytes, int] = {}   # span rank by the set of cosets met
     explored = 0
+
+    def generates(elements: list[int]) -> bool:
+        if frattini is None:
+            return closure_indices(T, elements).size == N
+        key = np.unique(frattini.cosets[elements]).tobytes()
+        if key not in ranks:
+            ranks[key] = frattini.span_rank(elements)
+        return ranks[key] == frattini.rank
 
     def bump() -> None:
         nonlocal explored
@@ -288,10 +306,7 @@ def find_witness(G: FiniteGroup, n: int, g: int,
     def place(r: int, placed: list[int], mask: np.ndarray,
               sigma: int, s2: int) -> Optional[list[int]]:
         if r == g:
-            gens = [sigma] + placed
-            if closure_indices(T, gens).size == N:
-                return placed
-            return None
+            return placed if generates([sigma] + placed) else None
         for a in np.flatnonzero(mask):
             bump()
             b_mask = mask & (comm[a] == s2)
@@ -302,7 +317,7 @@ def find_witness(G: FiniteGroup, n: int, g: int,
                     # everything still to be placed commutes with the pairs
                     # so far; prune when even that cannot generate G
                     seeds = list(np.flatnonzero(nxt)) + placed + [sigma, int(a), int(b)]
-                    if closure_indices(T, seeds).size < N:
+                    if not generates(seeds):
                         continue
                 res = place(r + 1, placed + [int(a), int(b)], nxt, sigma, s2)
                 if res is not None:
@@ -315,6 +330,8 @@ def find_witness(G: FiniteGroup, n: int, g: int,
             continue
         if nonabelian and s2 == 0:
             continue  # commuting tuple generates an abelian subgroup only
+        if frattini is not None and frattini.span_rank([sigma]) + 2 * g < frattini.rank:
+            continue
         found = place(0, [], np.ones(N, dtype=bool), sigma, s2)
         if found is not None:
             return Witness(group=G, n=n, g=g, sigma=sigma,
@@ -481,14 +498,23 @@ def witness_to_text(w: Witness, group_ref: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+_WITNESS_KEYS = ("n", "g", "group", "sigma", "a", "b")
+
+
 def witness_from_text(text: str, *, base_dir=None) -> Witness:
+    """Parse the text form: each of the six keys exactly once, one per
+    line; a repeated or unknown key raises ValueError."""
     fields: dict[str, str] = {}
     for line in text.splitlines():
         if not line.strip():
             continue
         key, _, value = line.partition(" ")
+        if key not in _WITNESS_KEYS:
+            raise ValueError(f"witness file has unknown field {key!r}")
+        if key in fields:
+            raise ValueError(f"witness file repeats field {key!r}")
         fields[key] = value.strip()
-    for key in ("n", "g", "group", "sigma", "a", "b"):
+    for key in _WITNESS_KEYS:
         if key not in fields:
             raise ValueError(f"witness file missing field {key!r}")
     ref = fields["group"]

@@ -161,6 +161,12 @@ class FiniteGroup:
         return {int(v): int(c) for v, c in zip(vals, counts)}
 
     @cached_property
+    def frattini(self) -> Optional["FrattiniQuotient"]:
+        """G/Phi(G) in F_p coordinates when the order is a power of a prime
+        p, else None."""
+        return _frattini_quotient(self)
+
+    @cached_property
     def exponent(self) -> int:
         import math
 
@@ -565,6 +571,91 @@ def nilpotency_class(G: FiniteGroup) -> Optional[int]:
     if series[-1].order != 1:
         return None
     return len(series) - 1
+
+
+# ---------------------------------------------------------------------------
+# linear algebra over F_p; the Frattini quotient of a p-group
+
+
+def row_reduce(mat: np.ndarray, p: int) -> tuple[np.ndarray, int]:
+    """Reduced row echelon form of mat over F_p, and its rank."""
+    a = np.array(mat % p, dtype=np.int64)
+    rows, cols = a.shape
+    rank = 0
+    for col in range(cols):
+        nonzero = np.flatnonzero(a[rank:, col])
+        if nonzero.size == 0:
+            continue
+        piv = rank + int(nonzero[0])
+        a[[rank, piv]] = a[[piv, rank]]
+        a[rank] = (a[rank] * pow(int(a[rank, col]), p - 2, p)) % p
+        factors = a[:, col].copy()
+        factors[rank] = 0
+        a = (a - factors[:, None] * a[rank]) % p
+        rank += 1
+        if rank == rows:
+            break
+    return a, rank
+
+
+@dataclass(frozen=True, eq=False)
+class FrattiniQuotient:
+    """G/Phi(G) for a group G of order p^k, with Phi(G) = G'G^p.
+
+    ``coords[x]`` holds the F_p coordinates of x's coset in G/Phi(G), an
+    elementary abelian group of rank ``rank``, on a basis picked by the
+    span walk; ``cosets[x]`` numbers that coset by reading them as base-p
+    digits.  By the Burnside basis theorem a set of elements generates G exactly
+    when its coordinates span F_p^rank.
+    """
+
+    p: int
+    rank: int
+    coords: np.ndarray
+    cosets: np.ndarray
+
+    def span_rank(self, elements) -> int:
+        """Dimension of the span of the cosets of ``elements`` in G/Phi(G)."""
+        return row_reduce(self.coords[elements], self.p)[1]
+
+
+def _frattini_quotient(G: FiniteGroup) -> Optional[FrattiniQuotient]:
+    """The Frattini quotient of G if |G| = p^k with k >= 1, else None."""
+    n, t = G.order, G.table
+    if n == 1:
+        return None
+    p = least_prime_factor(n)
+    rest = n
+    while rest % p == 0:
+        rest //= p
+    if rest != 1:
+        return None
+    pth, base, e = np.zeros(n, dtype=np.int64), np.arange(n), p  # x^p for every x
+    while e:
+        if e & 1:
+            pth = t[pth, base]
+        base = t[base, base]
+        e >>= 1
+    phi = closure_indices(t, np.unique(np.concatenate([G.commutators.ravel(), pth])))
+    basis = list(span_walk(t, range(n), base=phi))
+    d = len(basis)
+    assert phi.size * p ** d == n, "G/Phi(G) must be elementary abelian"
+    # each coset of Phi holds exactly one product x_1^e_1 ... x_d^e_d
+    rep = t[:, phi].min(axis=1)   # least element of the coset x*Phi
+    prods, vecs = np.zeros(1, dtype=np.int64), np.zeros((1, d), dtype=np.int64)
+    for i, x in enumerate(basis):
+        powers = [0]
+        for _ in range(p - 1):
+            powers.append(int(t[powers[-1], x]))
+        prods = t[prods[:, None], np.array(powers)[None, :]].ravel()
+        vecs = np.repeat(vecs, p, axis=0)
+        vecs[:, i] = np.tile(np.arange(p), vecs.shape[0] // p)
+    by_rep = np.zeros((n, d), dtype=np.int64)
+    by_rep[rep[prods]] = vecs
+    coords = by_rep[rep]
+    cosets = coords @ p ** np.arange(d)
+    coords.flags.writeable = cosets.flags.writeable = False
+    return FrattiniQuotient(p=p, rank=d, coords=coords, cosets=cosets)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .fingroup import (
     from_table,
     is_isomorphic,
     least_prime_factor,
+    row_reduce,
 )
 
 
@@ -286,33 +287,12 @@ def symplectic_data(G: FiniteGroup, z: int) -> SymplecticData:
                 break
     assert (np.diagonal(gram) == 0).all()
     assert ((gram + gram.T) % p == 0).all()
-    if _row_reduce(gram, p)[1] != 2 * m:
+    if row_reduce(gram, p)[1] != 2 * m:
         raise NotJn2("commutator pairing is degenerate")
 
     nu = tuple(_nu_value(G, z_log, p, r) for r in reps)
     return SymplecticData(group=G, p=p, j=j, m=m, z=z, reps=tuple(reps),
                           gram=gram, nu=nu, basis_type=None)
-
-
-def _row_reduce(mat: np.ndarray, p: int) -> tuple[np.ndarray, int]:
-    """Reduced row echelon form of mat over F_p, and its rank."""
-    a = np.array(mat % p, dtype=np.int64)
-    rows, cols = a.shape
-    rank = 0
-    for col in range(cols):
-        nonzero = np.flatnonzero(a[rank:, col])
-        if nonzero.size == 0:
-            continue
-        piv = rank + int(nonzero[0])
-        a[[rank, piv]] = a[[piv, rank]]
-        a[rank] = (a[rank] * pow(int(a[rank, col]), p - 2, p)) % p
-        for r in range(rows):
-            if r != rank and a[r, col]:
-                a[r] = (a[r] - a[r, col] * a[rank]) % p
-        rank += 1
-        if rank == rows:
-            break
-    return a, rank
 
 
 def _pairing(gram: np.ndarray, p: int, u: np.ndarray, v: np.ndarray) -> int:
@@ -341,7 +321,7 @@ def _symplectic_pairs(gram: np.ndarray, p: int,
             vv = (v - _pairing(gram, p, v, partner) * u
                   + _pairing(gram, p, v, u) * partner) % p
             known = np.stack(projected + out)  # keep vv if it adds to the span
-            if _row_reduce(np.vstack([known, vv]), p)[1] > _row_reduce(known, p)[1]:
+            if row_reduce(np.vstack([known, vv]), p)[1] > row_reduce(known, p)[1]:
                 projected.append(vv)
         work = projected
     return out
@@ -372,7 +352,7 @@ def normalize_basis(data: SymplecticData) -> SymplecticData:
         # with <e1, u> = 1 confines nu to the first pair: the symplectic
         # complement of the pair is exactly the kernel of nu.  gram is
         # invertible, so the reduced [gram | nu] ends in u.
-        u = _row_reduce(np.column_stack([gram, nu_vec]), p)[0][:, dim]
+        u = row_reduce(np.column_stack([gram, nu_vec]), p)[0][:, dim]
         vals = (gram @ u) % p
         t = int(np.flatnonzero(vals)[0])
         e1 = (units[t] * pow(int(vals[t]), p - 2, p)) % p

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidquot import braid, fingroup as fg, oracle
+from braidquot import braid, fingroup as fg, jn2, oracle
 from braidquot.braid import Witness
 from braidquot.errors import HypothesisFailed, ParamRange, SizeLimit
 from braidquot.jn2 import Jn2Spec, materialize
@@ -194,6 +194,9 @@ def test_find_witness_d8_none():
 def test_find_witness_agrees_with_naive_enumeration(exhaustive_tiers, catalog):
     groups = [G for k in range(2, 9) for G in exhaustive_tiers[k]]
     groups += [e.group for e in catalog.entries if e.order <= 14]
+    # order 16: the two groups of the (6,1) minimum and two non-JN2 2-groups
+    groups += [materialize(Jn2Spec(2, 2, 1, v)).group for v in ("I", "II")]
+    groups += [fg.dihedral(16), fg.dicyclic(16)]
     for G in groups:
         if G.order > 16:
             continue
@@ -220,6 +223,39 @@ def test_find_witness_agrees_with_naive_genus_two():
 def test_find_witness_param_range():
     with pytest.raises(ParamRange):
         braid.find_witness(fg.cyclic(2), 2, 1)
+
+
+# First witness (sigma, a, b) of every enumerate_specs(64) candidate, as the
+# closure-only search found them before generation was tested by Frattini
+# rank; every pair (n, g, spec) not listed has no witness.
+FIRST_WITNESSES = {
+    (6, 1, "I(2^2,1)"): (4, (1,), (2,)),
+    (6, 1, "II(2^2,1)"): (4, (1,), (2,)),
+    (6, 1, "I(3,1)"): (9, (1,), (3,)),
+    (6, 1, "II(3,1)"): (9, (1,), (3,)),
+    (6, 1, "II(2^3,1)"): (8, (1,), (2,)),
+    (6, 1, "II(2^4,1)"): (16, (1,), (2,)),
+    (5, 2, "I(2^2,2)"): (16, (1, 2), (4, 8)),
+    (5, 2, "II(2^2,2)"): (16, (1, 2), (4, 8)),
+}
+
+
+@pytest.mark.parametrize("n,g", [(6, 1), (5, 1), (7, 1), (5, 2), (5, 3)])
+def test_first_witnesses_unchanged(n, g):
+    for spec in jn2.enumerate_specs(64):
+        w = braid.find_witness(materialize(spec).group, n, g)
+        got = None if w is None else (w.sigma, w.a, w.b)
+        assert got == FIRST_WITNESSES.get((n, g, str(spec))), (n, g, str(spec))
+
+
+def test_sigma_cut_settles_order_128_at_once():
+    # I(2^3,2) has Frattini rank 5.  The only central sigmas with sigma^2 a
+    # nontrivial commutator are z^2 and z^6, which are squares and so lie
+    # in the Frattini subgroup: sigma and 2g = 4 more elements cannot span.
+    # The closure-only search used up a million nodes here without a verdict.
+    G = materialize(Jn2Spec(2, 3, 2, "I")).group
+    assert G.frattini.rank == 5
+    assert braid.find_witness(G, 5, 2, budget=10_000) is None
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidquot import cli, fingroup as fg, oracle
-from braidquot.errors import NotCentral, Unsupported
+from braidquot import braid, cli, fingroup as fg, oracle
+from braidquot.errors import NotCentral, SizeLimit, Unsupported
+from braidquot.jn2 import Jn2Spec, materialize, parse_spec
 
 
 def run(capsys, *argv):
@@ -90,6 +91,25 @@ def test_check_witness_failure_is_exit_one(tmp_path, capsys):
     assert machine_block(out)["ok"] == "false"
 
 
+def test_witness_file_with_repeated_or_unknown_keys_exit_two(tmp_path, capsys):
+    wpath = tmp_path / "w.txt"
+    assert cli.main(["search-min", "--n", "6", "--g", "1", "--bound", "16",
+                     "--witness", str(wpath)]) == 0
+    valid = wpath.read_text()
+    assert cli.main(["check-witness", "--witness", str(wpath)]) == 0
+    capsys.readouterr()
+    # a later n and group used to override the first ones, so this file
+    # printed ok=true for a witness that does not live in II(3,1)
+    for text, message in [("n 9\ngroup II(3,1)\n" + valid, "repeats field 'n'"),
+                          (valid + "sigma2 0\n", "unknown field 'sigma2'")]:
+        wpath.write_text(text)
+        for verb in ("check-witness", "check-full"):
+            assert cli.main([verb, "--witness", str(wpath)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert message in captured.err
+
+
 def test_usage_errors_exit_two(capsys, tmp_path):
     assert cli.main(["search-min", "--g", "1", "--bound", "64"]) == 2  # missing --n
     capsys.readouterr()
@@ -102,7 +122,7 @@ def test_usage_errors_exit_two(capsys, tmp_path):
 def test_budget_errors_exit_three(capsys):
     assert cli.main(["construct", "--spec", "I(7,3)"]) == 3
     capsys.readouterr()
-    assert cli.main(["search-min", "--n", "6", "--g", "1",
+    assert cli.main(["search-min", "--n", "5", "--g", "2",
                      "--bound", "64", "--budget", "3"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -281,6 +301,136 @@ def test_classify_fuzz_exit_codes(tmp_path_factory, text):
     assert code in (0, 1, 2, 3), err.getvalue()
     assert "Traceback" not in err.getvalue()
     assert (code in (0, 1)) == _is_group_text(text), (code, err.getvalue())
+
+
+# Valid witness files, as "search-min --witness" writes them; the last one
+# names its group by a .grp file that each fuzz run writes next to it.
+WITNESS_FILE_GROUP = materialize(Jn2Spec(2, 2, 1, "I")).group
+FUZZ_WITNESS_TEXTS = [
+    braid.witness_to_text(braid.standard_witness(Jn2Spec(p, j, m, v), n, m), ref)
+    for p, j, m, v, n, ref in [(2, 2, 1, "I", 6, "I(2^2,1)"), (2, 2, 1, "II", 6, "II(2^2,1)"),
+                               (3, 1, 1, "I", 6, "I(3,1)"), (5, 1, 1, "II", 5, "II(5,1)"),
+                               (2, 2, 2, "I", 5, "I(2^2,2)"), (2, 2, 1, "I", 6, "q.grp")]]
+GROUP_REFS = ["I(2^2,1)", "II(2^2,1)", "I(3,1)", "II(3,1)", "I(2,1)", "I(2^2,2)", "q.grp",
+              "nope.grp", "I(4,1)", "I(7,3)", "", "q.grp q.grp"]
+WITNESS_TOKENS = st.one_of(st.integers(-2, 130).map(str),
+                           st.sampled_from(["x", "1.5", "", "0x3", "#", "+2", "07", "1_0",
+                                            "-0", str(10 ** 22), "\t"]))
+
+
+@st.composite
+def witness_texts(draw):
+    """A valid witness file with up to three edits: an index, n (kept at
+    most 50, since the full presentation has about n^2/2 relators), g or the
+    group changed; a line repeated, dropped or added; a token replaced by
+    garbage."""
+    lines = draw(st.sampled_from(FUZZ_WITNESS_TEXTS)).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        if not lines:
+            break
+        kind = draw(st.sampled_from(["index", "index", "n", "n", "g", "group", "group",
+                                     "repeat", "drop", "extra", "garbage"]))
+        i = draw(st.integers(0, len(lines) - 1))
+        key, _, value = lines[i].partition(" ")
+        tokens = value.split()
+        if kind == "index" and key in ("sigma", "a", "b") and tokens:
+            tokens[draw(st.integers(0, len(tokens) - 1))] = str(draw(st.integers(-2, 130)))
+            lines[i] = " ".join([key] + tokens)
+        elif kind in ("n", "g", "group"):
+            value = {"n": st.integers(-1, 50).map(str), "g": st.integers(-1, 4).map(str),
+                     "group": st.sampled_from(GROUP_REFS)}[kind]
+            keys = [line.partition(" ")[0] for line in lines]
+            i = keys.index(kind) if kind in keys else i
+            lines[i:i + (kind in keys)] = [f"{kind} {draw(value)}"]
+        elif kind == "repeat":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif kind == "drop":
+            del lines[i]
+        elif kind == "extra":
+            lines.insert(i, draw(st.sampled_from(["c 1", "sigma2 0", "# note", " ", "a", "N 6"])))
+        elif kind == "garbage" and key != "n":
+            parts = lines[i].split(" ")
+            parts[draw(st.integers(0, len(parts) - 1))] = draw(WITNESS_TOKENS)
+            lines[i] = " ".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+def _reference_ok(text: str, verb: str) -> bool:
+    """Reference verdict on a witness file: each of the six keys once, the
+    group one this test knows, indices in range, every relator evaluated
+    straight from the table, and generation by a set-based closure."""
+    keys = ("n", "g", "group", "sigma", "a", "b")
+    fields: dict[str, str] = {}
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        key, _, value = line.partition(" ")
+        if key not in keys or key in fields:
+            return False
+        fields[key] = value.strip()
+    if len(fields) != len(keys):
+        return False
+    try:
+        n, g, sigma = int(fields["n"]), int(fields["g"]), int(fields["sigma"])
+        a = [int(x) for x in fields["a"].split()]
+        b = [int(x) for x in fields["b"].split()]
+        G = (WITNESS_FILE_GROUP if fields["group"] == "q.grp"
+             else materialize(parse_spec(fields["group"])).group)
+    except (ValueError, SizeLimit):
+        return False
+    N, T = G.order, np.asarray(G.table)
+    if g < 1 or len(a) != g or len(b) != g or n < (3 if verb == "check-witness" else 2):
+        return False
+    if not all(0 <= x < N for x in [sigma] + a + b):
+        return False
+    inv = np.argmax(T == 0, axis=1)
+
+    def word(*factors):  # product of (element, exponent) pairs
+        acc = 0
+        for x, e in factors:
+            for _ in range(abs(e)):
+                acc = T[acc, x if e > 0 else inv[x]]
+        return acc
+
+    if verb == "check-witness":
+        rels = [word((x, 1), (sigma, 1), (x, -1), (sigma, -1)) for x in a + b]
+        rels += [word((x, 1), (y, 1), (x, -1), (y, -1))
+                 for s in range(g) for r in range(s + 1, g)
+                 for x, y in ((a[s], a[r]), (b[s], b[r]), (b[s], a[r]), (a[s], b[r]))]
+        rels += [word((a[r], 1), (b[r], 1), (a[r], -1), (b[r], -1), (sigma, -2))
+                 for r in range(g)]
+        rels.append(word((sigma, 2 * (g + n - 1))))
+    else:
+        images = {f"s{i}": sigma for i in range(1, n)}
+        images.update({f"a{r + 1}": a[r] for r in range(g)})
+        images.update({f"b{r + 1}": b[r] for r in range(g)})
+        rels = [word(*((images[gen], e) for gen, e in rel.word))
+                for rel in braid.bellingeri_presentation(n, g).relators]
+    if any(rels):
+        return False
+    span = {0}
+    while True:
+        grown = span | {int(T[x, y]) for x in span for y in [sigma] + a + b}
+        if grown == span:
+            return len(span) == N
+        span = grown
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=witness_texts(), verb=st.sampled_from(["check-witness", "check-full"]))
+def test_witness_fuzz_exit_codes(tmp_path_factory, text, verb):
+    wdir = tmp_path_factory.mktemp("wfuzz")
+    fg.write_cayley(WITNESS_FILE_GROUP, wdir / "q.grp")
+    (wdir / "w.txt").write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([verb, "--witness", str(wdir / "w.txt")])
+    assert code in (0, 1, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    printed_ok = "\nok=true\n" in out.getvalue()
+    assert printed_ok == (code == 0)
+    if printed_ok:
+        assert _reference_ok(text, verb), text
 
 
 def test_negative_order_file_message(tmp_path, capsys):

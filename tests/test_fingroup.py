@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidquot import fingroup as fg
-from braidquot import oracle
+from braidquot import jn2, oracle
 from braidquot.errors import NotAGroup, NotNormal, SizeLimit
 
 
@@ -438,6 +438,53 @@ def test_elementary_abelian_invariants():
 def test_order_profile():
     prof = fg.dihedral(8).order_profile
     assert prof == {1: 1, 2: 5, 4: 2}
+
+
+# ---------------------------------------------------------------------------
+# Frattini quotient of p-groups
+
+
+@pytest.fixture(scope="module")
+def p_group_corpus(exhaustive_tiers):
+    groups = [G for k in (2, 3, 4, 5, 7, 8) for G in exhaustive_tiers[k]]
+    groups += [jn2.materialize(spec).group for spec in jn2.enumerate_specs(81)]
+    groups += [fg.dihedral(16), fg.dicyclic(16),
+               fg.direct_product(jn2.materialize(jn2.parse_spec("I(3,1)")).group,
+                                 fg.cyclic(3))]
+    return groups
+
+
+def test_frattini_only_for_prime_power_orders(exhaustive_tiers):
+    for k in (1, 6):
+        for G in exhaustive_tiers[k]:
+            assert G.frattini is None
+    for G in (fg.symmetric(4), fg.dihedral(12), fg.cyclic(10)):
+        assert G.frattini is None
+
+
+def test_frattini_coordinates(p_group_corpus):
+    """coords is a homomorphism onto F_p^rank whose kernel is G'G^p."""
+    for G in p_group_corpus:
+        fr = G.frattini
+        t = G.table
+        assert G.order % fr.p == 0 and fr.rank >= 1
+        lhs = fr.coords[t]                                  # coords of x*y
+        rhs = (fr.coords[:, None, :] + fr.coords[None, :, :]) % fr.p
+        assert np.array_equal(lhs, rhs), G.label
+        pth = [G.power(x, fr.p) for x in range(G.order)]
+        phi = fg.subgroup_generated(G, list(np.unique(G.commutators)) + pth)
+        assert np.array_equal(~fr.coords.any(axis=1), phi.mask), G.label
+        assert np.unique(fr.cosets).size == fr.p ** fr.rank
+        assert np.array_equal(fr.cosets, fr.coords @ fr.p ** np.arange(fr.rank))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_frattini_rank_decides_generation(p_group_corpus, data):
+    G = data.draw(st.sampled_from(p_group_corpus))
+    subset = data.draw(st.lists(st.integers(0, G.order - 1), max_size=6))
+    by_rank = G.frattini.span_rank(subset) == G.frattini.rank
+    assert by_rank == (fg.closure_indices(G.table, subset).size == G.order), G.label
 
 
 # ---------------------------------------------------------------------------

@@ -292,12 +292,12 @@ def test_row_reduce_rank_and_solve():
             # rank = log_p of the size of the row space
             space = {tuple((np.array(c) @ mat) % p)
                      for c in np.ndindex(*(p,) * 3)}
-            rank = jn2._row_reduce(mat, p)[1]
+            rank = fg.row_reduce(mat, p)[1]
             assert p ** rank == len(space)
             square = mat[:, :3]
-            if jn2._row_reduce(square, p)[1] == 3:
+            if fg.row_reduce(square, p)[1] == 3:
                 rhs = mat[:, 3]
-                x = jn2._row_reduce(np.column_stack([square, rhs]), p)[0][:, 3]
+                x = fg.row_reduce(np.column_stack([square, rhs]), p)[0][:, 3]
                 assert ((square @ x - rhs) % p == 0).all()
 
 
