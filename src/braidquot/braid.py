@@ -503,7 +503,7 @@ _WITNESS_KEYS = ("n", "g", "group", "sigma", "a", "b")
 
 def witness_from_text(text: str, *, base_dir=None) -> Witness:
     """Parse the text form: each of the six keys exactly once, one per
-    line; a repeated or unknown key raises ValueError."""
+    line; a repeated, unknown or empty key raises ValueError."""
     fields: dict[str, str] = {}
     for line in text.splitlines():
         if not line.strip():
@@ -514,6 +514,8 @@ def witness_from_text(text: str, *, base_dir=None) -> Witness:
         if key in fields:
             raise ValueError(f"witness file repeats field {key!r}")
         fields[key] = value.strip()
+        if not fields[key]:
+            raise ValueError(f"witness file has empty field {key!r}")
     for key in _WITNESS_KEYS:
         if key not in fields:
             raise ValueError(f"witness file missing field {key!r}")

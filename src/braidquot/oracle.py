@@ -54,11 +54,13 @@ def first_assoc_violation(table) -> Optional[tuple[int, int, int]]:
     return (int(x), int(y), int(z))
 
 
-def _semiregular(perm: tuple[int, ...]) -> bool:
-    """All cycles the same length (true for rows of any group table)."""
+def _semiregular(perm: tuple[int, ...]) -> int:
+    """The common length of the cycles of ``perm``, or 0 when they differ.
+    The row of x in a group table is semiregular with cycles of length
+    ord(x), the cosets <x>y."""
     n = len(perm)
     seen = [False] * n
-    length = None
+    length = 0
     for s in range(n):
         if seen[s]:
             continue
@@ -67,11 +69,11 @@ def _semiregular(perm: tuple[int, ...]) -> bool:
             seen[t] = True
             t = perm[t]
             c += 1
-        if length is None:
+        if not length:
             length = c
         elif c != length:
-            return False
-    return True
+            return 0
+    return length
 
 
 def _row1_candidates(k: int) -> list[tuple[int, ...]]:
@@ -100,11 +102,22 @@ def _row1_candidates(k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _enumerate_tables(k: int, budget: int) -> list[list[tuple[int, ...]]]:
-    """All group tables with identity 0, up to the canonical labeling rules
-    (powers of element 1 labeled consecutively; the subgroup generated by
-    each initial label segment occupies an initial label segment).  Every
-    isomorphism class admits such a labeling, so none is missed."""
+def _enumerate_tables(k: int, budget: int = _ENUM_BUDGET) -> list[list[tuple[int, ...]]]:
+    """All group tables with identity 0 under three canonical labeling rules:
+
+    1. element 1 has the largest element order d in the table;
+    2. the powers of element 1 are labeled 0, 1, ..., d-1;
+    3. the subgroup generated by each initial label segment occupies an
+       initial label segment.
+
+    Every isomorphism class admits such a labeling, so none is missed: pick
+    an element of maximal order (every finite group has one), label its
+    powers 0..d-1, then repeatedly give the next free label to any element
+    outside the subgroup labeled so far and the following labels to the
+    rest of the subgroup it generates with them.  Rule 1 is enforced during
+    the search: a row, whether filled or forced by closure, whose element
+    has order above d is rejected, as is a partial row whose chain
+    x, x^2, ... already runs past x^d without reaching 0."""
     if k == 1:
         return [[(0,)]]
     identity = tuple(range(k))
@@ -118,7 +131,8 @@ def _enumerate_tables(k: int, budget: int) -> list[list[tuple[int, ...]]]:
             raise SearchBudgetExceeded(
                 f"table enumeration exceeded {budget} nodes", explored=nodes)
 
-    def propagate(rows: dict[int, tuple[int, ...]]) -> Optional[dict[int, tuple[int, ...]]]:
+    def propagate(rows: dict[int, tuple[int, ...]], d: int
+                  ) -> Optional[dict[int, tuple[int, ...]]]:
         rows = dict(rows)
         changed = True
         while changed:
@@ -136,7 +150,7 @@ def _enumerate_tables(k: int, budget: int) -> list[list[tuple[int, ...]]]:
                         if rows[w] != comp:
                             return None
                     else:
-                        if not _semiregular(comp):
+                        if not 0 < _semiregular(comp) <= d:
                             return None
                         for r, rr in rows.items():
                             if any(rr[t] == comp[t] for t in range(k)):
@@ -148,9 +162,8 @@ def _enumerate_tables(k: int, budget: int) -> list[list[tuple[int, ...]]]:
             return None  # defined rows must fill an initial label segment
         return rows
 
-    def row_candidates(x: int, rows: dict[int, tuple[int, ...]]) -> list[tuple[int, ...]]:
-        if x == 1:
-            return [r for r in _row1_candidates(k)]
+    def row_candidates(x: int, rows: dict[int, tuple[int, ...]], d: int
+                       ) -> list[tuple[int, ...]]:
         defined = sorted(rows)
         dset = set(defined)
         cols = [set(rows[r][t] for r in defined) for t in range(k)]
@@ -158,8 +171,14 @@ def _enumerate_tables(k: int, budget: int) -> list[list[tuple[int, ...]]]:
 
         def fill(pos: int, row: list[int], used: set[int]):
             bump()
+            # row[t] = x*t for t < pos; walk x^m = x*x^(m-1) while known
+            y, m = x, 1
+            while y and m < d and y < pos:
+                y, m = row[y], m + 1
+            if y and m == d:
+                return  # x^1, ..., x^d are all nontrivial: ord(x) > d
             if pos == k:
-                if _semiregular(tuple(row)):
+                if 0 < _semiregular(tuple(row)) <= d:
                     found.append(tuple(row))
                 return
             forced = None
@@ -191,33 +210,54 @@ def _enumerate_tables(k: int, budget: int) -> list[list[tuple[int, ...]]]:
         fill(1, [x], {x})
         return found
 
-    def search(rows: dict[int, tuple[int, ...]]):
+    def search(rows: dict[int, tuple[int, ...]], d: int):
         if len(rows) == k:
             tables.append([rows[i] for i in range(k)])
             return
         x = len(rows)  # smallest undefined index, by the segment rule
-        for cand in row_candidates(x, rows):
+        for cand in row_candidates(x, rows, d):
             bump()
             nxt = dict(rows)
             nxt[x] = cand
-            closed = propagate(nxt)
+            closed = propagate(nxt, d)
             if closed is not None:
-                search(closed)
+                search(closed, d)
 
-    search({0: identity})
+    for row1 in _row1_candidates(k):
+        bump()
+        d = row1.index(0) + 1  # the order of element 1
+        closed = propagate({0: identity, 1: row1}, d)
+        if closed is not None:
+            search(closed, d)
     return tables
+
+
+def _iso_bucket(G: FiniteGroup) -> tuple:
+    """Isomorphism invariants of G: its sorted order profile and the order
+    of its center.  Isomorphic groups always share a bucket."""
+    return tuple(sorted(G.order_profile.items())), int(G.center_mask.sum())
 
 
 @lru_cache(maxsize=None)
 def enumerate_groups_exhaustive(k: int, budget: int = _ENUM_BUDGET) -> tuple[FiniteGroup, ...]:
     """Every isomorphism class of order k, by backtracking over Cayley
-    tables with identity 0 and deduplicating with the isomorphism test."""
+    tables with identity 0 under the canonical labeling rules of
+    ``_enumerate_tables``: element 1 has maximal order d, its powers are
+    labeled 0..d-1, and each initial label segment generates an initial
+    segment.  Every class keeps such a labeling, because every finite group
+    has an element of maximal order.  The dedup is bucketed: a table is
+    compared with the isomorphism test only against the representatives
+    that share its ``_iso_bucket`` invariants (sorted order profile, order
+    of the center)."""
     if k < 1:
         raise ValueError("k must be positive")
     reps: list[FiniteGroup] = []
+    buckets: dict[tuple, list[FiniteGroup]] = {}
     for idx, rows in enumerate(_enumerate_tables(k, budget)):
         G = from_table(k, rows, label=f"order{k}#{idx}")
-        if all(is_isomorphic(G, R) is None for R in reps):
+        bucket = buckets.setdefault(_iso_bucket(G), [])
+        if all(is_isomorphic(G, R) is None for R in bucket):
+            bucket.append(G)
             reps.append(G)
     return tuple(reps)
 

@@ -110,6 +110,23 @@ def test_witness_file_with_repeated_or_unknown_keys_exit_two(tmp_path, capsys):
             assert message in captured.err
 
 
+@pytest.mark.parametrize("key", ["group", "sigma"])
+def test_witness_file_with_empty_field_exit_two(tmp_path, capsys, key):
+    # an empty group line used to be read as the witness file's directory
+    wpath = tmp_path / "w.txt"
+    assert cli.main(["search-min", "--n", "6", "--g", "1", "--bound", "16",
+                     "--witness", str(wpath)]) == 0
+    lines = [f"{key} " if line.partition(" ")[0] == key else line
+             for line in wpath.read_text().splitlines()]
+    wpath.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    for verb in ("check-witness", "check-full"):
+        assert cli.main([verb, "--witness", str(wpath)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: witness file has empty field '{key}'\n"
+
+
 def test_usage_errors_exit_two(capsys, tmp_path):
     assert cli.main(["search-min", "--g", "1", "--bound", "64"]) == 2  # missing --n
     capsys.readouterr()

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from braidquot import fingroup as fg
@@ -45,6 +47,42 @@ def test_enumeration_pairwise_nonisomorphic(exhaustive_tiers):
         for i in range(len(tier)):
             for j in range(i + 1, len(tier)):
                 assert fg.is_isomorphic(tier[i], tier[j]) is None
+
+
+def test_tables_put_an_element_of_maximal_order_first():
+    """Element 1 has the largest element order d, and 1^i is labeled i."""
+    for k in range(2, 9):
+        for rows in oracle._enumerate_tables(k):
+            G = fg.from_table(k, rows)
+            d = int(G.element_orders[1])
+            assert d == G.element_orders.max(), (k, rows)
+            assert [G.power(1, i) for i in range(d)] == list(range(d)), (k, rows)
+
+
+def _match_one_to_one(tier, standard):
+    assert len(tier) == len(standard)
+    for H in standard:
+        assert sum(1 for G in tier if fg.is_isomorphic(G, H) is not None) == 1, H.label
+
+
+def test_order8_representatives_are_the_five_classes(exhaustive_tiers):
+    c2 = fg.cyclic(2)
+    _match_one_to_one(exhaustive_tiers[8], [
+        fg.cyclic(8), fg.direct_product(fg.cyclic(4), c2), fg.elementary_abelian(2, 3),
+        fg.dihedral(8), fg.dicyclic(8)])
+
+
+def test_order9_classes():
+    _match_one_to_one(oracle.enumerate_groups_exhaustive(9),
+                      [fg.cyclic(9), fg.elementary_abelian(3, 2)])
+
+
+def test_iso_bucket_is_invariant_under_relabeling(exhaustive_tiers):
+    rng = random.Random(0)
+    for tier in exhaustive_tiers.values():
+        for G in tier:
+            H, _ = fg.random_relabeling(G, rng)
+            assert oracle._iso_bucket(H) == oracle._iso_bucket(G), G.label
 
 
 def test_enumeration_budget():
