@@ -51,6 +51,7 @@ from .jn2 import (
 from .braid import (
     Presentation,
     SearchReport,
+    SearchStats,
     Witness,
     bellingeri_presentation,
     check_full_quotient,

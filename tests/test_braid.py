@@ -1,11 +1,14 @@
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidquot import braid, fingroup as fg, jn2, oracle
 from braidquot.braid import Witness
-from braidquot.errors import HypothesisFailed, ParamRange, SizeLimit
-from braidquot.jn2 import Jn2Spec, materialize
+from braidquot.errors import HypothesisFailed, ParamRange, SearchBudgetExceeded, SizeLimit
+from braidquot.jn2 import Jn2Spec, materialize, parse_spec
 
 
 def family_count(pres, family):
@@ -191,15 +194,22 @@ def test_find_witness_d8_none():
     assert braid.find_witness(fg.dihedral(8), 6, 1) is None
 
 
-def test_find_witness_agrees_with_naive_enumeration(exhaustive_tiers, catalog):
+def _naive_corpus(exhaustive_tiers, catalog):
+    """Every group of order <= 16 the naive search is compared on."""
     groups = [G for k in range(2, 9) for G in exhaustive_tiers[k]]
     groups += [e.group for e in catalog.entries if e.order <= 14]
     # order 16: the two groups of the (6,1) minimum and two non-JN2 2-groups
     groups += [materialize(Jn2Spec(2, 2, 1, v)).group for v in ("I", "II")]
     groups += [fg.dihedral(16), fg.dicyclic(16)]
-    for G in groups:
-        if G.order > 16:
-            continue
+    return groups
+
+
+def _triple(w):
+    return None if w is None else (w.sigma, w.a, w.b)
+
+
+def test_find_witness_agrees_with_naive_enumeration(exhaustive_tiers, catalog):
+    for G in _naive_corpus(exhaustive_tiers, catalog):
         for n, g in ((5, 1), (6, 1)):
             naive = oracle.find_witness_naive(G, n, g)
             fast = braid.find_witness(G, n, g)
@@ -208,6 +218,66 @@ def test_find_witness_agrees_with_naive_enumeration(exhaustive_tiers, catalog):
             else:
                 assert fast is not None
                 assert (fast.sigma, fast.a, fast.b) == naive
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_find_witness_agrees_with_naive_on_relabeled_tables(exhaustive_tiers,
+                                                            catalog, seed):
+    # which elements are least in their conjugation orbits depends on the
+    # labels, so the pruning is only tested on tables in random labellings
+    rng = random.Random(seed)
+    for G in _naive_corpus(exhaustive_tiers, catalog):
+        H, _ = fg.random_relabeling(G, rng)
+        for n, g in ((5, 1), (6, 1)):
+            assert _triple(braid.find_witness(H, n, g)) == \
+                oracle.find_witness_naive(H, n, g), (G.label, seed, n, g)
+
+
+def _first_witness_unpruned(G, n, g):
+    """Reference for genus >= 2, where the naive search is out of reach:
+    backtracking over the reduced relations in lexicographic order with no
+    symmetry breaking.  Each a_r, b_r ranges over the whole centralizer of
+    the pairs before it, and a branch is cut only when that centralizer and
+    the prefix together cannot generate G (closure, not Frattini rank)."""
+    N, T = G.order, G.table
+    comm, commutes = G.commutators, G.commutes
+    tr_exp = 2 * (g + n - 1)
+
+    def extend(sigma, s2, placed, mask):
+        if len(placed) == 2 * g:
+            whole = fg.closure_indices(T, [sigma, *placed]).size == N
+            return placed if whole else None
+        if fg.closure_indices(T, [sigma, *placed, *np.flatnonzero(mask)]).size < N:
+            return None
+        for a in np.flatnonzero(mask):
+            for b in np.flatnonzero(mask & (comm[a] == s2)):
+                found = extend(sigma, s2, placed + [int(a), int(b)],
+                               mask & commutes[a] & commutes[b])
+                if found is not None:
+                    return found
+        return None
+
+    for sigma in map(int, np.flatnonzero(G.center_mask)):
+        s2 = int(T[sigma, sigma])
+        # sigma^2 = 1 leaves a commuting tuple, which spans only abelian groups
+        if G.power(sigma, tr_exp) == 0 and (G.is_abelian or s2 != 0):
+            found = extend(sigma, s2, [], np.ones(N, dtype=bool))
+            if found is not None:
+                return sigma, tuple(found[0::2]), tuple(found[1::2])
+    return None
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_find_witness_agrees_with_unpruned_search_genus_two(seed):
+    # at (5,2) the first three have witnesses and II(2^3,1) has none; genus
+    # two prunes b_2 and a_2 under C(a_1, b_1), which genus one never reaches
+    rng = random.Random(seed)
+    for spec in ("I(2^2,2)", "II(2^2,2)", "II(2^3,2)", "II(2^3,1)"):
+        H, _ = fg.random_relabeling(materialize(parse_spec(spec)).group, rng)
+        assert _triple(braid.find_witness(H, 5, 2)) == \
+            _first_witness_unpruned(H, 5, 2), (spec, seed)
 
 
 def test_find_witness_agrees_with_naive_genus_two():
@@ -227,7 +297,9 @@ def test_find_witness_param_range():
 
 # First witness (sigma, a, b) of every enumerate_specs(64) candidate, as the
 # closure-only search found them before generation was tested by Frattini
-# rank; every pair (n, g, spec) not listed has no witness.
+# rank, and of every enumerate_specs(128) candidate at (5,2), as the search
+# found them before orbit pruning; every (n, g, spec) not listed has no
+# witness.
 FIRST_WITNESSES = {
     (6, 1, "I(2^2,1)"): (4, (1,), (2,)),
     (6, 1, "II(2^2,1)"): (4, (1,), (2,)),
@@ -237,6 +309,7 @@ FIRST_WITNESSES = {
     (6, 1, "II(2^4,1)"): (16, (1,), (2,)),
     (5, 2, "I(2^2,2)"): (16, (1, 2), (4, 8)),
     (5, 2, "II(2^2,2)"): (16, (1, 2), (4, 8)),
+    (5, 2, "II(2^3,2)"): (32, (1, 2), (4, 8)),
 }
 
 
@@ -246,6 +319,39 @@ def test_first_witnesses_unchanged(n, g):
         w = braid.find_witness(materialize(spec).group, n, g)
         got = None if w is None else (w.sigma, w.a, w.b)
         assert got == FIRST_WITNESSES.get((n, g, str(spec))), (n, g, str(spec))
+
+
+def test_first_witnesses_unchanged_at_bound_128():
+    for spec in jn2.enumerate_specs(128):
+        w = braid.find_witness(materialize(spec).group, 5, 2)
+        assert _triple(w) == FIRST_WITNESSES.get((5, 2, str(spec))), str(spec)
+
+
+# Nodes explored at (5,2) before orbit pruning and the partner check: every
+# a in the mask was a node, 393,216 of them in I(2^5,1) with no b at all.
+NODES_BEFORE_ORBIT_PRUNING = {"I(2^4,1)": 52_352, "I(2^5,1)": 405_760}
+NODES = {"I(2^4,1)": 816, "I(2^5,1)": 3_168}
+
+
+@pytest.mark.parametrize("spec", sorted(NODES))
+def test_search_counts_its_nodes(spec):
+    G = materialize(parse_spec(spec)).group
+    stats = braid.SearchStats()
+    assert braid.find_witness(G, 5, 2, stats=stats) is None
+    assert stats.explored == NODES[spec] < NODES_BEFORE_ORBIT_PRUNING[spec]
+    # the budget error counts the same nodes
+    assert braid.find_witness(G, 5, 2, budget=NODES[spec]) is None
+    with pytest.raises(SearchBudgetExceeded) as err:
+        braid.find_witness(G, 5, 2, budget=NODES[spec] - 1)
+    assert err.value.explored == NODES[spec]
+
+
+def test_sweep_carries_node_counts():
+    rep = braid.minimal_braid_reduced_search(5, 2, 64)
+    explored = {c.label: c.explored for c in rep.candidates}
+    assert explored["I(2^4,1)"] == NODES["I(2^4,1)"]
+    assert explored["I(2^2,2)"] > 0
+    assert explored["Q8"] == 0    # its center has exponent 2: no sigma is tried
 
 
 def test_sigma_cut_settles_order_128_at_once():

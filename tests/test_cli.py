@@ -81,6 +81,35 @@ def test_search_min_writes_witness(tmp_path, capsys):
     assert block["r2_ok"] == "true"
 
 
+# sigma has order 4, so TR' holds exactly when g + n - 1 is even
+@pytest.mark.parametrize("n,reduced_ok", [(braid.FULL_PRESENTATION_MAX_N + 1, False),
+                                          (1200, True), (10_000, True)])
+def test_check_full_refuses_large_n_at_once(tmp_path, capsys, n, reduced_ok):
+    # search-min writes witness files for n up to 10,000; the full
+    # presentation has about n^2/2 relators (n = 1200 took 12 s)
+    wpath = tmp_path / "w.txt"
+    wpath.write_text(f"n {n}\ng 1\ngroup I(2^2,1)\nsigma 4\na 1\nb 2\n")
+    t0 = time.monotonic()
+    assert cli.main(["check-full", "--witness", str(wpath)]) == 3
+    assert time.monotonic() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "budget error: size limit: the full presentation has about n^2/2 "
+        f"relators; n={n} exceeds {braid.FULL_PRESENTATION_MAX_N}\n")
+    # the reduced relations do not grow with n
+    assert cli.main(["check-witness", "--witness", str(wpath)]) == (0 if reduced_ok else 1)
+
+
+def test_check_full_accepts_n_at_the_limit(tmp_path, capsys):
+    wpath = tmp_path / "w.txt"
+    wpath.write_text(f"n {braid.FULL_PRESENTATION_MAX_N}\ng 1\ngroup I(2^2,1)\n"
+                     "sigma 4\na 1\nb 2\n")
+    code, out = run(capsys, "check-full", "--witness", str(wpath))
+    assert code == 0
+    assert machine_block(out)["ok"] == "true"
+
+
 def test_check_witness_failure_is_exit_one(tmp_path, capsys):
     gpath = tmp_path / "d8.grp"
     fg.write_cayley(fg.dihedral(8), gpath)
