@@ -548,7 +548,9 @@ _WITNESS_KEYS = ("n", "g", "group", "sigma", "a", "b")
 
 def witness_from_text(text: str, *, base_dir=None) -> Witness:
     """Parse the text form: each of the six keys exactly once, one per
-    line; a repeated, unknown or empty key raises ValueError."""
+    line; a repeated, unknown or empty key raises ValueError.  g outside
+    1..MAX_G raises ParamRange before the group is built, since both
+    relator sets grow as g^2."""
     fields: dict[str, str] = {}
     for line in text.splitlines():
         if not line.strip():
@@ -564,6 +566,9 @@ def witness_from_text(text: str, *, base_dir=None) -> Witness:
     for key in _WITNESS_KEYS:
         if key not in fields:
             raise ValueError(f"witness file missing field {key!r}")
+    g = int(fields["g"])
+    if not 1 <= g <= MAX_G:
+        raise ParamRange(f"witness file needs 1 <= g <= {MAX_G}, got g={g}")
     ref = fields["group"]
     try:
         group = materialize(parse_spec(ref)).group
@@ -572,7 +577,7 @@ def witness_from_text(text: str, *, base_dir=None) -> Witness:
 
         path = ref if base_dir is None else os.path.join(base_dir, ref)
         group = fingroup.read_cayley(path)
-    return Witness(group=group, n=int(fields["n"]), g=int(fields["g"]),
+    return Witness(group=group, n=int(fields["n"]), g=g,
                    sigma=int(fields["sigma"]),
                    a=tuple(int(x) for x in fields["a"].split()),
                    b=tuple(int(x) for x in fields["b"].split()))

@@ -2,9 +2,10 @@
 
 Nothing here depends on the classification machinery: associativity is
 swept over all n^3 triples, groups are enumerated directly from the axioms,
-normal subgroups come from conjugacy-class closures, and the
-just-nonabelian test literally builds every proper quotient.  The standard
-JN2 groups are rebuilt two more ways, by scalar normal-form arithmetic and
+normal subgroups are the products of conjugacy-class closures, and the
+just-nonabelian test builds the quotient by each minimal normal subgroup,
+of which every proper quotient is itself a quotient.  The standard JN2
+groups are rebuilt two more ways, by scalar normal-form arithmetic and
 by central products taken from the definition.  These are the oracles
 against which the constructive algorithms are validated.
 """
@@ -311,42 +312,59 @@ def nonabelian_catalog_upto() -> GroupCatalog:
     return GroupCatalog(entries=entries)
 
 
-def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
-    """All normal subgroups, as joins of conjugacy-class closures."""
+def _class_closures(G: FiniteGroup) -> list[Subgroup]:
+    """The distinct normal closures of single conjugacy classes (the
+    "atoms"), the trivial subgroup among them.  Every normal subgroup is
+    the join of the atoms of its own classes."""
     if G.order > 256:
         raise SearchBudgetExceeded(f"order {G.order} beyond the 256 budget")
-    atoms = []
-    seen = set()
+    atoms = {}
     for cls in G.conjugacy_classes:
         sub = subgroup_generated(G, cls)
-        if sub.elements not in seen:
-            seen.add(sub.elements)
-            atoms.append(sub)
+        atoms.setdefault(sub.elements, sub)
+    return list(atoms.values())
+
+
+def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
+    """All normal subgroups, sorted by (order, elements): every join of
+    atoms.  The join of a normal N and an atom A is the product set NA,
+    which is a normal subgroup because both factors are normal, so no
+    closure is taken."""
+    atoms = _class_closures(G)
     normals = {s.elements: s for s in atoms}
-    normals[(0,)] = subgroup_generated(G, [])
-    work = list(normals.values())
+    work = list(atoms)
     while work:
         cur = work.pop()
         for atom in atoms:
-            join = subgroup_generated(G, cur.elements + atom.elements)
-            if join.elements not in normals:
-                normals[join.elements] = join
-                work.append(join)
-    out = sorted(normals.values(), key=lambda s: (s.order, s.elements))
-    for sub in out:
-        assert sub.is_normal
-    return out
+            if cur.mask[list(atom.elements)].all():
+                continue
+            prod = np.unique(G.table[np.ix_(cur.elements, atom.elements)])
+            key = tuple(int(x) for x in prod)
+            if key not in normals:
+                normals[key] = Subgroup(G, key)
+                work.append(normals[key])
+    return sorted(normals.values(), key=lambda s: (s.order, s.elements))
 
 
 def is_just_nonabelian(G: FiniteGroup) -> bool:
-    """Nonabelian with every proper quotient abelian, checked literally by
-    building the quotient by each nontrivial normal subgroup."""
+    """Nonabelian with every proper quotient abelian, checked by building
+    the quotient G/M for each minimal normal subgroup M.
+
+    That covers every proper quotient.  Every nontrivial normal N contains
+    a minimal normal M, and G/N is a quotient of G/M, and a quotient of an
+    abelian group is abelian.  The minimal normal subgroups are exactly the
+    minimal nontrivial atoms: a minimal normal M is the normal closure of
+    any of its nontrivial classes, so it is an atom, and an atom that
+    contains no smaller nontrivial atom contains no smaller nontrivial
+    normal subgroup either, since that would contain a minimal normal one."""
     if G.is_abelian:
         return False
-    for N in normal_subgroups(G):
-        if N.order == 1:
-            continue
-        Q, _ = quotient(G, N)
+    atoms = [A for A in _class_closures(G) if A.order > 1]
+    for M in atoms:
+        if any(B.order < M.order and M.mask[list(B.elements)].all()
+               for B in atoms):
+            continue  # not minimal
+        Q, _ = quotient(G, M)
         if not Q.is_abelian:
             return False
     return True

@@ -522,6 +522,15 @@ def test_witness_rejects_indices_outside_group(sigma, a, b):
         Witness(group=G, n=6, g=1, sigma=sigma, a=a, b=b)
 
 
+def test_witness_file_accepts_g_up_to_max_g():
+    ones = " ".join(["1"] * braid.MAX_G)
+    text = f"n 6\ng {braid.MAX_G}\ngroup I(2^2,1)\nsigma 4\na {ones}\nb {ones}\n"
+    assert braid.witness_from_text(text).g == braid.MAX_G
+    for g in (0, braid.MAX_G + 1):
+        with pytest.raises(ParamRange, match=f"got g={g}"):
+            braid.witness_from_text(text.replace(f"g {braid.MAX_G}", f"g {g}"))
+
+
 def test_witness_file_with_cayley_path(tmp_path):
     G = fg.dihedral(8)
     fg.write_cayley(G, tmp_path / "d8.grp")

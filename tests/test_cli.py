@@ -110,6 +110,23 @@ def test_check_full_accepts_n_at_the_limit(tmp_path, capsys):
     assert machine_block(out)["ok"] == "true"
 
 
+@pytest.mark.parametrize("verb", ["check-witness", "check-full"])
+@pytest.mark.parametrize("g", [braid.MAX_G + 1, 300])
+def test_witness_files_refuse_large_g_at_once(tmp_path, capsys, verb, g):
+    # both relator sets grow as g^2: g = 300 took 4.8 s and 183 MB in
+    # check-full; search-min never writes g above MAX_G
+    wpath = tmp_path / "w.txt"
+    ones = " ".join(["1"] * g)
+    wpath.write_text(f"n 6\ng {g}\ngroup I(2^2,1)\nsigma 4\na {ones}\nb {ones}\n")
+    t0 = time.monotonic()
+    assert cli.main([verb, "--witness", str(wpath)]) == 2
+    assert time.monotonic() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"usage error: witness file needs 1 <= g <= {braid.MAX_G}, got g={g}\n")
+
+
 def test_check_witness_failure_is_exit_one(tmp_path, capsys):
     gpath = tmp_path / "d8.grp"
     fg.write_cayley(fg.dihedral(8), gpath)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidquot import fingroup as fg
 from braidquot import jn2, oracle
@@ -177,15 +179,105 @@ def test_s4_not_just_nonabelian():
     assert not oracle.is_just_nonabelian(fg.symmetric(4))
 
 
-def test_characterization_equivalence(exhaustive_tiers, catalog, specs_243):
-    """is_jn2 agrees with (nilpotency class 2) and (every proper quotient
-    abelian) in both directions, on everything of order <= 64."""
+def _definition_corpus(exhaustive_tiers, catalog, specs, max_order):
     corpus = [G for k in range(1, 9) for G in exhaustive_tiers[k]]
     corpus += [e.group for e in catalog.entries]
-    corpus += [materialize(s).group for s in specs_243 if s.order <= 64]
-    for G in corpus:
+    corpus += [materialize(s).group for s in specs if s.order <= max_order]
+    return corpus
+
+
+def test_characterization_equivalence(exhaustive_tiers, catalog, specs_243):
+    """is_jn2 agrees with (nilpotency class 2) and (every proper quotient
+    abelian) in both directions, on the exhaustive classes through order 8,
+    the catalog and every standard group up to order 243."""
+    for G in _definition_corpus(exhaustive_tiers, catalog, specs_243, 243):
         direct = (fg.nilpotency_class(G) == 2) and oracle.is_just_nonabelian(G)
         assert (jn2.is_jn2(G) is not None) == direct, G.label
+
+
+def _std(spec):
+    return materialize(jn2.parse_spec(spec)).group
+
+
+# class 2 with a noncyclic center: a proper quotient by a central C_p
+# factor is still nonabelian, so is_jn2 has to answer "no"
+CLASS2_NEGATIVES = {
+    "D8xC2": lambda: fg.direct_product(fg.dihedral(8), fg.cyclic(2)),
+    "D8xC4": lambda: fg.direct_product(fg.dihedral(8), fg.cyclic(4)),
+    "Q8xC2": lambda: fg.direct_product(fg.dicyclic(8), fg.cyclic(2)),
+    "I(2^2,1)xC2": lambda: fg.direct_product(_std("I(2^2,1)"), fg.cyclic(2)),
+    "I(3,1)xC3": lambda: fg.direct_product(_std("I(3,1)"), fg.cyclic(3)),
+    "D8xD8": lambda: fg.direct_product(fg.dihedral(8), fg.dihedral(8)),
+    "D8xQ8": lambda: fg.direct_product(fg.dihedral(8), fg.dicyclic(8)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASS2_NEGATIVES))
+def test_class_two_negatives(name):
+    G = CLASS2_NEGATIVES[name]()
+    assert fg.nilpotency_class(G) == 2
+    assert jn2.is_jn2(G) is None
+    assert not oracle.is_just_nonabelian(G)
+
+
+# ---------------------------------------------------------------------------
+# the minimal-normal test and the product-join lattice against references
+
+
+def _just_nonabelian_by_every_quotient(G):
+    """The definition read literally: nonabelian, and G/N abelian for every
+    nontrivial normal N of the lattice."""
+    if G.is_abelian:
+        return False
+    return all(fg.quotient(G, N)[0].is_abelian
+               for N in oracle.normal_subgroups(G) if N.order > 1)
+
+
+def _closure_join_lattice(G):
+    """Every normal subgroup as a join of class closures, each join taken
+    as the subgroup generated by the union."""
+    atoms = {}
+    for cls in G.conjugacy_classes:
+        sub = fg.subgroup_generated(G, cls)
+        atoms.setdefault(sub.elements, sub)
+    normals = dict(atoms)
+    work = list(atoms.values())
+    while work:
+        cur = work.pop()
+        for atom in atoms.values():
+            join = fg.subgroup_generated(G, cur.elements + atom.elements)
+            if join.elements not in normals:
+                normals[join.elements] = join
+                work.append(join)
+    return sorted(normals, key=lambda e: (len(e), e))
+
+
+@pytest.fixture(scope="module")
+def corpus_64(exhaustive_tiers, catalog, specs_243):
+    extra = [CLASS2_NEGATIVES[name]() for name in ("D8xC2", "D8xC4", "Q8xC2")]
+    return _definition_corpus(exhaustive_tiers, catalog, specs_243, 64) + extra
+
+
+def _check_against_references(G):
+    normals = oracle.normal_subgroups(G)
+    assert all(N.is_normal for N in normals), G.label
+    assert oracle.is_just_nonabelian(G) == _just_nonabelian_by_every_quotient(G), G.label
+    if G.order <= 32:  # the closure-join reference is slow above
+        assert [N.elements for N in normals] == _closure_join_lattice(G), G.label
+
+
+def test_minimal_normal_test_and_lattice_match_references(corpus_64, small_corpus):
+    for G in corpus_64 + [H for H in small_corpus if H.order <= 64]:
+        _check_against_references(G)
+
+
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_references_agree_on_relabelled_tables(corpus_64, seed):
+    rng = random.Random(seed)
+    for G in corpus_64:
+        H, _ = fg.random_relabeling(G, rng)
+        _check_against_references(H)
 
 
 def test_catalog_jn2_members_classify(catalog):
