@@ -296,20 +296,32 @@ def find_witness(G: FiniteGroup, n: int, g: int,
       is not tried.
     - Conjugation by h in C fixes sigma and the prefix and maps C to itself,
       so it maps witnesses to witnesses with the same prefix.  Hence a_{r+1}
-      only ranges over elements least in their orbit under conjugation by C,
-      and b_{r+1} over elements least in their orbit under C ∩ C(a_{r+1})
-      (orbit-stabilizer pruning: Holt, Eick & O'Brien, *Handbook of
-      Computational Group Theory*, 2005).
+      only needs to range over elements least in their orbit under
+      conjugation by C, and b_{r+1} over elements least in their orbit under
+      C ∩ C(a_{r+1}) (orbit-stabilizer pruning: Holt, Eick & O'Brien,
+      *Handbook of Computational Group Theory*, 2005).
     The search visits tuples in lexicographic order, and the lexicographically
     first witness is least in its orbit at every position (else a conjugate
-    would come first).  Every test and cut is exact, so the verdict and the
-    first witness returned are those of the unpruned search.
+    would come first).
+
+    Those orbits are whole conjugacy classes whenever sigma has a witness,
+    so the search tests "least in its conjugacy class" from one table of
+    class minima.  If sigma has a witness, G is generated by sigma and
+    pairs whose only nontrivial commutators are the central sigma^2, so
+    G' = <sigma^2>.  Let a be tried, with a partner b in C, [a, b] = sigma^2.
+    Then b a b^-1 = a sigma^-2, so conjugating by powers of b (all in C)
+    sweeps the coset a<sigma^2>; and every conjugate h a h^-1 = a[a^-1, h]
+    lies in aG' = a<sigma^2>.  So a's C-orbit is its class.  Likewise b's
+    orbit under C ∩ C(a) holds a^k b a^-k = sigma^2k b, the coset b<sigma^2>,
+    which is b's class.  If sigma has no witness, pruning more nodes cannot
+    turn its None into a witness.  So every sigma ends as it would in the
+    unpruned search, and the verdict and the first witness returned are
+    those of the unpruned search.
     """
     if n < 3 or g < 1:
         raise ParamRange(f"need n >= 3 and g >= 1, got n={n}, g={g}")
     N = G.order
     T = G.table
-    inv = G.inverse
     tr_exp = 2 * (g + n - 1)
     comm = G.commutators
     commutes = G.commutes
@@ -335,10 +347,12 @@ def find_witness(G: FiniteGroup, n: int, g: int,
             raise SearchBudgetExceeded(
                 f"witness search exceeded {budget} nodes", explored=stats.explored)
 
-    def orbit_least(h: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        """The xs that no conjugation x -> h x h^-1 with h in ``h`` lowers."""
-        conj = T[T[h[:, None], xs], inv[h][:, None]]
-        return xs[conj.min(axis=0) == xs]
+    class_least = np.empty(N, dtype=np.int64)   # least element of x's class
+    for cls in G.conjugacy_classes:
+        class_least[list(cls)] = cls[0]
+
+    def least_in_class(xs: np.ndarray) -> np.ndarray:
+        return xs[class_least[xs] == xs]
 
     sigmas = [s for s in range(N)
               if G.center_mask[s] and tr_exp % int(orders[s]) == 0]
@@ -349,10 +363,9 @@ def find_witness(G: FiniteGroup, n: int, g: int,
             return placed if generates([sigma] + placed) else None
         cent = np.flatnonzero(mask)    # C, the centralizer of the prefix
         partnered = (comm[cent][:, cent] == s2).any(axis=1)
-        for a in orbit_least(cent, cent[partnered]):
+        for a in least_in_class(cent[partnered]):
             bump()
-            stab = cent[commutes[a, cent]]
-            for b in orbit_least(stab, cent[comm[a, cent] == s2]):
+            for b in least_in_class(cent[comm[a, cent] == s2]):
                 bump()
                 nxt = mask & commutes[a] & commutes[b]
                 if r + 1 < g:

@@ -38,11 +38,17 @@ def least_prime_factor(n: int) -> int:
 
 
 def closure_indices(table: np.ndarray, seeds: Iterable[int]) -> np.ndarray:
-    """Indices of the subgroup generated by ``seeds`` (identity included)."""
-    cur = np.unique(np.concatenate([np.fromiter(seeds, dtype=np.int64, count=-1),
-                                    np.zeros(1, dtype=np.int64)]))
+    """Sorted indices of the subgroup generated by ``seeds``, identity
+    included: the set S = seeds + {0} is replaced by all products S*S until
+    it stops growing.  Products are marked in a membership mask, so each
+    round reads the next sorted set off the mask with no sort or hash."""
+    inside = np.zeros(table.shape[0], dtype=bool)
+    inside[0] = True
+    inside[np.fromiter(seeds, dtype=np.int64, count=-1)] = True
+    cur = np.flatnonzero(inside)
     while True:
-        nxt = np.unique(table[np.ix_(cur, cur)])
+        inside[table[cur][:, cur]] = True
+        nxt = np.flatnonzero(inside)
         if nxt.size == cur.size:
             return cur
         cur = nxt
@@ -689,21 +695,90 @@ def span_walk(table: np.ndarray, candidates: Iterable[int],
             inside[closure_indices(table, [*base, *picks])] = True
 
 
-def generating_sequence(G: FiniteGroup) -> list[int]:
-    """Greedy short generating sequence: high element order first, small
-    centralizer next; deterministic for a fixed labeling."""
-    orders = G.element_orders
-    csz = G.centralizer_sizes
-    return list(span_walk(G.table, sorted(range(1, G.order),
-                                          key=lambda x: (-orders[x], csz[x], x))))
+@dataclass(frozen=True, eq=False)
+class _Level:
+    """One step of an isomorphism plan: the pick ``g`` and the closure
+    rounds that carry a domain D to <D, g>.  In each round, x = u*v for
+    every (u, v, x); u and v lie in D, are g, or came in an earlier round.
+    ``added`` lists g and the xs in placement order, ``dom`` is <D, g>."""
+
+    g: int
+    rounds: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    added: np.ndarray
+    dom: np.ndarray
+
+
+def _extension_plan(G: FiniteGroup) -> list[_Level]:
+    """G's side of the isomorphism search, which no candidate image alters.
+
+    Walks the elements by (-order, centralizer size, index), picks each one
+    outside the domain so far and closes the domain over it, until the
+    domain is all of G.  Each round multiplies the elements new in the last
+    round by the whole domain, on both sides, and keeps the products not
+    yet known, each with the first (u, v) that gives it."""
+    n, T = G.order, G.table
+    orders, csz = G.element_orders, G.centralizer_sizes
+    known = np.zeros(n, dtype=bool)
+    known[0] = True
+    dom = np.zeros(1, dtype=np.int64)
+    levels: list[_Level] = []
+    for g in sorted(range(1, n), key=lambda x: (-orders[x], csz[x], x)):
+        if dom.size == n:
+            break
+        if known[g]:
+            continue
+        known[g] = True
+        new = np.array([g], dtype=np.int64)
+        dom = np.append(dom, new)
+        start = dom.size - 1
+        rounds = []
+        while True:
+            f, k = new.size, dom.size
+            prods = np.concatenate([T[new][:, dom].ravel(),
+                                    T[dom][:, new].ravel()])
+            pos = np.flatnonzero(~known[prods])
+            if pos.size == 0:
+                break
+            xs, first = np.unique(prods[pos], return_index=True)
+            pos = pos[first]
+            left = pos < f * k            # new * dom, else dom * new
+            q = np.where(left, pos, pos - f * k)
+            u = np.where(left, new[q // k], dom[q // f])
+            v = np.where(left, dom[q % k], new[q % f])
+            rounds.append((u, v, xs))
+            known[xs] = True
+            dom = np.append(dom, xs)
+            new = xs
+        levels.append(_Level(g=int(g), rounds=tuple(rounds),
+                             added=dom[start:], dom=dom))
+    return levels
 
 
 def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupMap]:
     """Explicit isomorphism G -> H, or None.
 
-    Backtracks over images of a greedy generating sequence of G, pruning by
-    element order, centralizer size, class size and square order, extending
-    the partial map through products and rejecting on the first conflict.
+    Backtracks over images of a greedy generating sequence g_1, g_2, ... of
+    G (see ``_extension_plan``), trying for g_i each h in H with the same
+    element order, centralizer size, class size and square order, in index
+    order, that is not yet an image.  A candidate h is accepted exactly when
+    some injective homomorphism on K = <g_1..g_i> extends the map f placed
+    on D = <g_1..g_(i-1)> and sends g_i to h.  Such a homomorphism is
+    unique, since its values on the closure rounds are forced: x = u*v goes
+    to f(u)*f(v).  So a candidate costs one gather per round, which sets f
+    on the new elements K - D, and one test: f(a*y) = f(a)*f(y) for every
+    new a and every y in K, and no new element is sent into f(D).
+    - The test makes f a homomorphism on K.  The s in K with
+      f(s*y) = f(s)*f(y) for all y in K are closed under products, and they
+      include K - D, whose products give all of K: for d in D and a
+      outside D, d*a and a^-1 are outside D, and d = (d*a)*a^-1.
+    - It makes f injective: a nontrivial kernel element is not in D, where
+      f is injective, so it is new, and its image is the identity, the
+      image of an element of D.
+    Conversely, an injective homomorphism extending f passes the test.  So
+    the acceptance rule, the search tree and the map returned are those of
+    any exact extension test over the same sequence and candidate order,
+    such as assigning the products of new elements with the domain one
+    table entry at a time until a conflict.
     """
     if G.order != H.order:
         return None
@@ -717,74 +792,46 @@ def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupMap]:
     if n == 1:
         return GroupMap(G, H, np.zeros(1, dtype=np.int32))
 
-    seq = generating_sequence(G)
+    levels = _extension_plan(G)
     buckets: dict[tuple, list[int]] = {}
     for h in range(n):
         buckets.setdefault(tuple(sigH[h].tolist()), []).append(h)
 
     TG, TH = G.table, H.table
-    gmap = np.full(n, -1, dtype=np.int32)
-    hmap = np.full(n, -1, dtype=np.int32)
+    gmap = np.full(n, -1, dtype=np.int64)
     gmap[0] = 0
-    hmap[0] = 0
-    dom: list[int] = [0]
+    used = np.zeros(n, dtype=bool)   # images of the domain so far
+    used[0] = True
 
-    def extend(g: int, h: int) -> Optional[list[int]]:
-        added: list[int] = []
-
-        def assign(x: int, y: int) -> bool:
-            if gmap[x] != -1:
-                return gmap[x] == y
-            if hmap[y] != -1:
-                return False
-            gmap[x] = y
-            hmap[y] = x
-            dom.append(x)
-            added.append(x)
-            queue.append(x)
+    def extend(level: _Level, h: int) -> bool:
+        gmap[level.g] = h
+        for u, v, x in level.rounds:
+            gmap[x] = TH[gmap[u], gmap[v]]
+        img = gmap[level.added]
+        if (not used[img].any()
+                and np.array_equal(gmap[TG[level.added][:, level.dom]],
+                                   TH[img][:, gmap[level.dom]])):
+            used[img] = True
             return True
-
-        queue: list[int] = []
-        if not assign(g, h):
-            return None if not added else _rollback(added)
-        qi = 0
-        while qi < len(queue):
-            x = queue[qi]
-            qi += 1
-            hx = gmap[x]
-            for i in range(len(dom)):
-                d = dom[i]
-                hd = gmap[d]
-                if not assign(int(TG[d, x]), int(TH[hd, hx])):
-                    return _rollback(added)
-                if not assign(int(TG[x, d]), int(TH[hx, hd])):
-                    return _rollback(added)
-        return added
-
-    def _rollback(added: list[int]) -> None:
-        for x in reversed(added):
-            hmap[gmap[x]] = -1
-            gmap[x] = -1
-        del dom[len(dom) - len(added):]
-        return None
+        gmap[level.added] = -1
+        return False
 
     def backtrack(i: int) -> bool:
-        if i == len(seq):
+        if i == len(levels):
             return True
-        g = seq[i]
-        for h in buckets.get(tuple(sigG[g].tolist()), []):
-            if hmap[h] != -1:
+        level = levels[i]
+        for h in buckets.get(tuple(sigG[level.g].tolist()), []):
+            if used[h] or not extend(level, h):
                 continue
-            added = extend(g, h)
-            if added is not None:
-                if backtrack(i + 1):
-                    return True
-                _rollback(added)
+            if backtrack(i + 1):
+                return True
+            used[gmap[level.added]] = False
+            gmap[level.added] = -1
         return False
 
     if not backtrack(0):
         return None
-    return GroupMap(G, H, gmap.copy())
+    return GroupMap(G, H, gmap)
 
 
 # ---------------------------------------------------------------------------

@@ -84,14 +84,15 @@ def parse_spec(text: str) -> Jn2Spec:
     return Jn2Spec(p=p, j=1 if j is None else int(j), m=rank, variant=variant)
 
 
-def _decode(spec: Jn2Spec, idx: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+def _decode(spec: Jn2Spec, idx):
     """(k, alpha, beta) of the normal form z^k * prod_i a_i^alpha_i b_i^beta_i
-    stored at index idx: base-p digits k, alpha_1..alpha_m, beta_1..beta_m."""
+    stored at index idx: base-p digits k, alpha_1..alpha_m, beta_1..beta_m.
+    ``idx`` may be an int or an integer array; the digits follow suit."""
     p, m = spec.p, spec.m
     digits = []
     for _ in range(2 * m):
         digits.append(idx % p)
-        idx //= p
+        idx = idx // p
     return idx, tuple(reversed(digits[m:])), tuple(reversed(digits[:m]))
 
 
@@ -119,15 +120,9 @@ def materialize(spec: Jn2Spec) -> StandardJn2:
         raise SizeLimit(f"{spec} has order over table cap {fingroup.TABLE_CAP}")
     order = spec.order
     pj = p ** j
-    idx = np.arange(order, dtype=np.int64)
-    digits = []
-    rest = idx.copy()
-    for _ in range(2 * m):
-        digits.append(rest % p)
-        rest //= p
-    K = rest
-    B = np.stack(list(reversed(digits[:m])), axis=1)
-    A = np.stack(list(reversed(digits[m:])), axis=1)
+    K, alpha, beta = _decode(spec, np.arange(order, dtype=np.int64))
+    A = np.stack(alpha, axis=1)
+    B = np.stack(beta, axis=1)
 
     cross = B @ A.T  # cross[x, y] = sum_i beta_x[i] * alpha_y[i]
     k = K[:, None] + K[None, :] - p ** (j - 1) * cross
@@ -422,14 +417,23 @@ def classify(G: FiniteGroup) -> tuple[Jn2Spec, GroupMap]:
         data = normalize_basis(symplectic_data(G, z))  # recognises JN2
         spec = Jn2Spec(p=data.p, j=data.j, m=data.m, variant=data.basis_type)
         S = materialize(spec).group
-        images_from_std = np.empty(S.order, dtype=np.int64)
-        for idx in range(S.order):
-            k, alpha, beta = _decode(spec, idx)
-            g = G.power(z, k)
-            for i in range(spec.m):
-                g = G.mul(g, G.power(data.reps[2 * i], alpha[i]))
-                g = G.mul(g, G.power(data.reps[2 * i + 1], beta[i]))
-            images_from_std[idx] = g
+        T = G.table
+
+        def powers(x: int, count: int) -> np.ndarray:
+            """x^0, x^1, ..., x^(count-1)."""
+            out = np.zeros(count, dtype=np.int64)
+            for e in range(1, count):
+                out[e] = T[out[e - 1], x]
+            return out
+
+        # the normal form z^k prod_i a_i^alpha_i b_i^beta_i of every index,
+        # evaluated on the lifted representatives, all indices at once
+        k, alpha, beta = _decode(spec, np.arange(S.order, dtype=np.int64))
+        images_from_std = powers(z, spec.center_order)[k]
+        for i in range(spec.m):
+            a_pow = powers(data.reps[2 * i], spec.p)
+            b_pow = powers(data.reps[2 * i + 1], spec.p)
+            images_from_std = T[T[images_from_std, a_pow[alpha[i]]], b_pow[beta[i]]]
         assert np.unique(images_from_std).size == S.order, \
             "normal forms must enumerate the group"
         std_to_g = GroupMap(S, G, images_from_std)

@@ -541,6 +541,141 @@ def test_random_relabeling_preserves_structure(seed):
     assert fg.is_isomorphic(G, H) is not None
 
 
+def _is_isomorphic_by_assignment(G: fg.FiniteGroup, H: fg.FiniteGroup):
+    """Reference for ``is_isomorphic``: the images of G's elements in H, or
+    None.  The same generating sequence and candidate order, but each
+    candidate is tested by scalar breadth-first extension: every product of
+    a new element with the domain is assigned, one table entry at a time,
+    until a conflict or a closed domain."""
+    if G.order != H.order:
+        return None
+    sigG, sigH = fg._signatures(G), fg._signatures(H)
+    if sorted(map(tuple, sigG.tolist())) != sorted(map(tuple, sigH.tolist())):
+        return None
+    n = G.order
+    if n == 1:
+        return np.zeros(1, dtype=np.int32)
+    orders, csz = G.element_orders, G.centralizer_sizes
+    seq = list(fg.span_walk(G.table, sorted(range(1, n),
+                                            key=lambda x: (-orders[x], csz[x], x))))
+    buckets: dict[tuple, list[int]] = {}
+    for h in range(n):
+        buckets.setdefault(tuple(sigH[h].tolist()), []).append(h)
+    TG, TH = G.table, H.table
+    gmap = np.full(n, -1, dtype=np.int32)
+    hmap = np.full(n, -1, dtype=np.int32)
+    gmap[0] = hmap[0] = 0
+    dom = [0]
+
+    def rollback(added):
+        for x in reversed(added):
+            hmap[gmap[x]] = -1
+            gmap[x] = -1
+        del dom[len(dom) - len(added):]
+
+    def extend(g, h):
+        added, queue = [], []
+
+        def assign(x, y):
+            if gmap[x] != -1:
+                return gmap[x] == y
+            if hmap[y] != -1:
+                return False
+            gmap[x], hmap[y] = y, x
+            dom.append(x)
+            added.append(x)
+            queue.append(x)
+            return True
+
+        if not assign(g, h):
+            return rollback(added)
+        qi = 0
+        while qi < len(queue):
+            x = queue[qi]
+            qi += 1
+            hx = gmap[x]
+            for i in range(len(dom)):
+                d = dom[i]
+                hd = gmap[d]
+                if (not assign(int(TG[d, x]), int(TH[hd, hx]))
+                        or not assign(int(TG[x, d]), int(TH[hx, hd]))):
+                    return rollback(added)
+        return added
+
+    def backtrack(i):
+        if i == len(seq):
+            return True
+        for h in buckets.get(tuple(sigG[seq[i]].tolist()), []):
+            if hmap[h] != -1:
+                continue
+            added = extend(seq[i], h)
+            if added is not None:
+                if backtrack(i + 1):
+                    return True
+                rollback(added)
+        return False
+
+    return gmap if backtrack(0) else None
+
+
+@pytest.fixture(scope="module")
+def iso_corpus(exhaustive_tiers, catalog, specs_243):
+    groups = [jn2.materialize(spec).group for spec in specs_243]
+    groups += [e.group for e in catalog.entries]
+    groups += [G for k in range(1, 9) for G in exhaustive_tiers[k]]
+    # in C4xC4 some images of a second generator give a homomorphism that
+    # is not injective, which the search must reject
+    groups += [fg.direct_product(fg.dihedral(8), fg.cyclic(2)), fg.symmetric(4),
+               fg.direct_product(fg.cyclic(4), fg.cyclic(4))]
+    return groups
+
+
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32))
+def test_isomorphism_maps_match_scalar_extension(iso_corpus, seed):
+    rng = random.Random(seed)
+    for G in iso_corpus:
+        H, _ = fg.random_relabeling(G, rng)
+        for src, dst in ((G, H), (H, G)):
+            iso = fg.is_isomorphic(src, dst)
+            ref = _is_isomorphic_by_assignment(src, dst)
+            assert iso is not None and ref is not None, G.label
+            assert np.array_equal(iso.images, ref), G.label
+
+
+def test_variants_of_a_class_are_not_isomorphic(specs_243):
+    for spec in specs_243:
+        if spec.variant != "I":
+            continue
+        G = jn2.materialize(spec).group
+        H, _ = fg.random_relabeling(jn2.materialize(
+            jn2.Jn2Spec(spec.p, spec.j, spec.m, "II")).group, random.Random(0))
+        assert fg.is_isomorphic(G, H) is None, str(spec)
+        assert _is_isomorphic_by_assignment(G, H) is None, str(spec)
+
+
+def _closure_by_unique(table: np.ndarray, seeds) -> np.ndarray:
+    """Reference for ``closure_indices``: the same doubling loop, with the
+    next set taken by ``np.unique``."""
+    cur = np.unique(np.concatenate([np.asarray(list(seeds), dtype=np.int64),
+                                    np.zeros(1, dtype=np.int64)]))
+    while True:
+        nxt = np.unique(table[np.ix_(cur, cur)])
+        if nxt.size == cur.size:
+            return cur
+        cur = nxt
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_closure_indices_matches_unique_reference(small_corpus, data):
+    t = data.draw(st.sampled_from([LOOP6] + [G.table for G in small_corpus]))
+    seeds = data.draw(st.lists(st.integers(0, len(t) - 1), max_size=5))
+    got = fg.closure_indices(t, seeds)
+    assert np.array_equal(got, _closure_by_unique(t, seeds))
+    assert list(fg.closure_indices(t, np.asarray(seeds, dtype=np.int64))) == list(got)
+
+
 # ---------------------------------------------------------------------------
 # Cayley text format
 

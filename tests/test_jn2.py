@@ -394,6 +394,47 @@ def test_classify_rejects_non_jn2():
         jn2.classify(fg.symmetric(4))
 
 
+def test_decode_of_an_index_array_matches_each_index(specs_243):
+    for spec in specs_243:
+        k, alpha, beta = jn2._decode(spec, np.arange(spec.order))
+        for idx in range(spec.order):
+            assert jn2._decode(spec, idx) == (k[idx], tuple(a[idx] for a in alpha),
+                                              tuple(b[idx] for b in beta)), str(spec)
+
+
+def _normal_form_map_by_index(H: fg.FiniteGroup, spec: Jn2Spec, data) -> np.ndarray:
+    """Reference for classify's map on the p^j != 2 path: each standard
+    index decoded and its normal form z^k prod_i a_i^alpha_i b_i^beta_i
+    multiplied out in H, one element at a time."""
+    images = np.empty(spec.order, dtype=np.int64)
+    for idx in range(spec.order):
+        k, alpha, beta = jn2._decode(spec, idx)
+        g = H.power(data.z, k)
+        for i in range(spec.m):
+            g = H.mul(g, H.power(data.reps[2 * i], alpha[i]))
+            g = H.mul(g, H.power(data.reps[2 * i + 1], beta[i]))
+        images[idx] = g
+    return images
+
+
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32))
+def test_classify_map_matches_normal_forms_by_index(specs_243, seed):
+    rng = random.Random(seed)
+    for spec in specs_243:
+        if spec.center_order == 2:
+            continue  # classified by is_isomorphic, tested in test_fingroup
+        H, _ = fg.random_relabeling(materialize(spec).group, rng)
+        got, iso = jn2.classify(H)
+        assert got == spec
+        Z = fg.center(H)
+        z = min(x for x in Z.elements if H.element_order(x) == Z.order)
+        data = jn2.normalize_basis(jn2.symplectic_data(H, z))
+        ref = fg.GroupMap(materialize(spec).group, H,
+                          _normal_form_map_by_index(H, spec, data)).inverted()
+        assert np.array_equal(iso.images, ref.images), str(spec)
+
+
 # ---------------------------------------------------------------------------
 # nu and pairing spot checks (full sweeps live in the acceptance suite)
 
