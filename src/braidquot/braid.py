@@ -17,6 +17,7 @@ group as a braid-reduced quotient.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Optional
@@ -586,8 +587,6 @@ def witness_from_text(text: str, *, base_dir=None) -> Witness:
     try:
         group = materialize(parse_spec(ref)).group
     except ValueError:
-        import os
-
         path = ref if base_dir is None else os.path.join(base_dir, ref)
         group = fingroup.read_cayley(path)
     return Witness(group=group, n=int(fields["n"]), g=g,

@@ -11,6 +11,7 @@ operations are pure functions of their inputs.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -35,6 +36,26 @@ def least_prime_factor(n: int) -> int:
             return d
         d += 1
     return n
+
+
+def power_map(table: np.ndarray, k: int) -> np.ndarray:
+    """x^k for every element x (k >= 0), by square-and-multiply applied to
+    all elements at once."""
+    acc, base = np.zeros(table.shape[0], dtype=np.int64), np.arange(table.shape[0])
+    while k:
+        if k & 1:
+            acc = table[acc, base]
+        base = table[base, base]
+        k >>= 1
+    return acc
+
+
+def powers(table: np.ndarray, x: int, count: int) -> np.ndarray:
+    """x^0, x^1, ..., x^(count-1)."""
+    out = np.zeros(count, dtype=np.int64)
+    for e in range(1, count):
+        out[e] = table[out[e - 1], x]
+    return out
 
 
 def closure_indices(table: np.ndarray, seeds: Iterable[int]) -> np.ndarray:
@@ -154,11 +175,8 @@ class FiniteGroup:
 
     @cached_property
     def class_sizes(self) -> np.ndarray:
-        sizes = np.zeros(self.order, dtype=np.int64)
-        for cls in self.conjugacy_classes:
-            for x in cls:
-                sizes[x] = len(cls)
-        return sizes
+        """Length of each element's conjugacy class, |G| / |C_G(x)|."""
+        return self.order // self.centralizer_sizes
 
     @cached_property
     def order_profile(self) -> dict[int, int]:
@@ -174,12 +192,7 @@ class FiniteGroup:
 
     @cached_property
     def exponent(self) -> int:
-        import math
-
-        e = 1
-        for v in self.order_profile:
-            e = e * v // math.gcd(e, v)
-        return e
+        return math.lcm(*self.order_profile)
 
     def __repr__(self) -> str:
         tag = f" {self.label!r}" if self.label else ""
@@ -323,8 +336,6 @@ def symmetric(n: int) -> FiniteGroup:
     """Symmetric group on n points; adjacent transpositions named s1..s{n-1}."""
     if n < 1:
         raise ValueError("n must be positive")
-    import math
-
     if math.factorial(n) > TABLE_CAP:
         raise SizeLimit(f"order {n}! exceeds table cap {TABLE_CAP}")
     perms = [tuple(p) for p in itertools.permutations(range(n))]
@@ -351,8 +362,6 @@ def _parity(p: tuple[int, ...]) -> int:
 def alternating(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("n must be positive")
-    import math
-
     order = math.factorial(n) // 2 if n > 1 else 1
     if order > TABLE_CAP:
         raise SizeLimit(f"order {n}!/2 exceeds table cap {TABLE_CAP}")
@@ -636,12 +645,7 @@ def _frattini_quotient(G: FiniteGroup) -> Optional[FrattiniQuotient]:
         rest //= p
     if rest != 1:
         return None
-    pth, base, e = np.zeros(n, dtype=np.int64), np.arange(n), p  # x^p for every x
-    while e:
-        if e & 1:
-            pth = t[pth, base]
-        base = t[base, base]
-        e >>= 1
+    pth = power_map(t, p)
     phi = closure_indices(t, np.unique(np.concatenate([G.commutators.ravel(), pth])))
     basis = list(span_walk(t, range(n), base=phi))
     d = len(basis)
@@ -650,10 +654,7 @@ def _frattini_quotient(G: FiniteGroup) -> Optional[FrattiniQuotient]:
     rep = t[:, phi].min(axis=1)   # least element of the coset x*Phi
     prods, vecs = np.zeros(1, dtype=np.int64), np.zeros((1, d), dtype=np.int64)
     for i, x in enumerate(basis):
-        powers = [0]
-        for _ in range(p - 1):
-            powers.append(int(t[powers[-1], x]))
-        prods = t[prods[:, None], np.array(powers)[None, :]].ravel()
+        prods = t[prods[:, None], powers(t, x, p)[None, :]].ravel()
         vecs = np.repeat(vecs, p, axis=0)
         vecs[:, i] = np.tile(np.arange(p), vecs.shape[0] // p)
     by_rep = np.zeros((n, d), dtype=np.int64)
@@ -754,6 +755,12 @@ def _extension_plan(G: FiniteGroup) -> list[_Level]:
     return levels
 
 
+def check_iso_size(order: int) -> None:
+    """Refuse isomorphism backtracking on more than ISO_SIZE_LIMIT elements."""
+    if order > ISO_SIZE_LIMIT:
+        raise SizeLimit(f"order {order} exceeds isomorphism bound {ISO_SIZE_LIMIT}")
+
+
 def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupMap]:
     """Explicit isomorphism G -> H, or None.
 
@@ -782,8 +789,7 @@ def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupMap]:
     """
     if G.order != H.order:
         return None
-    if G.order > ISO_SIZE_LIMIT:
-        raise SizeLimit(f"order {G.order} exceeds isomorphism bound {ISO_SIZE_LIMIT}")
+    check_iso_size(G.order)
     sigG, sigH = _signatures(G), _signatures(H)
     if sorted(map(tuple, sigG.tolist())) != sorted(map(tuple, sigH.tolist())):
         return None

@@ -36,6 +36,8 @@ from .fingroup import (
     from_table,
     is_isomorphic,
     least_prime_factor,
+    power_map,
+    powers,
     row_reduce,
 )
 
@@ -174,11 +176,7 @@ def is_jn2(G: FiniteGroup) -> Optional[tuple[int, int, int]]:
         return None  # center not cyclic
     if not Z.mask[D.mask].all():
         return None  # central quotient not abelian
-    ids = np.arange(G.order)
-    xp = np.zeros_like(ids)  # x^p for every x, one table lookup per factor
-    for _ in range(p):
-        xp = G.table[xp, ids]
-    if not Z.mask[xp].all():
+    if not Z.mask[power_map(G.table, p)].all():
         return None  # central quotient not of exponent p
     v = G.order // Z.order
     e = 0
@@ -217,22 +215,23 @@ class SymplecticData:
     basis_type: Optional[str] = None
 
 
-def _z_power_log(G: FiniteGroup, z: int) -> dict[int, int]:
-    logs = {}
-    x = 0
-    t = 0
-    while x not in logs:
-        logs[x] = t
-        x = G.mul(x, z)
-        t += 1
-    return logs
+def log_table(G: FiniteGroup, z: int) -> np.ndarray:
+    """Discrete logs to base z: entry z^t is t for 0 <= t < ord(z), and
+    every element outside <z> has entry -1."""
+    zpow = powers(G.table, z, G.element_order(z))
+    log = np.full(G.order, -1, dtype=np.int64)
+    log[zpow] = np.arange(zpow.size)
+    return log
 
 
-def _nu_value(G: FiniteGroup, z_log: dict[int, int], p: int, x: int) -> int:
-    xp = G.power(x, p)
-    if xp not in z_log:
-        raise NotJn2("p-th power fell outside the center")
-    return z_log[xp] % p
+def _gram(G: FiniteGroup, log: np.ndarray, p: int, j: int, reps) -> np.ndarray:
+    """Pairing values [r_u, r_v] of the representatives, as exponents of
+    c = z^(p^(j-1)), the generator of the derived subgroup."""
+    e = log[G.commutators[np.ix_(reps, reps)]]
+    q = p ** (j - 1)
+    if (e < 0).any() or (e % q).any():
+        raise NotJn2("commutator fell outside the derived subgroup")
+    return e // q
 
 
 def symplectic_data(G: FiniteGroup, z: int) -> SymplecticData:
@@ -245,80 +244,65 @@ def symplectic_data(G: FiniteGroup, z: int) -> SymplecticData:
         raise NotCentral(f"element {z} is not central")
     if G.element_order(z) != p ** j:
         raise NotGenerator(f"element {z} does not generate the center")
-
-    z_log = _z_power_log(G, z)
-    c = G.power(z, p ** (j - 1))  # generator of the derived subgroup
-    c_log = {}
-    x = 0
-    for t in range(p):
-        c_log[x] = t
-        x = G.mul(x, c)
+    log = log_table(G, z)
 
     # greedy coset basis: smallest-index representatives independent mod
     # ZG; V is elementary abelian, so the walk ends after exactly 2m picks
     reps = list(fingroup.span_walk(G.table, range(G.order), base=[z]))
     assert len(reps) == 2 * m
-
-    def compute_gram(rr: list[int]) -> np.ndarray:
-        g = np.zeros((2 * m, 2 * m), dtype=np.int64)
-        for u in range(2 * m):
-            for v in range(2 * m):
-                comm = G.commutator(rr[u], rr[v])
-                if comm not in c_log:
-                    raise NotJn2("commutator fell outside the derived subgroup")
-                g[u, v] = c_log[comm]
-        return g
-
-    gram = compute_gram(reps)
+    gram = _gram(G, log, p, j, reps)
     # scale each later basis vector so its first nonzero pairing with an
     # earlier one equals 1 (a deterministic choice of basis direction)
     for u in range(1, 2 * m):
-        for v in range(u):
-            if gram[v, u] % p:
-                t = pow(int(gram[v, u]), p - 2, p)
-                if t != 1:
-                    reps[u] = G.power(reps[u], t)
-                    gram = compute_gram(reps)
-                break
+        nonzero = np.flatnonzero(gram[:u, u])
+        if nonzero.size and gram[nonzero[0], u] != 1:
+            reps[u] = G.power(reps[u], pow(int(gram[nonzero[0], u]), p - 2, p))
+            gram = _gram(G, log, p, j, reps)
     assert (np.diagonal(gram) == 0).all()
     assert ((gram + gram.T) % p == 0).all()
     if row_reduce(gram, p)[1] != 2 * m:
         raise NotJn2("commutator pairing is degenerate")
 
-    nu = tuple(_nu_value(G, z_log, p, r) for r in reps)
+    # is_jn2 puts every x^p in ZG = <z>, so each log is defined
+    nu = tuple((log[power_map(G.table, p)[reps]] % p).tolist())
     return SymplecticData(group=G, p=p, j=j, m=m, z=z, reps=tuple(reps),
                           gram=gram, nu=nu, basis_type=None)
-
-
-def _pairing(gram: np.ndarray, p: int, u: np.ndarray, v: np.ndarray) -> int:
-    return int(u @ gram @ v) % p
 
 
 def _symplectic_pairs(gram: np.ndarray, p: int,
                       vectors: list[np.ndarray]) -> list[np.ndarray]:
     """Greedy hyperbolic-pair extraction from a spanning set of coordinate
-    vectors; returns (e1, f1, e2, f2, ...) with the standard Gram matrix."""
+    vectors; returns (e1, f1, e2, f2, ...) with the standard Gram matrix.
+
+    Each round takes the first row u of the working list U, and for f1 the
+    first row w with <u, w> != 0, scaled so <u, f> = 1 (<u, u> = 0, since
+    the form is alternating).  It then projects every row onto the
+    symplectic complement of (u, f), v -> v - <v, f> u + <v, u> f, and drops
+    the rows that become zero.
+
+    Dependent rows are kept, and this gives the same pairs as keeping only
+    the greedy independent subsequence F of U (each row kept when it is
+    outside the span of the rows kept before it).  The first row of U is in
+    F.  The first row w with <u, w> != 0 is in F too: a row outside F is a
+    combination of earlier rows of F, and one of those would pair nonzero
+    with u.  Projection is linear, so it maps each row of U outside F into
+    the span of the projected earlier rows of F; hence the greedy
+    independent subsequence of the projected U is that of the projected F,
+    and by induction both lists pick the same pair in every round.
+    """
     out: list[np.ndarray] = []
-    work = [v % p for v in vectors if (v % p).any()]
-    while work:
+    work = np.array(vectors, dtype=np.int64) % p
+    work = work[work.any(axis=1)]
+    while work.size:
         u = work[0]
-        partner = None
-        for w in work[1:]:
-            val = _pairing(gram, p, u, w)
-            if val:
-                partner = (w * pow(val, p - 2, p)) % p
-                break
-        assert partner is not None, "restricted pairing must stay nondegenerate"
-        out.append(u)
-        out.append(partner)
-        projected = []
-        for v in work:
-            vv = (v - _pairing(gram, p, v, partner) * u
-                  + _pairing(gram, p, v, u) * partner) % p
-            known = np.stack(projected + out)  # keep vv if it adds to the span
-            if row_reduce(np.vstack([known, vv]), p)[1] > row_reduce(known, p)[1]:
-                projected.append(vv)
-        work = projected
+        vals = (work @ gram.T @ u) % p  # <u, w> for each row w
+        hits = np.flatnonzero(vals)
+        assert hits.size, "restricted pairing must stay nondegenerate"
+        f = (work[hits[0]] * pow(int(vals[hits[0]]), p - 2, p)) % p
+        out += [u, f]
+        work = (work - np.outer(work @ gram @ f, u)
+                + np.outer(work @ gram @ u, f)) % p
+        work = work[work.any(axis=1)]
     return out
 
 
@@ -333,10 +317,11 @@ def normalize_basis(data: SymplecticData) -> SymplecticData:
     G, p, j, m = data.group, data.p, data.j, data.m
     if p ** j == 2:
         raise Unsupported("normalization needs p^j != 2; use the order-profile path")
+    T = G.table
     gram = data.gram % p
     nu_vec = np.array(data.nu, dtype=np.int64) % p
     dim = 2 * m
-    units = [np.eye(dim, dtype=np.int64)[i] for i in range(dim)]
+    units = list(np.eye(dim, dtype=np.int64))
 
     if not nu_vec.any():
         basis_type = "I"
@@ -353,46 +338,32 @@ def normalize_basis(data: SymplecticData) -> SymplecticData:
         e1 = (units[t] * pow(int(vals[t]), p - 2, p)) % p
         first = [e1, (u + e1) % p]
     # <e1, f1> = 1, so the extraction keeps (e1, f1) as its first pair
-    coords = _symplectic_pairs(gram, p, first + units)
-    assert len(coords) == dim
+    coords = np.array(_symplectic_pairs(gram, p, first + units))
+    assert coords.shape == (dim, dim)
 
-    # lift coordinate vectors to group elements
-    new_reps = []
-    for vec in coords:
-        g = 0
-        for t, e in enumerate(vec):
-            g = G.mul(g, G.power(data.reps[t], int(e)))
-        new_reps.append(g)
+    # lift coordinate vectors to group elements, prod_t reps[t]^coords[:, t]
+    new_reps = np.zeros(dim, dtype=np.int64)
+    for t, r in enumerate(data.reps):
+        new_reps = T[new_reps, powers(T, r, p)[coords[:, t]]]
 
     # adjust each representative by a central element so p-th powers are exact
-    z_log = _z_power_log(G, data.z)
-    pj = p ** j
-    targets = [0] * dim
+    xp = power_map(T, p)
+    log = log_table(G, data.z)
+    zpow = powers(T, data.z, p ** j)
+    targets = np.zeros(dim, dtype=np.int64)
     if basis_type == "II":
-        targets[0] = targets[1] = 1
-    adjusted = []
-    for g, t in zip(new_reps, targets):
-        s = z_log[G.power(g, p)]
-        delta = (t - s) % pj
-        assert delta % p == 0, "nu value must match the normalized pattern"
-        adjusted.append(G.mul(g, G.power(data.z, int(delta // p))))
+        targets[:2] = 1
+    delta = (targets - log[xp[new_reps]]) % p ** j
+    assert not (delta % p).any(), "nu value must match the normalized pattern"
+    adjusted = T[new_reps, zpow[delta // p]]
     # recompute and verify the postcondition directly in the group
-    c = G.power(data.z, p ** (j - 1))
-    c_log = {G.power(c, t): t for t in range(p)}
-    gram2 = np.zeros((dim, dim), dtype=np.int64)
-    for uu in range(dim):
-        for vv in range(dim):
-            gram2[uu, vv] = c_log[G.commutator(adjusted[uu], adjusted[vv])]
-    std = np.zeros((dim, dim), dtype=np.int64)
-    for i in range(m):
-        std[2 * i, 2 * i + 1] = 1
-        std[2 * i + 1, 2 * i] = (p - 1) % p
+    gram2 = _gram(G, log, p, j, adjusted)
+    std = np.kron(np.eye(m, dtype=np.int64), [[0, 1], [p - 1, 0]])
     assert np.array_equal(gram2 % p, std), "normalized Gram must be standard"
-    for g, t in zip(adjusted, targets):
-        assert G.power(g, p) == G.power(data.z, t), "p-th power must be exact"
-    nu2 = tuple(_nu_value(G, z_log, p, g) for g in adjusted)
-    return replace(data, reps=tuple(adjusted), gram=gram2,
-                   nu=nu2, basis_type=basis_type)
+    assert np.array_equal(xp[adjusted], zpow[targets]), "p-th power must be exact"
+    # x^p = z^t exactly, so nu(x) = t
+    return replace(data, reps=tuple(adjusted.tolist()), gram=gram2,
+                   nu=tuple(targets.tolist()), basis_type=basis_type)
 
 
 # ---------------------------------------------------------------------------
@@ -418,21 +389,13 @@ def classify(G: FiniteGroup) -> tuple[Jn2Spec, GroupMap]:
         spec = Jn2Spec(p=data.p, j=data.j, m=data.m, variant=data.basis_type)
         S = materialize(spec).group
         T = G.table
-
-        def powers(x: int, count: int) -> np.ndarray:
-            """x^0, x^1, ..., x^(count-1)."""
-            out = np.zeros(count, dtype=np.int64)
-            for e in range(1, count):
-                out[e] = T[out[e - 1], x]
-            return out
-
         # the normal form z^k prod_i a_i^alpha_i b_i^beta_i of every index,
         # evaluated on the lifted representatives, all indices at once
         k, alpha, beta = _decode(spec, np.arange(S.order, dtype=np.int64))
-        images_from_std = powers(z, spec.center_order)[k]
+        images_from_std = powers(T, z, spec.center_order)[k]
         for i in range(spec.m):
-            a_pow = powers(data.reps[2 * i], spec.p)
-            b_pow = powers(data.reps[2 * i + 1], spec.p)
+            a_pow = powers(T, data.reps[2 * i], spec.p)
+            b_pow = powers(T, data.reps[2 * i + 1], spec.p)
             images_from_std = T[T[images_from_std, a_pow[alpha[i]]], b_pow[beta[i]]]
         assert np.unique(images_from_std).size == S.order, \
             "normal forms must enumerate the group"
@@ -442,6 +405,7 @@ def classify(G: FiniteGroup) -> tuple[Jn2Spec, GroupMap]:
     params = is_jn2(G)
     if params is None:
         raise NotJn2("group fails the JN2 characterization")
+    fingroup.check_iso_size(G.order)  # before building either model
     p, j, m = params
     candidates = [Jn2Spec(p=p, j=j, m=m, variant=v) for v in ("I", "II")]
     matches = [s for s in candidates

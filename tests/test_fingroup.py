@@ -440,6 +440,25 @@ def test_order_profile():
     assert prof == {1: 1, 2: 5, 4: 2}
 
 
+def test_class_sizes_are_conjugacy_class_lengths(exhaustive_tiers, catalog, specs_243):
+    groups = [G for tier in exhaustive_tiers.values() for G in tier]
+    groups += [entry.group for entry in catalog.entries]
+    groups += [jn2.materialize(spec).group for spec in specs_243]
+    for G in groups:
+        lengths = np.zeros(G.order, dtype=np.int64)
+        for cls in G.conjugacy_classes:
+            lengths[list(cls)] = len(cls)
+        assert np.array_equal(G.class_sizes, lengths), G.label
+
+
+def test_power_map_and_powers_match_scalar_power(small_corpus):
+    for G in small_corpus + [jn2.materialize(jn2.parse_spec("II(3^2,1)")).group]:
+        for k in (0, 1, 2, 3, 5, 8, 9):
+            assert fg.power_map(G.table, k).tolist() == [G.power(x, k) for x in G.elements()]
+        for x in G.elements():
+            assert fg.powers(G.table, x, 7).tolist() == [G.power(x, e) for e in range(7)]
+
+
 # ---------------------------------------------------------------------------
 # Frattini quotient of p-groups
 

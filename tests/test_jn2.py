@@ -353,6 +353,116 @@ def test_normalize_type_invariant_under_relabeling():
     assert data.basis_type == "I"
 
 
+def _rank_filtered_pairs(gram, p, vectors):
+    """The pair extraction with a rank filter: after each pair, a projected
+    row is kept only when it raises the rank of the rows kept so far."""
+    def pairing(u, v):
+        return int(u @ gram @ v) % p
+
+    out = []
+    work = [v % p for v in vectors if (v % p).any()]
+    while work:
+        u = work[0]
+        partner = None
+        for w in work[1:]:
+            val = pairing(u, w)
+            if val:
+                partner = (w * pow(val, p - 2, p)) % p
+                break
+        assert partner is not None
+        out += [u, partner]
+        projected = []
+        for v in work:
+            vv = (v - pairing(v, partner) * u + pairing(v, u) * partner) % p
+            known = np.stack(projected + out)
+            if fg.row_reduce(np.vstack([known, vv]), p)[1] > fg.row_reduce(known, p)[1]:
+                projected.append(vv)
+        work = projected
+    return out
+
+
+def _random_invertible(rng, p, dim):
+    while True:
+        a = np.array([[rng.randrange(p) for _ in range(dim)] for _ in range(dim)])
+        if fg.row_reduce(a, p)[1] == dim:
+            return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), m=st.integers(1, 4),
+       seed=st.integers(min_value=0, max_value=2 ** 32))
+def test_rank_free_pairs_match_rank_filtered(p, m, seed):
+    """Random nondegenerate alternating forms, and spanning lists padded with
+    zero, duplicate, dependent and random rows, some entries off by
+    multiples of p."""
+    rng = random.Random(seed)
+    dim = 2 * m
+    A = _random_invertible(rng, p, dim)
+    gram = (A.T @ np.kron(np.eye(m, dtype=np.int64), [[0, 1], [-1, 0]]) @ A) % p
+    basis = list(_random_invertible(rng, p, dim))
+    vectors = list(basis)
+    for _ in range(rng.randrange(2 * dim)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            v = np.zeros(dim, dtype=np.int64)
+        elif kind == 1:
+            v = basis[rng.randrange(dim)].copy()
+        elif kind == 2:
+            v = sum(rng.randrange(p) * b for b in rng.sample(basis, rng.randrange(1, dim + 1)))
+        else:
+            v = np.array([rng.randrange(p) for _ in range(dim)])
+        vectors.append(v + p * np.array([rng.randrange(-1, 2) for _ in range(dim)]))
+    rng.shuffle(vectors)
+    got = jn2._symplectic_pairs(gram, p, vectors)
+    ref = _rank_filtered_pairs(gram, p, vectors)
+    assert len(got) == len(ref) == dim
+    assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+    pairs = np.array(got)
+    std = np.kron(np.eye(m, dtype=np.int64), [[0, 1], [p - 1, 0]])
+    assert np.array_equal((pairs @ gram @ pairs.T) % p, std)
+
+
+# normalize_basis(symplectic_data(G, z)).reps for each standard model with
+# p^j != 2 up to order 243, then for its relabelling by
+# fg.random_relabeling(G, random.Random(str(spec))), z moved along
+NORMALIZED_REPS = {
+    "I(2^2,1)": ((1, 2), (1, 2)),
+    "II(2^2,1)": ((1, 2), (1, 8)),
+    "I(3,1)": ((1, 6), (1, 2)),
+    "II(3,1)": ((1, 26), (1, 12)),
+    "I(2^3,1)": ((1, 2), (20, 22)),
+    "II(2^3,1)": ((1, 2), (2, 18)),
+    "I(2^2,2)": ((1, 4, 2, 8), (1, 14, 13, 29)),
+    "I(2^4,1)": ((1, 2), (49, 19)),
+    "II(2^2,2)": ((2, 8, 1, 4), (2, 9, 1, 27)),
+    "II(2^4,1)": ((1, 2), (2, 60)),
+    "I(3^2,1)": ((1, 6), (1, 42)),
+    "II(3^2,1)": ((1, 80), (48, 68)),
+    "I(5,1)": ((1, 20), (1, 2)),
+    "II(5,1)": ((1, 72), (71, 58)),
+    "I(2^3,2)": ((1, 4, 2, 8), (25, 7, 102, 20)),
+    "I(2^5,1)": ((1, 2), (64, 92)),
+    "II(2^3,2)": ((2, 8, 1, 4), (4, 116, 82, 86)),
+    "II(2^5,1)": ((1, 2), (102, 51)),
+    "I(3,2)": ((1, 18, 3, 54), (1, 231, 234, 47)),
+    "I(3^3,1)": ((1, 6), (112, 114)),
+    "II(3,2)": ((3, 222, 1, 18), (1, 180, 126, 194)),
+    "II(3^3,1)": ((1, 242), (133, 227)),
+}
+
+
+def test_normalized_reps_are_pinned(specs_243):
+    got = {}
+    for spec in specs_243:
+        if spec.center_order == 2:
+            continue
+        std = materialize(spec)
+        H, iso = fg.random_relabeling(std.group, random.Random(str(spec)))
+        got[str(spec)] = tuple(jn2.normalize_basis(jn2.symplectic_data(G, z)).reps
+                               for G, z in ((std.group, std.z), (H, iso(std.z))))
+    assert got == NORMALIZED_REPS
+
+
 def test_normalize_refuses_central_order_two():
     std = materialize(Jn2Spec(2, 1, 1, "I"))
     data = jn2.symplectic_data(std.group, std.z)
@@ -392,6 +502,17 @@ def test_classify_mixed_central_product():
 def test_classify_rejects_non_jn2():
     with pytest.raises(NotJn2):
         jn2.classify(fg.symmetric(4))
+
+
+def test_classify_refuses_central_order_two_over_iso_bound_before_models():
+    G = materialize.__wrapped__(Jn2Spec(2, 1, 5, "I")).group  # not cached
+    before = materialize.cache_info().currsize
+    with pytest.raises(SizeLimit, match=r"^order 2048 exceeds isomorphism bound 2000$"):
+        jn2.classify(G)
+    assert materialize.cache_info().currsize == before
+    # a group that is not JN2 is still refused as such first
+    with pytest.raises(NotJn2):
+        jn2.classify(fg.direct_product(fg.dihedral(8), fg.dihedral(254)))  # order 2032
 
 
 def test_decode_of_an_index_array_matches_each_index(specs_243):
@@ -443,12 +564,14 @@ def test_nu_scales_like_power():
     std = materialize(Jn2Spec(5, 1, 1, "II"))
     G, z = std.group, std.z
     data = jn2.symplectic_data(G, z)
+    log = jn2.log_table(G, z)
+    assert (log >= 0).sum() == 5 and log[z] == 1
     rng = random.Random(0)
     for _ in range(100):
         x = rng.randrange(G.order)
         r = rng.randrange(1, 5)
-        nu_x = jn2._z_power_log(G, z)[G.power(x, 5)] % 5
-        nu_xr = jn2._z_power_log(G, z)[G.power(G.power(x, r), 5)] % 5
+        nu_x = log[G.power(x, 5)] % 5
+        nu_xr = log[G.power(G.power(x, r), 5)] % 5
         assert nu_xr == (r * nu_x) % 5
 
 
