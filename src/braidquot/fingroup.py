@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -222,10 +223,13 @@ def from_table(order: int,
     :class:`SizeLimit` when the order exceeds the table cap.
     """
     _check_order(order)
-    try:
-        t = np.array(table, dtype=np.int64)
-    except OverflowError:
-        raise NotAGroup("table entries out of range") from None
+    if isinstance(table, np.ndarray) and table.dtype.kind in "iu":
+        t = table  # range-checked as it is, then copied narrowed
+    else:
+        try:
+            t = np.array(table, dtype=np.int64)
+        except OverflowError:
+            raise NotAGroup("table entries out of range") from None
     if t.shape != (order, order):
         raise NotAGroup(f"table shape {t.shape} does not match order {order}")
     if t.min(initial=0) < 0 or t.max(initial=0) >= order:
@@ -850,41 +854,162 @@ def to_cayley_text(G: FiniteGroup) -> str:
     if G.label:
         lines.append(f"# label: {G.label}")
     lines.append(str(G.order))
-    for x in range(G.order):
-        lines.append(" ".join(str(int(v)) for v in G.table[x]))
+    lines.extend(" ".join(map(str, row.tolist())) for row in G.table)
     return "\n".join(lines) + "\n"
+
+
+# The body's byte classes are the ASCII ones of str.splitlines() (line
+# breaks; "\r\n" is one) and str.split() (whitespace).  Every other byte,
+# non-ASCII ones included, belongs to an entry.
+_LINE_BREAKS = b"\n\r\x0b\x0c\x1c\x1d\x1e"
+_LINE_END = re.compile(rb"\r\n|[\n\r\x0b\x0c\x1c-\x1e]")
+# Bytes per parse block, extended to whole rows; bounds the temporaries.
+_BLOCK = 1 << 16
+
+
+def _is_break(a: np.ndarray) -> np.ndarray:
+    """Bytes in _LINE_BREAKS: 0x0a-0x0d and 0x1c-0x1e.  ``a`` is uint8, so
+    the subtraction wraps the bytes below each range to large values."""
+    return ((a - 10) < 4) | ((a - 28) < 3)
+
+
+def _is_space(a: np.ndarray) -> np.ndarray:
+    """ASCII whitespace: the line breaks, tab, 0x1f and space."""
+    return ((a - 9) < 5) | ((a - 28) < 5)
+
+
+def _read_header(data: bytes) -> tuple[Optional[str], int, int]:
+    """(label, order, byte offset of the first row).  The comment line and
+    the order line are split as ``str.splitlines`` splits the UTF-8 text;
+    they lie within as many ASCII lines, since every ASCII break is one."""
+    end = 0
+    for _ in range(1 + data.startswith(b"#")):
+        m = _LINE_END.search(data, end)
+        end = m.end() if m else len(data)
+    lines = data[:end].decode().splitlines(keepends=True)
+    label = None
+    if lines and lines[0].startswith("#"):
+        comment = lines.pop(0)[1:].strip()
+        if comment.startswith("label:"):
+            label = comment[len("label:"):].strip()
+    if not lines:
+        raise NotAGroup("missing order line")
+    order = int(lines[0].splitlines()[0])
+    _check_order(order)
+    return label, order, end - len("".join(lines[1:]).encode())
+
+
+def _bad_entry(entry: bytes, row: int) -> NotAGroup:
+    """The error for an entry that is not ``[+-]?[0-9]+``.  An ASCII entry
+    without '_' re-raises ``int()``'s own ValueError; one that int() would
+    read anyway (``1_0``, non-ASCII digits or spaces) is refused."""
+    if entry.isascii() and b"_" not in entry:
+        int(entry.decode())
+    text = entry.decode(errors="backslashreplace")
+    return NotAGroup(f"row {row} entry {text!r} is not an ASCII integer")
+
+
+def _parse_rows(a: np.ndarray, breaks: np.ndarray, row0: int, order: int,
+                out: np.ndarray) -> None:
+    """Parse rows row0, row0+1, ... from the bytes ``a``, split at the local
+    positions ``breaks``, into ``out``, their slots of the flat table.
+
+    Faults are raised in the old per-token order: the first row holding a
+    bad entry or a wrong entry count raises, a bad entry before the count.
+    An entry is valued from its digits right-aligned at its end; one with
+    more digits than order - 1 is read with int() (zero-padded, else out of
+    range, which ``from_table`` reports).
+    """
+    nrows = len(breaks) + 1
+    is_entry = ~_is_space(a)
+    edges = np.flatnonzero(np.diff(is_entry, prepend=False, append=False))
+    first, stop = edges[0::2], edges[1::2]
+    counts = np.diff(np.searchsorted(first, breaks), prepend=0, append=len(first))
+    lead = a[first]
+    signed = (lead == ord("+")) | (lead == ord("-"))
+    ndigits = stop - first - signed
+    width = len(str(order - 1))
+
+    digits = a - np.uint8(ord("0"))  # wraps; read only at digit positions
+    place = stop - 1
+    vals = digits[place].astype(np.int32)
+    for k in range(1, width):
+        place -= 1
+        d = digits.take(place, mode="clip")
+        d[ndigits <= k] = 0
+        vals += d * np.int32(10 ** k)
+    vals[lead == ord("-")] *= -1
+
+    short = counts != order
+    # every entry is [+-]?[0-9]+ exactly when its only non-digit is its sign
+    if (short.any() or ndigits.min(initial=1) < 1 or ndigits.max(initial=1) > width
+            or (np.count_nonzero(is_entry) - np.count_nonzero(digits < 10)
+                != np.count_nonzero(signed))):
+        others = np.concatenate(([0], np.cumsum(is_entry & (digits >= 10))))
+        bad = (others[stop] - others[first] != signed) | (ndigits < 1)
+        for i in np.flatnonzero(~bad & (ndigits > width)):
+            try:
+                v = int(a[first[i]:stop[i]].tobytes())
+            except ValueError:  # over int()'s digit limit
+                bad[i] = True
+                continue
+            vals[i] = v if 0 <= v < order else -1
+        count_row = int(np.argmax(short)) if short.any() else nrows
+        if bad.any():
+            i = int(np.argmax(bad))
+            bad_row = int(np.searchsorted(breaks, first[i]))
+            if bad_row <= count_row:
+                raise _bad_entry(a[first[i]:stop[i]].tobytes(), row0 + bad_row)
+        if count_row < nrows:
+            raise NotAGroup(f"row {row0 + count_row} has {int(counts[count_row])} "
+                            f"entries, expected {order}")
+    out[:] = vals
+
+
+def _parse_cayley(data: bytes) -> FiniteGroup:
+    label, order, start = _read_header(data)
+    size = len(data)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    # line ends, kept only while they may still be the table's
+    ends, nbreaks = [], 0
+    for s in range(start, size, _BLOCK):
+        pos = np.flatnonzero(_is_break(buf[s:s + _BLOCK])) + s
+        # the "\n" of "\r\n" is whitespace at the start of the next row
+        pos = pos[(buf[pos] != ord("\n")) | (buf[pos - 1] != ord("\r"))]
+        nbreaks += len(pos)
+        if nbreaks <= order:
+            ends.append(pos)
+    nrows = nbreaks + (start < size and data[-1] not in _LINE_BREAKS)
+    if nrows != order:
+        raise NotAGroup(f"expected {order} table rows, found {nrows}")
+    ends = np.concatenate(ends)
+    stops = np.append(ends, size)[:order]
+    starts = np.concatenate(([start], ends + 1))[:order]
+
+    table = np.empty((order, order), dtype=np.int32)
+    flat = table.reshape(-1)
+    r = 0
+    while r < order:
+        lo = int(starts[r])
+        nxt = max(r + 1, int(np.searchsorted(stops, lo + _BLOCK, side="right")))
+        _parse_rows(buf[lo:stops[nxt - 1]], ends[r:nxt - 1] - lo, r, order,
+                    flat[r * order:nxt * order])
+        r = nxt
+    return from_table(order, table, label=label)
 
 
 def from_cayley_text(text: str) -> FiniteGroup:
     """Parse the text form.  The order is range-checked before any row is
     read; the table must be exactly ``order`` rows of exactly ``order``
-    integers."""
-    lines = text.splitlines()
-    label = None
-    if lines and lines[0].startswith("#"):
-        head = lines.pop(0)[1:].strip()
-        if head.startswith("label:"):
-            label = head[len("label:"):].strip()
-    if not lines:
-        raise NotAGroup("missing order line")
-    order = int(lines[0])
-    _check_order(order)
-    if len(lines) - 1 != order:
-        raise NotAGroup(f"expected {order} table rows, found {len(lines) - 1}")
-    rows = []
-    for i, line in enumerate(lines[1:]):
-        row = [int(v) for v in line.split()]
-        if len(row) != order:
-            raise NotAGroup(f"row {i} has {len(row)} entries, expected {order}")
-        rows.append(row)
-    return from_table(order, rows, label=label)
+    entries ``[+-]?[0-9]+`` separated by ASCII whitespace."""
+    return _parse_cayley(text.encode())
 
 
 def write_cayley(G: FiniteGroup, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(to_cayley_text(G))
 
 
 def read_cayley(path) -> FiniteGroup:
-    with open(path, "r", newline="") as fh:
-        return from_cayley_text(fh.read())
+    with open(path, "rb") as fh:
+        return _parse_cayley(fh.read())

@@ -122,21 +122,31 @@ def materialize(spec: Jn2Spec) -> StandardJn2:
         raise SizeLimit(f"{spec} has order over table cap {fingroup.TABLE_CAP}")
     order = spec.order
     pj = p ** j
-    K, alpha, beta = _decode(spec, np.arange(order, dtype=np.int64))
+    K, alpha, beta = _decode(spec, np.arange(order, dtype=np.int32))
     A = np.stack(alpha, axis=1)
     B = np.stack(beta, axis=1)
 
-    cross = B @ A.T  # cross[x, y] = sum_i beta_x[i] * alpha_y[i]
-    k = K[:, None] + K[None, :] - p ** (j - 1) * cross
+    # built in place in int32: two order x order arrays at any time
+    k = np.add.outer(K, K)
+    tmp = np.empty_like(k)
+    for i in range(m):  # k -= p^(j-1) * sum_i beta_x[i] * alpha_y[i]
+        np.multiply.outer(B[:, i], A[:, i], out=tmp)
+        tmp *= p ** (j - 1)
+        k -= tmp
     if spec.variant == "II":
-        k = k + (A[:, None, 0] + A[None, :, 0]) // p
-        k = k + (B[:, None, 0] + B[None, :, 0]) // p
+        for D in (A, B):
+            np.add.outer(D[:, 0], D[:, 0], out=tmp)
+            tmp //= p
+            k += tmp
     k %= pj
     table = k
-    for i in range(m):
-        table = table * p + (A[:, None, i] + A[None, :, i]) % p
-    for i in range(m):
-        table = table * p + (B[:, None, i] + B[None, :, i]) % p
+    for D in (A, B):
+        for i in range(m):
+            table *= p
+            np.add.outer(D[:, i], D[:, i], out=tmp)
+            tmp %= p
+            table += tmp
+    del tmp
 
     z = p ** (2 * m)
     a_idx = tuple(p ** (2 * m - 1 - i) for i in range(m))

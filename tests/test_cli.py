@@ -253,6 +253,18 @@ def test_malformed_cayley_files_exit_codes(tmp_path, capsys, text, code):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("entry", ["0_0", "\u0660", "\u00a00"])
+def test_classify_refuses_entries_int_reads_anyway(tmp_path, capsys, entry):
+    # int() reads each of these as 0, so a per-token parser named C2 here
+    path = tmp_path / "c2.grp"
+    path.write_text(f"2\n0 1\n1 {entry}\n", encoding="utf-8")
+    assert cli.main(["classify", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: row 1 entry ")
+    assert captured.err.endswith(" is not an ASCII integer\n")
+
+
 HUGE = "1000000000000000000000000000057"
 
 

@@ -743,3 +743,162 @@ def test_cayley_text_checks_cap_before_rows():
     # no rows follow: the order alone must trip the cap
     with pytest.raises(SizeLimit):
         fg.from_cayley_text(f"{fg.TABLE_CAP + 1}\n")
+
+
+def _reference_from_cayley_text(text: str) -> fg.FiniteGroup:
+    """The per-token parser ``from_cayley_text`` replaced, kept verbatim as
+    the reference on ASCII texts."""
+    lines = text.splitlines()
+    label = None
+    if lines and lines[0].startswith("#"):
+        head = lines.pop(0)[1:].strip()
+        if head.startswith("label:"):
+            label = head[len("label:"):].strip()
+    if not lines:
+        raise NotAGroup("missing order line")
+    order = int(lines[0])
+    fg._check_order(order)
+    if len(lines) - 1 != order:
+        raise NotAGroup(f"expected {order} table rows, found {len(lines) - 1}")
+    rows = []
+    for i, line in enumerate(lines[1:]):
+        row = [int(v) for v in line.split()]
+        if len(row) != order:
+            raise NotAGroup(f"row {i} has {len(row)} entries, expected {order}")
+        rows.append(row)
+    return fg.from_table(order, rows, label=label)
+
+
+def test_cayley_byte_classes_are_pythons_ascii_ones():
+    b = np.arange(256, dtype=np.uint8)
+    assert fg._is_space(b).tolist() == [c < 128 and chr(c).isspace() for c in range(256)]
+    breaks = [c < 128 and len(f"a{chr(c)}b".splitlines()) == 2 for c in range(256)]
+    assert fg._is_break(b).tolist() == breaks
+    assert sorted(fg._LINE_BREAKS) == np.flatnonzero(breaks).tolist()
+
+
+def _parse_outcome(parse, text):
+    try:
+        G = parse(text)
+    except (NotAGroup, SizeLimit, ValueError) as exc:
+        return type(exc), str(exc)
+    return G.label, G.table.tolist()
+
+
+# ASCII whitespace that does not end a line, and the ASCII line breaks of
+# str.splitlines(); "\r\n" counts once
+ROW_SPACES = [" ", "\t", "\x1f", "  ", " \t\x1f"]
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+# entries the reference refuses or reads specially: signs, zero padding,
+# letters, '.', integers beyond int64 and runs over int()'s digit limit
+ODD_ENTRIES = ["x", ".", "+", "-", "+-1", "1-", "a1", "1.5", "-0", "+3", "007",
+               "0" * 40 + "1", "9" * 40, str(2 ** 63), "1" * 4400, "\x00"]
+# D200's text is about 150 KB: more than two parse blocks
+PARSE_GROUPS = [fg.cyclic(1), fg.cyclic(2), fg.symmetric(3), fg.dihedral(8),
+                fg.dicyclic(12), fg.dihedral(200)]
+ASCII_NO_UNDERSCORE = "".join(chr(c) for c in range(128) if chr(c) != "_")
+
+
+@st.composite
+def ascii_table_texts(draw):
+    """A group's table text with random ASCII separators and line breaks,
+    then a few entries replaced, dropped or added, a label line, a wrong
+    order line, a truncation or an inserted character."""
+    G = draw(st.sampled_from(PARSE_GROUPS))
+    n = G.order
+    rows = [[str(v) for v in row] for row in G.table.tolist()]
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    entry = st.one_of(st.sampled_from(ODD_ENTRIES), st.integers(-2, n + 1).map(str))
+    for r, c in draw(st.lists(cell, max_size=3)):
+        rows[r][c] = draw(entry)
+    for r, c in draw(st.lists(cell, max_size=1)):
+        if draw(st.booleans()):
+            del rows[r][c]
+        else:
+            rows[r].insert(c, draw(entry))
+    sep = draw(st.sampled_from(ROW_SPACES))
+    breaks = draw(st.sampled_from([["\n"], ["\r\n"], LINE_BREAKS]))
+    lines = [sep.join(row) for row in rows]
+    order_line = draw(st.sampled_from([str(n)] * 4 + [str(n + 1), f" +{n} ", "x"]))
+    lines.insert(0, order_line)
+    if draw(st.booleans()):
+        lines.insert(0, draw(st.sampled_from(["# label: G", "#", "# note", "#label:x "])))
+    text = "".join(line + draw(st.sampled_from(breaks)) for line in lines)
+    damage = draw(st.sampled_from(["none", "none", "truncate", "insert", "strip"]))
+    if damage == "truncate":
+        text = text[:draw(st.integers(0, len(text)))]
+    elif damage == "insert":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(ODD_ENTRIES + ROW_SPACES + LINE_BREAKS)) + text[at:]
+    elif damage == "strip":
+        text = text.rstrip("\r\n")
+    return text
+
+
+RANDOM_TEXTS = st.tuples(st.sampled_from(["", "1\n", "2\n", "3\r\n", "# label: a\n2\n"]),
+                         st.text(alphabet=ASCII_NO_UNDERSCORE, max_size=40)).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(ascii_table_texts(), RANDOM_TEXTS))
+def test_cayley_parser_matches_per_token_reference(text):
+    assert _parse_outcome(fg.from_cayley_text, text) == \
+        _parse_outcome(_reference_from_cayley_text, text)
+
+
+def test_cayley_parser_across_block_boundaries():
+    # CRLF rows: every block boundary falls between a "\r" and its "\n";
+    # one more text puts a "\r\n" across the line-break scan's first chunk
+    G = fg.dihedral(200)
+    rows = [" ".join(map(str, row)) for row in G.table.tolist()]
+    crlf = "200\r\n" + "\r\n".join(rows) + "\r\n"
+    assert len(crlf) > 2 * fg._BLOCK
+    start = len("200\r\n")
+    pad = fg._BLOCK - 1 - len("\r\n".join(rows[:80]))
+    straddle = "200\r\n" + "\r\n".join(rows[:80]) + " " * pad + "\r\n" + "\r\n".join(rows[80:])
+    assert straddle[start + fg._BLOCK - 1:start + fg._BLOCK + 1] == "\r\n"
+    for text in (crlf, straddle):
+        assert np.array_equal(fg.from_cayley_text(text).table, G.table)
+    # faults in the last blocks, raised in row order, an entry before a count
+    late = crlf.replace("\r\n" + rows[190] + "\r\n", "\r\n" + rows[190] + " 1\r\n")
+    with pytest.raises(NotAGroup, match="row 190 has 201 entries, expected 200"):
+        fg.from_cayley_text(late)
+    bad = late.replace(rows[195], rows[195].replace(" ", " x ", 1))
+    with pytest.raises(NotAGroup, match="row 190 has 201 entries"):
+        fg.from_cayley_text(bad)
+    worse = bad.replace(rows[185], rows[185] + " -")
+    with pytest.raises(ValueError, match="invalid literal for int\\(\\) with base 10: '-'"):
+        fg.from_cayley_text(worse)
+    dotted = late.replace(rows[190] + " 1", rows[190] + " 1.5")
+    with pytest.raises(ValueError, match="invalid literal for int\\(\\) with base 10: '1.5'"):
+        fg.from_cayley_text(dotted)
+    for text in (late, bad, worse, dotted):
+        assert _parse_outcome(fg.from_cayley_text, text) == \
+            _parse_outcome(_reference_from_cayley_text, text)
+
+
+C11_ROW1 = "1 2 3 4 5 6 7 8 9 10 0"
+
+
+@pytest.mark.parametrize("row", [C11_ROW1.replace("10", "1_0"), C11_ROW1.replace("3", "\u0663"),
+                                 C11_ROW1.replace(" 0", "\u00a00"), C11_ROW1 + "\u00a0",
+                                 C11_ROW1.replace(" 0", " 0_0")])
+def test_cayley_parser_refuses_int_quirks(row):
+    # int() reads "1_0" as 10 and the Arabic-Indic three as 3, and
+    # str.split() splits at U+00A0: the per-token parser accepted each row
+    lines = fg.to_cayley_text(fg.cyclic(11)).splitlines()  # label, order, rows
+    text = "\n".join(lines[:3] + [row] + lines[4:]) + "\n"
+    assert np.array_equal(_reference_from_cayley_text(text).table, fg.cyclic(11).table)
+    with pytest.raises(NotAGroup, match=r"^row 1 entry .* is not an ASCII integer$"):
+        fg.from_cayley_text(text)
+
+
+def test_cayley_label_line_may_be_non_ascii(tmp_path):
+    path = tmp_path / "s3.grp"
+    body = fg.to_cayley_text(fg.symmetric(3)).split("\n", 1)[1]
+    path.write_bytes(f"# label: Σ3\n{body}".encode())
+    G = fg.read_cayley(path)
+    assert G.label == "Σ3"
+    assert np.array_equal(G.table, fg.symmetric(3).table)
+    fg.write_cayley(G, path)
+    assert fg.read_cayley(path).label == "Σ3"

@@ -128,6 +128,34 @@ def test_materialize_recognized(specs_243):
         assert jn2.is_jn2(std.group) == (spec.p, spec.j, spec.m)
 
 
+def _int64_table(spec: Jn2Spec) -> np.ndarray:
+    """The standard table by the int64 broadcast formula ``materialize``
+    used before it built its table in place in int32."""
+    p, j, m = spec.p, spec.j, spec.m
+    K, alpha, beta = jn2._decode(spec, np.arange(spec.order, dtype=np.int64))
+    A = np.stack(alpha, axis=1)
+    B = np.stack(beta, axis=1)
+    cross = B @ A.T
+    k = K[:, None] + K[None, :] - p ** (j - 1) * cross
+    if spec.variant == "II":
+        k = k + (A[:, None, 0] + A[None, :, 0]) // p
+        k = k + (B[:, None, 0] + B[None, :, 0]) // p
+    k %= p ** j
+    table = k
+    for i in range(m):
+        table = table * p + (A[:, None, i] + A[None, :, i]) % p
+    for i in range(m):
+        table = table * p + (B[:, None, i] + B[None, :, i]) % p
+    return table
+
+
+def test_materialize_matches_int64_formula():
+    specs = jn2.enumerate_specs(729)
+    assert len(specs) == 50
+    for spec in specs:
+        assert np.array_equal(materialize(spec).group.table, _int64_table(spec)), spec
+
+
 def test_materialize_size_limit():
     with pytest.raises(SizeLimit):
         materialize(Jn2Spec(7, 3, 2, "I"))
