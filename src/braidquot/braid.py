@@ -395,32 +395,35 @@ def find_witness(G: FiniteGroup, n: int, g: int,
     return None
 
 
+def standard_sigma_exponent(spec: Jn2Spec, n: int, g: int) -> int:
+    """The t with sigma = z^t in the witness recipe for a standard group at
+    (n, g); HypothesisFailed names the first hypothesis that fails."""
+    p, j = spec.p, spec.j
+    if spec.m != g:
+        raise HypothesisFailed(f"rank m={spec.m} differs from g={g}")
+    if (g + n - 1) % p != 0:
+        raise HypothesisFailed(f"p={p} does not divide g+n-1={g + n - 1}")
+    if spec.variant == "I":
+        if p == 2 and j == 2:
+            return 1
+        if p != 2 and j == 1:
+            return (p + 1) // 2
+        raise HypothesisFailed(
+            f"variant I needs p^j = 4 or j = 1 with p odd, got p^j = {p}^{j}")
+    if p == 2:
+        if j < 2:
+            raise HypothesisFailed("variant II with p = 2 needs j >= 2")
+        return 2 ** (j - 2)
+    return (p ** j + p ** (j - 1)) // 2
+
+
 def standard_witness(spec: Jn2Spec, n: int, g: int) -> Witness:
     """The explicit witness for a standard group: a_r, b_r the distinguished
     generators and sigma the central power prescribed by the variant."""
-    if spec.m != g:
-        raise HypothesisFailed(f"rank m={spec.m} differs from g={g}")
-    if (g + n - 1) % spec.p != 0:
-        raise HypothesisFailed(f"p={spec.p} does not divide g+n-1={g + n - 1}")
+    t = standard_sigma_exponent(spec, n, g)
     std = materialize(spec)
-    G, z = std.group, std.z
-    p, j = spec.p, spec.j
-    if spec.variant == "I":
-        if p == 2 and j == 2:
-            sigma = z
-        elif p != 2 and j == 1:
-            sigma = G.power(z, (p + 1) // 2)
-        else:
-            raise HypothesisFailed(
-                f"variant I needs p^j = 4 or j = 1 with p odd, got p^j = {p}^{j}")
-    else:
-        if p == 2:
-            if j < 2:
-                raise HypothesisFailed("variant II with p = 2 needs j >= 2")
-            sigma = G.power(z, 2 ** (j - 2))
-        else:
-            sigma = G.power(z, (p ** j + p ** (j - 1)) // 2)
-    w = Witness(group=G, n=n, g=g, sigma=sigma, a=std.a, b=std.b)
+    G = std.group
+    w = Witness(group=G, n=n, g=g, sigma=G.power(std.z, t), a=std.a, b=std.b)
     report = check_reduced_witness(w)
     assert report.ok, f"standard witness failed: {report.failures()}"
     return w
@@ -458,8 +461,7 @@ def predicted_minimum(n: int, g: int) -> PredictedMinimum:
 class CandidateVerdict:
     label: str
     order: int
-    kind: str                  # "spec" or "catalog"
-    spec: Optional[Jn2Spec]
+    spec: Optional[Jn2Spec]    # None for a catalog group
     group: FiniteGroup
     witness: Optional[Witness]
     explored: int              # nodes the witness search visited
@@ -518,7 +520,6 @@ def minimal_braid_reduced_search(n: int, g: int, bound: int,
             rep = check_reduced_witness(w)
             assert rep.ok, f"witness for {label} failed re-verification"
         verdicts.append(CandidateVerdict(label=label, order=order,
-                                         kind="spec" if spec else "catalog",
                                          spec=spec, group=group, witness=w,
                                          explored=stats.explored))
 

@@ -33,10 +33,6 @@ class CenterMismatch(GroupError):
     """A center identification is not an isomorphism of the full centers."""
 
 
-class Unsupported(GroupError):
-    """The operation is outside its hypotheses (e.g. central order 2)."""
-
-
 class ParamRange(GroupError):
     """Parameters outside the operation's admissible range."""
 

@@ -200,11 +200,12 @@ class FiniteGroup:
         return f"<FiniteGroup{tag} order={self.order}>"
 
 
-def _check_order(order: int) -> None:
+def _check_order(order: int, shown: Optional[str] = None) -> None:
+    """Refuse an order outside 1..TABLE_CAP, printed as ``shown`` if given."""
     if order < 1:
         raise NotAGroup(f"order must be >= 1, got {order}")
     if order > TABLE_CAP:
-        raise SizeLimit(f"order {order} exceeds table cap {TABLE_CAP}")
+        raise SizeLimit(f"order {shown or order} exceeds table cap {TABLE_CAP}")
 
 
 def from_table(order: int,
@@ -298,8 +299,7 @@ def random_relabeling(G: FiniteGroup, rng: random.Random) -> tuple[FiniteGroup, 
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("n must be positive")
-    if n > TABLE_CAP:
-        raise SizeLimit(f"order {n} exceeds table cap {TABLE_CAP}")
+    _check_order(n)
     idx = np.arange(n)
     return from_table(n, (idx[:, None] + idx[None, :]) % n, label=f"C{n}")
 
@@ -311,8 +311,7 @@ def elementary_abelian(p: int, k: int) -> FiniteGroup:
     if k < 1:
         raise ValueError("k must be positive")
     n = p ** k
-    if n > TABLE_CAP:
-        raise SizeLimit(f"order {n} exceeds table cap {TABLE_CAP}")
+    _check_order(n)
     idx = np.arange(n)
     digits = np.stack([(idx // p ** i) % p for i in range(k)], axis=1)
     sums = (digits[:, None, :] + digits[None, :, :]) % p
@@ -340,8 +339,7 @@ def symmetric(n: int) -> FiniteGroup:
     """Symmetric group on n points; adjacent transpositions named s1..s{n-1}."""
     if n < 1:
         raise ValueError("n must be positive")
-    if math.factorial(n) > TABLE_CAP:
-        raise SizeLimit(f"order {n}! exceeds table cap {TABLE_CAP}")
+    _check_order(math.factorial(n), f"{n}!")
     perms = [tuple(p) for p in itertools.permutations(range(n))]
     perms.sort()
     rank = {p: i for i, p in enumerate(perms)}
@@ -366,9 +364,7 @@ def _parity(p: tuple[int, ...]) -> int:
 def alternating(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("n must be positive")
-    order = math.factorial(n) // 2 if n > 1 else 1
-    if order > TABLE_CAP:
-        raise SizeLimit(f"order {n}!/2 exceeds table cap {TABLE_CAP}")
+    _check_order(math.factorial(n) // 2 if n > 1 else 1, f"{n}!/2")
     perms = [tuple(p) for p in itertools.permutations(range(n)) if _parity(tuple(p)) == 0]
     return _perm_group(perms, f"A{n}")
 
@@ -378,8 +374,7 @@ def dihedral(order: int) -> FiniteGroup:
     """Dihedral group of the given (even) order."""
     if order < 2 or order % 2:
         raise ValueError("dihedral order must be even and >= 2")
-    if order > TABLE_CAP:
-        raise SizeLimit(f"order {order} exceeds table cap {TABLE_CAP}")
+    _check_order(order)
     n = order // 2
     # element f*n + i  ~  s^f r^i;  s^f1 r^i1 * s^f2 r^i2 = s^(f1+f2) r^((-1)^f2 i1 + i2)
     table = np.empty((order, order), dtype=np.int32)
@@ -398,8 +393,7 @@ def dicyclic(order: int) -> FiniteGroup:
     """Dicyclic group <x, y | x^(2n)=1, y^2=x^n, y x y^-1 = x^-1> of order 4n."""
     if order < 4 or order % 4:
         raise ValueError("dicyclic order must be a positive multiple of 4")
-    if order > TABLE_CAP:
-        raise SizeLimit(f"order {order} exceeds table cap {TABLE_CAP}")
+    _check_order(order)
     n = order // 4
     m = 2 * n
     # element f*m + i  ~  x^i y^f
@@ -420,8 +414,7 @@ def dicyclic(order: int) -> FiniteGroup:
 
 def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     order = G.order * H.order
-    if order > TABLE_CAP:
-        raise SizeLimit(f"order {order} exceeds table cap {TABLE_CAP}")
+    _check_order(order)
     # index (g, h) -> g*|H| + h
     tg = np.repeat(np.repeat(G.table, H.order, axis=0), H.order, axis=1)
     th = np.tile(H.table, (G.order, G.order))
@@ -570,13 +563,9 @@ class GroupMap:
 def lower_central_series(G: FiniteGroup) -> tuple[Subgroup, ...]:
     """gamma_1 = G, gamma_{k+1} = [gamma_k, G], until the series stabilizes."""
     series = [Subgroup(G, tuple(range(G.order)))]
-    t, inv = G.table, G.inverse
-    ys = np.arange(G.order)
     while True:
         cur = np.asarray(series[-1].elements)
-        a = t[t[cur[:, None], ys[None, :]], inv[cur][:, None]]
-        comms = np.unique(t[a, inv[ys][None, :]])
-        nxt = subgroup_generated(G, comms)
+        nxt = subgroup_generated(G, np.unique(G.commutators[cur]))
         if nxt.elements == series[-1].elements:
             break
         series.append(nxt)
@@ -759,12 +748,6 @@ def _extension_plan(G: FiniteGroup) -> list[_Level]:
     return levels
 
 
-def check_iso_size(order: int) -> None:
-    """Refuse isomorphism backtracking on more than ISO_SIZE_LIMIT elements."""
-    if order > ISO_SIZE_LIMIT:
-        raise SizeLimit(f"order {order} exceeds isomorphism bound {ISO_SIZE_LIMIT}")
-
-
 def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupMap]:
     """Explicit isomorphism G -> H, or None.
 
@@ -793,7 +776,8 @@ def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupMap]:
     """
     if G.order != H.order:
         return None
-    check_iso_size(G.order)
+    if G.order > ISO_SIZE_LIMIT:
+        raise SizeLimit(f"order {G.order} exceeds isomorphism bound {ISO_SIZE_LIMIT}")
     sigG, sigH = _signatures(G), _signatures(H)
     if sorted(map(tuple, sigG.tolist())) != sorted(map(tuple, sigH.tolist())):
         return None
@@ -854,7 +838,8 @@ def to_cayley_text(G: FiniteGroup) -> str:
     if G.label:
         lines.append(f"# label: {G.label}")
     lines.append(str(G.order))
-    lines.extend(" ".join(map(str, row.tolist())) for row in G.table)
+    names = [str(i) for i in range(G.order)]
+    lines.extend(" ".join(map(names.__getitem__, row.tolist())) for row in G.table)
     return "\n".join(lines) + "\n"
 
 

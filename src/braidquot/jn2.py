@@ -27,14 +27,13 @@ from typing import Optional
 import numpy as np
 
 from . import fingroup
-from .errors import NotCentral, NotGenerator, NotJn2, SizeLimit, Unsupported
+from .errors import NotCentral, NotGenerator, NotJn2, SizeLimit
 from .fingroup import (
     FiniteGroup,
     GroupMap,
     center,
     derived_subgroup,
     from_table,
-    is_isomorphic,
     least_prime_factor,
     power_map,
     powers,
@@ -151,11 +150,7 @@ def materialize(spec: Jn2Spec) -> StandardJn2:
     z = p ** (2 * m)
     a_idx = tuple(p ** (2 * m - 1 - i) for i in range(m))
     b_idx = tuple(p ** (m - 1 - i) for i in range(m))
-    names = {"z": z}
-    for i in range(m):
-        names[f"a{i + 1}"] = a_idx[i]
-        names[f"b{i + 1}"] = b_idx[i]
-    group = from_table(order, table, label=str(spec), names=names)
+    group = from_table(order, table, label=str(spec))
     return StandardJn2(spec=spec, group=group, z=z, a=a_idx, b=b_idx)
 
 
@@ -316,26 +311,70 @@ def _symplectic_pairs(gram: np.ndarray, p: int,
     return out
 
 
+def _arf_pairs(gram: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, str]:
+    """Symplectic basis for the quadratic form q of a JN2 group with
+    p^j = 2, and its type: q vanishes on the basis (type I), or is 1 on the
+    first pair and 0 on the rest (type II).
+
+    q(c) = c.nu + c^T triu(gram, 1) c mod 2 is log_z(x^2) for
+    x = prod_t r_t^c_t, since (xy)^2 = x^2 y^2 [y, x] in class 2, so
+    q(c + d) = q(c) + q(d) + <c, d>.  In each pair (e, f) of
+    ``_symplectic_pairs``, e and f swap if q(e) = 1 and q(f) = 0
+    (<f, e> = <e, f> over F_2); then if q(e) = 0, f + q(f) e has q = 0.
+    Otherwise q(e) = q(f) = 1: the pair is anisotropic.  Two anisotropic
+    pairs (e1, f1), (e2, f2) span the same space as (e1 + e2, f1 + e2) and
+    (h, h + e2), h = e1 + f1 + f2.  Expanding by the rule above, with the
+    two pairs orthogonal: q is 0 on all four; <e1 + e2, f1 + e2> = <e1, f1>
+    and <h, h + e2> = <f2, e2> are 1; <e1 + e2, h> and <f1 + e2, h> are
+    1 + 1 = 0, and so are their pairings with e2, so the new pairs are
+    orthogonal.  At most one anisotropic pair is left, and it goes first.
+    (The parity of their number is the Arf invariant of q; Aschbacher,
+    *Finite Group Theory*, section 23.)
+    """
+    triu = np.triu(gram, 1)
+
+    def q(c: np.ndarray) -> int:
+        return int(c @ nu + c @ triu @ c) % 2
+
+    hyperbolic: list[np.ndarray] = []
+    anisotropic: list[tuple[np.ndarray, np.ndarray]] = []
+    pairs = _symplectic_pairs(gram, 2, list(np.eye(len(nu), dtype=np.int64)))
+    for e, f in zip(pairs[0::2], pairs[1::2]):
+        if q(e) and not q(f):
+            e, f = f, e
+        if q(e):
+            anisotropic.append((e, f))
+        else:
+            hyperbolic += [e, (f + q(f) * e) % 2]
+    while len(anisotropic) > 1:
+        (e1, f1), (e2, f2) = anisotropic.pop(), anisotropic.pop()
+        h = (e1 + f1 + f2) % 2
+        hyperbolic += [(e1 + e2) % 2, (f1 + e2) % 2, h, (h + e2) % 2]
+    if anisotropic:
+        return np.array(list(anisotropic[0]) + hyperbolic), "II"
+    return np.array(hyperbolic), "I"
+
+
 def normalize_basis(data: SymplecticData) -> SymplecticData:
     """Symplectic basis on which nu is identically zero (type I) or
     (1, 1, 0, ..., 0) (type II), with representatives adjusted by central
     elements so that a_i^p = b_i^p = 1 exactly, except a_1^p = b_1^p = z in
     type II.  The postcondition is re-verified by direct group computation.
 
-    Requires p^j != 2, where nu is linear.
+    For p^j = 2, nu is the quadratic form of ``_arf_pairs``.
     """
     G, p, j, m = data.group, data.p, data.j, data.m
-    if p ** j == 2:
-        raise Unsupported("normalization needs p^j != 2; use the order-profile path")
     T = G.table
     gram = data.gram % p
     nu_vec = np.array(data.nu, dtype=np.int64) % p
     dim = 2 * m
     units = list(np.eye(dim, dtype=np.int64))
 
-    if not nu_vec.any():
+    if p ** j == 2:
+        coords, basis_type = _arf_pairs(gram, nu_vec)
+    elif not nu_vec.any():
         basis_type = "I"
-        first: list[np.ndarray] = []
+        coords = np.array(_symplectic_pairs(gram, p, units))
     else:
         basis_type = "II"
         # dual vector u with nu(x) = <x, u>; then any first pair (e1, u + e1)
@@ -346,9 +385,8 @@ def normalize_basis(data: SymplecticData) -> SymplecticData:
         vals = (gram @ u) % p
         t = int(np.flatnonzero(vals)[0])
         e1 = (units[t] * pow(int(vals[t]), p - 2, p)) % p
-        first = [e1, (u + e1) % p]
-    # <e1, f1> = 1, so the extraction keeps (e1, f1) as its first pair
-    coords = np.array(_symplectic_pairs(gram, p, first + units))
+        # <e1, f1> = 1, so the extraction keeps (e1, f1) as its first pair
+        coords = np.array(_symplectic_pairs(gram, p, [e1, (u + e1) % p] + units))
     assert coords.shape == (dim, dim)
 
     # lift coordinate vectors to group elements, prod_t reps[t]^coords[:, t]
@@ -383,48 +421,29 @@ def normalize_basis(data: SymplecticData) -> SymplecticData:
 def classify(G: FiniteGroup) -> tuple[Jn2Spec, GroupMap]:
     """The standard model of a JN2 group plus a verified isomorphism onto it.
 
-    A JN2 group of class (p^j, m) has a center of order p^j, so the center's
-    order picks the path, and each path recognises JN2 once.  For p^j != 2
-    the variant is read off a normalized symplectic basis and the
-    isomorphism maps the lifted representatives to the standard generators;
-    for p^j = 2 the variant comes from the order profile and the isomorphism
-    from backtracking search.
+    The variant is read off a normalized symplectic basis, and the
+    isomorphism maps the lifted representatives to the standard generators.
     """
     Z = center(G)
-    if Z.order != 2:
-        z = min((x for x in Z.elements if G.element_order(x) == Z.order), default=None)
-        if z is None:
-            raise NotJn2("center is not cyclic")
-        data = normalize_basis(symplectic_data(G, z))  # recognises JN2
-        spec = Jn2Spec(p=data.p, j=data.j, m=data.m, variant=data.basis_type)
-        S = materialize(spec).group
-        T = G.table
-        # the normal form z^k prod_i a_i^alpha_i b_i^beta_i of every index,
-        # evaluated on the lifted representatives, all indices at once
-        k, alpha, beta = _decode(spec, np.arange(S.order, dtype=np.int64))
-        images_from_std = powers(T, z, spec.center_order)[k]
-        for i in range(spec.m):
-            a_pow = powers(T, data.reps[2 * i], spec.p)
-            b_pow = powers(T, data.reps[2 * i + 1], spec.p)
-            images_from_std = T[T[images_from_std, a_pow[alpha[i]]], b_pow[beta[i]]]
-        assert np.unique(images_from_std).size == S.order, \
-            "normal forms must enumerate the group"
-        std_to_g = GroupMap(S, G, images_from_std)
-        return spec, std_to_g.inverted()
-
-    params = is_jn2(G)
-    if params is None:
-        raise NotJn2("group fails the JN2 characterization")
-    fingroup.check_iso_size(G.order)  # before building either model
-    p, j, m = params
-    candidates = [Jn2Spec(p=p, j=j, m=m, variant=v) for v in ("I", "II")]
-    matches = [s for s in candidates
-               if materialize(s).group.order_profile == G.order_profile]
-    assert len(matches) == 1, "order profile must decide the variant when p^j = 2"
-    spec = matches[0]
-    iso = is_isomorphic(G, materialize(spec).group)
-    assert iso is not None, "profile match must come with an isomorphism"
-    return spec, iso
+    z = min((x for x in Z.elements if G.element_order(x) == Z.order), default=None)
+    if z is None:
+        raise NotJn2("center is not cyclic")
+    data = normalize_basis(symplectic_data(G, z))  # recognises JN2
+    spec = Jn2Spec(p=data.p, j=data.j, m=data.m, variant=data.basis_type)
+    S = materialize(spec).group
+    T = G.table
+    # the normal form z^k prod_i a_i^alpha_i b_i^beta_i of every index,
+    # evaluated on the lifted representatives, all indices at once
+    k, alpha, beta = _decode(spec, np.arange(S.order, dtype=np.int64))
+    images_from_std = powers(T, z, spec.center_order)[k]
+    for i in range(spec.m):
+        a_pow = powers(T, data.reps[2 * i], spec.p)
+        b_pow = powers(T, data.reps[2 * i + 1], spec.p)
+        images_from_std = T[T[images_from_std, a_pow[alpha[i]]], b_pow[beta[i]]]
+    assert np.unique(images_from_std).size == S.order, \
+        "normal forms must enumerate the group"
+    std_to_g = GroupMap(S, G, images_from_std)
+    return spec, std_to_g.inverted()
 
 
 def enumerate_specs(max_order: int) -> list[Jn2Spec]:

@@ -18,8 +18,10 @@ from .braid import (
     check_reduced_witness,
     minimal_braid_reduced_search,
     predicted_minimum,
+    standard_sigma_exponent,
     standard_witness,
 )
+from .errors import HypothesisFailed
 from .fingroup import (
     FiniteGroup,
     derived_subgroup,
@@ -101,16 +103,12 @@ def standard_witness_specs(n: int, g: int) -> list[Jn2Spec]:
     """Spec descriptors of order <= 125 whose explicit witness recipe
     applies at (n, g)."""
     out = []
-    s = g + n - 1
     for spec in enumerate_specs(125):
-        if spec.m != g or s % spec.p:
+        try:
+            standard_sigma_exponent(spec, n, g)
+        except HypothesisFailed:
             continue
-        if spec.variant == "I":
-            if (spec.p == 2 and spec.j == 2) or (spec.p != 2 and spec.j == 1):
-                out.append(spec)
-        else:
-            if spec.p != 2 or spec.j >= 2:
-                out.append(spec)
+        out.append(spec)
     return out
 
 

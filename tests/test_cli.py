@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidquot import braid, cli, fingroup as fg, oracle
-from braidquot.errors import NotCentral, SizeLimit, Unsupported
+from braidquot.errors import CenterMismatch, NotCentral, SizeLimit
 from braidquot.jn2 import Jn2Spec, materialize, parse_spec
 
 
@@ -298,7 +298,7 @@ def test_out_of_range_arguments_exit_fast(capsys, argv, code):
 
 
 @pytest.mark.parametrize("exc", [RuntimeError("boom"), AssertionError("broken invariant"),
-                                 Unsupported("outside its hypotheses"),
+                                 CenterMismatch("centers do not match"),
                                  NotCentral("element 3 is not central")])
 def test_unexpected_exceptions_exit_four(monkeypatch, capsys, exc):
     def raiser(args):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from braidquot import fingroup as fg
 from braidquot import jn2, oracle
-from braidquot.errors import CenterMismatch, NotCentral, NotGenerator, NotJn2, SizeLimit, Unsupported
+from braidquot.errors import CenterMismatch, NotCentral, NotGenerator, NotJn2, SizeLimit
 from braidquot.jn2 import Jn2Spec, materialize, parse_spec
 from braidquot.oracle import Jn2Element
 
@@ -491,13 +491,6 @@ def test_normalized_reps_are_pinned(specs_243):
     assert got == NORMALIZED_REPS
 
 
-def test_normalize_refuses_central_order_two():
-    std = materialize(Jn2Spec(2, 1, 1, "I"))
-    data = jn2.symplectic_data(std.group, std.z)
-    with pytest.raises(Unsupported):
-        jn2.normalize_basis(data)
-
-
 # ---------------------------------------------------------------------------
 # classification
 
@@ -532,15 +525,59 @@ def test_classify_rejects_non_jn2():
         jn2.classify(fg.symmetric(4))
 
 
-def test_classify_refuses_central_order_two_over_iso_bound_before_models():
-    G = materialize.__wrapped__(Jn2Spec(2, 1, 5, "I")).group  # not cached
+def test_classify_central_order_two_above_iso_bound():
+    rng = random.Random(5)
+    for variant in ("I", "II"):
+        spec = Jn2Spec(2, 1, 5, variant)  # order 2048, over ISO_SIZE_LIMIT
+        H, _ = fg.random_relabeling(materialize(spec).group, rng)
+        got, iso = jn2.classify(H)
+        assert got == spec and iso.is_bijective, str(spec)
+    # a noncyclic center is refused before any model is built
     before = materialize.cache_info().currsize
-    with pytest.raises(SizeLimit, match=r"^order 2048 exceeds isomorphism bound 2000$"):
-        jn2.classify(G)
-    assert materialize.cache_info().currsize == before
-    # a group that is not JN2 is still refused as such first
     with pytest.raises(NotJn2):
         jn2.classify(fg.direct_product(fg.dihedral(8), fg.dihedral(254)))  # order 2032
+    assert materialize.cache_info().currsize == before
+
+
+def _classify_by_order_profile(G: fg.FiniteGroup):
+    """Reference for classify when the center has order 2, independent of
+    the quadratic form: the variant from the order profile and the map from
+    the isomorphism search."""
+    params = jn2.is_jn2(G)
+    if params is None:
+        raise NotJn2("group fails the JN2 characterization")
+    p, j, m = params
+    candidates = [Jn2Spec(p=p, j=j, m=m, variant=v) for v in ("I", "II")]
+    matches = [s for s in candidates
+               if materialize(s).group.order_profile == G.order_profile]
+    assert len(matches) == 1, "order profile must decide the variant when p^j = 2"
+    spec = matches[0]
+    iso = fg.is_isomorphic(G, materialize(spec).group)
+    assert iso is not None, "profile match must come with an isomorphism"
+    return spec, iso
+
+
+def _central_order_two_groups() -> list[fg.FiniteGroup]:
+    """Every spec with p^j = 2 up to order 512, and D8, Q8 and central
+    products of them built by the oracle."""
+    def cp(G, H):
+        return oracle.central_product(G, H, oracle.center_identification(G, H)).group
+    D8, Q8 = fg.dihedral(8), fg.dicyclic(8)
+    specs = [s for s in jn2.enumerate_specs(512) if s.center_order == 2]
+    assert len(specs) == 8
+    return ([materialize(s).group for s in specs]
+            + [D8, Q8, cp(Q8, Q8), cp(cp(Q8, Q8), Q8), cp(D8, Q8)])
+
+
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32))
+def test_classify_central_order_two_matches_order_profile_reference(seed):
+    rng = random.Random(seed)
+    for G in _central_order_two_groups():
+        H, _ = fg.random_relabeling(G, rng)
+        spec, iso = jn2.classify(H)
+        ref, _ = _classify_by_order_profile(H)  # asserts H is isomorphic to ref
+        assert spec == ref and iso.is_bijective, (G.label, str(spec), str(ref))
 
 
 def test_decode_of_an_index_array_matches_each_index(specs_243):
@@ -552,9 +589,9 @@ def test_decode_of_an_index_array_matches_each_index(specs_243):
 
 
 def _normal_form_map_by_index(H: fg.FiniteGroup, spec: Jn2Spec, data) -> np.ndarray:
-    """Reference for classify's map on the p^j != 2 path: each standard
-    index decoded and its normal form z^k prod_i a_i^alpha_i b_i^beta_i
-    multiplied out in H, one element at a time."""
+    """Reference for classify's map: each standard index decoded and its
+    normal form z^k prod_i a_i^alpha_i b_i^beta_i multiplied out in H, one
+    element at a time."""
     images = np.empty(spec.order, dtype=np.int64)
     for idx in range(spec.order):
         k, alpha, beta = jn2._decode(spec, idx)
@@ -571,8 +608,6 @@ def _normal_form_map_by_index(H: fg.FiniteGroup, spec: Jn2Spec, data) -> np.ndar
 def test_classify_map_matches_normal_forms_by_index(specs_243, seed):
     rng = random.Random(seed)
     for spec in specs_243:
-        if spec.center_order == 2:
-            continue  # classified by is_isomorphic, tested in test_fingroup
         H, _ = fg.random_relabeling(materialize(spec).group, rng)
         got, iso = jn2.classify(H)
         assert got == spec
