@@ -4,8 +4,18 @@ A group is a full multiplication table over element indices 0..order-1 with
 the identity pinned at index 0.  Every constructor relabels to enforce this,
 and every table is validated in full on construction: identity and inverses
 cell by cell, associativity by Light's test on a set that generates the
-table, O(n^2) per generator.  All values are immutable after construction;
-operations are pure functions of their inputs.
+table, O(n^2) per generator.  That set is kept as ``FiniteGroup.generators``.
+
+A law that holds for x*x' whenever it holds for x and for x', and holds
+for the identity, holds on all of G once it holds on a generating set.  So
+the laws below are checked on the certified generators A only, exactly:
+- ``GroupMap``: f(a*y) = f(a)*f(y) for a in A and every y, |A|*n cells;
+- ``center_mask``: x commutes with every a in A, n*|A| cells;
+- ``Subgroup.is_normal``: a N a^-1 lies in N for a in A, |A|*|N| cells;
+- ``derived_subgroup``: the normal closure of the commutators [a, b] of
+  generators, conjugating by A only.
+All values are immutable after construction; operations are pure functions
+of their inputs.
 """
 
 from __future__ import annotations
@@ -26,6 +36,9 @@ TABLE_CAP = 10_000
 
 # Isomorphism backtracking refuses beyond this many elements.
 ISO_SIZE_LIMIT = 2_000
+
+# Table entries per row block of Light's test; bounds its temporaries.
+_LIGHT_BLOCK = 1 << 16
 
 
 def least_prime_factor(n: int) -> int:
@@ -81,12 +94,15 @@ class FiniteGroup:
     """A finite group given by its full multiplication table.
 
     ``table[x, y]`` is the product x*y; element 0 is the identity.
-    ``names`` optionally maps generator names to element indices.
+    ``generators`` are the elements ``from_table`` ran Light's test on,
+    which generate G.  ``names`` optionally maps generator names to element
+    indices.
     """
 
     order: int
     table: np.ndarray
     inverse: np.ndarray
+    generators: tuple[int, ...]
     label: Optional[str] = None
     names: Mapping[str, int] = field(default_factory=dict, repr=False)
 
@@ -106,6 +122,13 @@ class FiniteGroup:
     def commutator(self, x: int, y: int) -> int:
         t = self.table
         return int(t[t[t[x, y], self.inverse[x]], self.inverse[y]])
+
+    def commutators_of(self, xs, ys) -> np.ndarray:
+        """Matrix of commutators [x, y] for x in ``xs`` (rows) and y in
+        ``ys`` (columns)."""
+        t, inv = self.table, self.inverse
+        xs, ys = np.asarray(xs, dtype=np.intp), np.asarray(ys, dtype=np.intp)
+        return t[t[t[xs[:, None], ys[None, :]], inv[xs][:, None]], inv[ys][None, :]]
 
     def power(self, x: int, k: int) -> int:
         if k < 0:
@@ -146,18 +169,26 @@ class FiniteGroup:
 
     @cached_property
     def center_mask(self) -> np.ndarray:
-        return self.centralizer_sizes == self.order
+        """x is central iff it commutes with every generator: its
+        centralizer is a subgroup, so it then holds all of G."""
+        gens = np.asarray(self.generators, dtype=np.intp)
+        return (self.table[:, gens] == self.table[gens].T).all(axis=1)
 
     @cached_property
     def is_abelian(self) -> bool:
         return bool(self.center_mask.all())
 
+    def conjugates_by_generators(self, xs) -> np.ndarray:
+        """Matrix of a x a^-1 for generators a (rows) and x in ``xs``
+        (columns)."""
+        t, gens = self.table, np.asarray(self.generators, dtype=np.intp)
+        return t[t[gens[:, None], np.asarray(xs, dtype=np.intp)[None, :]],
+                 self.inverse[gens][:, None]]
+
     @cached_property
     def commutators(self) -> np.ndarray:
         """Matrix of commutators [x, y] = x y x^-1 y^-1."""
-        t, inv = self.table, self.inverse
-        c = t[t, inv[:, None]]
-        return t[c, inv[None, :]]
+        return self.commutators_of(self.elements(), self.elements())
 
     @cached_property
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
@@ -218,7 +249,10 @@ def from_table(order: int,
     Associativity is decided by Light's test (Clifford & Preston, *Algebraic
     Theory of Semigroups* I, 1.2): the elements a with (x*a)*y = x*(a*y) for
     all x, y form a submagma, so checking a set that generates the table
-    under multiplication checks every triple.
+    under multiplication checks every triple.  The set is the span walk's
+    picks, kept as the group's ``generators``.  Each pick is checked in row
+    blocks of about ``_LIGHT_BLOCK`` cells, and the first failing (x, y) in
+    row-major order is reported.
 
     Raises :class:`NotAGroup` naming the first violated law, or
     :class:`SizeLimit` when the order exceeds the table cap.
@@ -257,16 +291,23 @@ def from_table(order: int,
         raise NotAGroup(f"inverse law fails: {x}*{y} = 0 but {y}*{x} = {int(t[y, x])}")
 
     # element 0 is the identity, so the span walk's closures only grow
+    gens = []
+    rows = max(1, _LIGHT_BLOCK // order)
     for a in span_walk(t, range(1, order)):
-        bad = t[t[:, a]] != t[:, t[a]]  # (x*a)*y != x*(a*y), indexed [x, y]
-        if bad.any():
-            x, y = np.argwhere(bad)[0]
-            raise NotAGroup(f"associativity fails at ({int(x)},{a},{int(y)})")
+        ta = t[a]
+        for lo in range(0, order, rows):
+            block = t[lo:lo + rows]
+            # (x*a)*y != x*(a*y), indexed [x - lo, y]
+            bad = t.take(block[:, a], axis=0) != block.take(ta, axis=1)
+            if bad.any():
+                x, y = np.argwhere(bad)[0]
+                raise NotAGroup(f"associativity fails at ({lo + int(x)},{a},{int(y)})")
+        gens.append(a)
 
     t.flags.writeable = False
     inv.flags.writeable = False
-    return FiniteGroup(order=order, table=t, inverse=inv, label=label,
-                       names=dict(names or {}))
+    return FiniteGroup(order=order, table=t, inverse=inv, generators=tuple(gens),
+                       label=label, names=dict(names or {}))
 
 
 # ---------------------------------------------------------------------------
@@ -459,18 +500,21 @@ class Subgroup:
         return self.order == self.parent.order
 
     def normality_violation(self) -> Optional[tuple[int, int]]:
-        """First (x, s), x-major, with x s x^-1 outside the subgroup, or None."""
+        """First (x, s), x-major, with x s x^-1 outside the subgroup, or None.
+        Every x is scanned only when ``is_normal`` fails."""
+        if self.is_normal:
+            return None
         G = self.parent
         arr = np.asarray(self.elements)
         outside = ~self.mask[G.table[G.table[:, arr], G.inverse[:, None]]]
-        if not outside.any():
-            return None
         x, i = np.argwhere(outside)[0]
         return (int(x), int(arr[i]))
 
     @cached_property
     def is_normal(self) -> bool:
-        return self.normality_violation() is None
+        """a N a^-1 lies in N for every generator a.  The x with
+        x N x^-1 in N are closed under products, so they are all of G."""
+        return bool(self.mask[self.parent.conjugates_by_generators(self.elements)].all())
 
     def __repr__(self) -> str:
         return f"<Subgroup order={self.order} of {self.parent!r}>"
@@ -485,11 +529,26 @@ def center(G: FiniteGroup) -> Subgroup:
     return Subgroup(G, tuple(int(x) for x in np.flatnonzero(G.center_mask)))
 
 
+def normal_closure(G: FiniteGroup, seeds) -> Subgroup:
+    """Smallest normal subgroup holding ``seeds``: the closure of the seeds
+    and their conjugates by the generators, repeated until conjugation by
+    every generator maps it into itself, which makes it normal (see
+    ``Subgroup.is_normal``)."""
+    els = closure_indices(G.table, np.asarray(seeds, dtype=np.intp).ravel())
+    inside = np.zeros(G.order, dtype=bool)
+    while True:
+        inside[els] = True
+        conj = G.conjugates_by_generators(els).ravel()
+        if inside[conj].all():
+            return Subgroup(G, tuple(els.tolist()))
+        els = closure_indices(G.table, np.concatenate([els, conj]))
+
+
 def derived_subgroup(G: FiniteGroup) -> Subgroup:
-    """Subgroup generated by all commutators.  The commutator set is closed
-    under conjugation, g[x,y]g^-1 = [gxg^-1, gyg^-1], so this is already the
-    normal closure."""
-    return subgroup_generated(G, np.unique(G.commutators))
+    """G' as the normal closure M of the commutators [a, b] of generators.
+    M lies in G', which is normal and holds them; modulo M the generators
+    commute, so G/M is abelian and M holds G'."""
+    return normal_closure(G, G.commutators_of(G.generators, G.generators))
 
 
 def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, "GroupMap"]:
@@ -513,24 +572,40 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, "GroupMap"]:
 
 @dataclass(frozen=True, eq=False)
 class GroupMap:
-    """A homomorphism between table groups, validated on construction."""
+    """A homomorphism between table groups, validated on construction.
+
+    Images must be integers in 0..target.order-1, with f(0) = 0.  The map
+    checks f(a*y) = f(a)*f(y) for each generator a of the source and every
+    y: once f(0) = 0, the x with f(x*y) = f(x)*f(y) for all y are closed
+    under products, so they are the whole source.  ``images`` is kept as a
+    read-only int32 copy."""
 
     source: FiniteGroup
     target: FiniteGroup
     images: np.ndarray
 
     def __post_init__(self):
-        img = np.asarray(self.images, dtype=np.int32)
-        object.__setattr__(self, "images", img)
+        img = np.asarray(self.images)
         if img.shape != (self.source.order,):
             raise ValueError("images must list one target index per source element")
+        if img.dtype.kind not in "iu":
+            raise ValueError(f"images must be integers, got dtype {img.dtype}")
+        bad = (img < 0) | (img >= self.target.order)
+        if bad.any():
+            x = int(np.argmax(bad))
+            raise ValueError(f"image {int(img[x])} of {x} is outside "
+                             f"0..{self.target.order - 1}")
+        img = img.astype(np.int32)
+        img.flags.writeable = False
+        object.__setattr__(self, "images", img)
         if img[0] != 0:
             raise ValueError("homomorphisms must send identity to identity")
-        lhs = img[self.source.table]
-        rhs = self.target.table[img[:, None], img[None, :]]
+        gens = np.asarray(self.source.generators, dtype=np.intp)
+        lhs = img[self.source.table[gens]]
+        rhs = self.target.table[img[gens][:, None], img[None, :]]
         if not np.array_equal(lhs, rhs):
-            x, y = np.argwhere(lhs != rhs)[0]
-            raise ValueError(f"not a homomorphism at ({int(x)},{int(y)})")
+            i, y = np.argwhere(lhs != rhs)[0]
+            raise ValueError(f"not a homomorphism at ({int(gens[i])},{int(y)})")
 
     def __call__(self, x: int) -> int:
         return int(self.images[x])
@@ -561,11 +636,14 @@ class GroupMap:
 
 
 def lower_central_series(G: FiniteGroup) -> tuple[Subgroup, ...]:
-    """gamma_1 = G, gamma_{k+1} = [gamma_k, G], until the series stabilizes."""
+    """gamma_1 = G, gamma_{k+1} = [gamma_k, G], until the series stabilizes.
+    [gamma_k, G] is the normal closure M of the [x, a], x in gamma_k, a a
+    generator: modulo M every such x commutes with the generators, so it is
+    central, and [gamma_k, G] lies in M."""
     series = [Subgroup(G, tuple(range(G.order)))]
     while True:
-        cur = np.asarray(series[-1].elements)
-        nxt = subgroup_generated(G, np.unique(G.commutators[cur]))
+        cur = series[-1].elements
+        nxt = normal_closure(G, G.commutators_of(cur, G.generators))
         if nxt.elements == series[-1].elements:
             break
         series.append(nxt)
@@ -639,7 +717,7 @@ def _frattini_quotient(G: FiniteGroup) -> Optional[FrattiniQuotient]:
     if rest != 1:
         return None
     pth = power_map(t, p)
-    phi = closure_indices(t, np.unique(np.concatenate([G.commutators.ravel(), pth])))
+    phi = closure_indices(t, np.concatenate([derived_subgroup(G).elements, pth]))
     basis = list(span_walk(t, range(n), base=phi))
     d = len(basis)
     assert phi.size * p ** d == n, "G/Phi(G) must be elementary abelian"

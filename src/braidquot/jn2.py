@@ -232,7 +232,7 @@ def log_table(G: FiniteGroup, z: int) -> np.ndarray:
 def _gram(G: FiniteGroup, log: np.ndarray, p: int, j: int, reps) -> np.ndarray:
     """Pairing values [r_u, r_v] of the representatives, as exponents of
     c = z^(p^(j-1)), the generator of the derived subgroup."""
-    e = log[G.commutators[np.ix_(reps, reps)]]
+    e = log[G.commutators_of(reps, reps)]
     q = p ** (j - 1)
     if (e < 0).any() or (e % q).any():
         raise NotJn2("commutator fell outside the derived subgroup")

@@ -1,0 +1,277 @@
+"""The generating set ``from_table`` certifies, and the laws checked on it.
+
+Each law that ``fingroup`` checks on ``FiniteGroup.generators`` is compared
+here with a test-local copy of the check over all n^2 pairs.
+"""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from braidquot import fingroup as fg
+from braidquot import jn2
+from braidquot.errors import NotAGroup
+
+
+# ---------------------------------------------------------------------------
+# every constructor certifies a generating set
+
+
+def _constructed(exhaustive_tiers):
+    rng = random.Random(0)
+    S3, S4, D8 = fg.symmetric(3), fg.symmetric(4), fg.dihedral(8)
+    groups = [fg.cyclic(1), fg.cyclic(2), fg.cyclic(12),
+              fg.elementary_abelian(2, 4), fg.elementary_abelian(3, 2),
+              fg.symmetric(1), fg.symmetric(2), S3, S4, fg.symmetric(5),
+              fg.alternating(1), fg.alternating(3), fg.alternating(4), fg.alternating(5),
+              fg.dihedral(2), D8, fg.dihedral(18),
+              fg.dicyclic(4), fg.dicyclic(8), fg.dicyclic(12),
+              fg.direct_product(S3, fg.cyclic(4)), fg.direct_product(D8, fg.cyclic(2)),
+              fg.quotient(S4, fg.derived_subgroup(S4))[0],
+              fg.quotient(D8, fg.center(D8))[0],
+              fg.quotient(S3, fg.subgroup_generated(S3, range(6)))[0],
+              fg.random_relabeling(fg.dihedral(12), rng)[0],
+              jn2.materialize(jn2.parse_spec("I(3,1)")).group,
+              jn2.materialize(jn2.parse_spec("II(2,2)")).group]
+    relabelled, _ = fg.random_relabeling(fg.dicyclic(16), rng)
+    groups.append(fg.from_cayley_text(fg.to_cayley_text(relabelled)))
+    groups += [G for k in range(1, 9) for G in exhaustive_tiers[k]]
+    return groups
+
+
+def test_every_constructor_certifies_generators(exhaustive_tiers):
+    for G in _constructed(exhaustive_tiers):
+        assert isinstance(G.generators, tuple), G.label
+        assert 0 not in G.generators, G.label
+        assert fg.closure_indices(G.table, G.generators).size == G.order, G.label
+
+
+def test_generators_are_the_span_walk_picks():
+    G = fg.symmetric(4)
+    assert G.generators == tuple(fg.span_walk(G.table, range(1, G.order)))
+    assert fg.cyclic(1).generators == ()
+
+
+# ---------------------------------------------------------------------------
+# n^2 references, as the laws were checked before they used the generators
+
+
+def _center_mask_n2(G):
+    return (G.table == G.table.T).sum(axis=1) == G.order
+
+
+def _derived_n2(G):
+    t, inv = G.table, G.inverse
+    comm = t[t[t, inv[:, None]], inv[None, :]]
+    return tuple(int(x) for x in fg.closure_indices(t, np.unique(comm)))
+
+
+def _lower_central_n2(G):
+    t, inv = G.table, G.inverse
+    comm = t[t[t, inv[:, None]], inv[None, :]]
+    series = [tuple(range(G.order))]
+    while True:
+        nxt = tuple(int(x) for x in
+                    fg.closure_indices(t, np.unique(comm[np.asarray(series[-1])])))
+        if nxt == series[-1]:
+            return series
+        series.append(nxt)
+        if len(nxt) == 1:
+            return series
+
+
+def _normality_violation_n2(N):
+    G = N.parent
+    arr = np.asarray(N.elements)
+    outside = ~N.mask[G.table[G.table[:, arr], G.inverse[:, None]]]
+    if not outside.any():
+        return None
+    x, i = np.argwhere(outside)[0]
+    return (int(x), int(arr[i]))
+
+
+def _is_hom_n2(G, H, img):
+    img = np.asarray(img)
+    return bool(img[0] == 0
+                and np.array_equal(img[G.table], H.table[img[:, None], img[None, :]]))
+
+
+def _map_agrees(G, H, img) -> bool:
+    """GroupMap accepts ``img`` exactly when the n^2 check does, and a
+    rejection names a pair (a, y) that breaks f(a*y) = f(a)*f(y).  Returns
+    whether the map was accepted."""
+    img = np.asarray(img)
+    if _is_hom_n2(G, H, img):
+        fg.GroupMap(G, H, img)
+        return True
+    with pytest.raises(ValueError) as exc:
+        fg.GroupMap(G, H, img)
+    msg = str(exc.value)
+    if img[0] != 0:
+        assert "identity" in msg
+    else:
+        a, y = (int(v) for v in msg.split("(")[1].rstrip(")").split(","))
+        assert a in G.generators
+        assert img[G.table[a, y]] != H.table[img[a], img[y]]
+    return False
+
+
+@pytest.fixture(scope="module")
+def law_corpus(exhaustive_tiers, catalog, specs_243):
+    groups = [G for k in range(1, 9) for G in exhaustive_tiers[k]]
+    groups += [entry.group for entry in catalog.entries]
+    groups += [jn2.materialize(spec).group for spec in specs_243]
+    i31 = jn2.materialize(jn2.parse_spec("I(3,1)")).group
+    groups += [fg.symmetric(4), fg.alternating(5),
+               fg.direct_product(fg.dihedral(8), fg.cyclic(2)),
+               fg.direct_product(i31, fg.cyclic(3))]
+    return groups
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_generator_laws_match_full_tables(law_corpus, data):
+    G0 = data.draw(st.sampled_from(law_corpus))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    G, iso = fg.random_relabeling(G0, rng)
+
+    assert np.array_equal(G.center_mask, _center_mask_n2(G)), G.label
+    assert G.is_abelian == bool(_center_mask_n2(G).all())
+    D = fg.derived_subgroup(G)
+    assert D.elements == _derived_n2(G), G.label
+    assert [N.elements for N in fg.lower_central_series(G)] == _lower_central_n2(G)
+
+    xs = [rng.randrange(G.order) for _ in range(2)]
+    for N in (fg.center(G), D, fg.subgroup_generated(G, xs[:1]),
+              fg.subgroup_generated(G, xs)):
+        ref = _normality_violation_n2(N)
+        assert N.normality_violation() == ref, G.label
+        assert N.is_normal == (ref is None), G.label
+
+    assert _map_agrees(G0, G, iso.images)
+    Q, proj = fg.quotient(G, D)
+    assert _map_agrees(G, Q, proj.images)
+    if G.order < 3:
+        return
+    x, y = rng.sample(range(1, G.order), 2)
+    swapped = np.array(iso.images)
+    swapped[[x, y]] = swapped[[y, x]]
+    accepted = _map_agrees(G0, G, swapped)
+    if G0.element_order(x) != G0.element_order(y):
+        assert not accepted  # f(x) and x must have the same order
+    perm = [0] + rng.sample(range(1, G.order), G.order - 1)
+    _map_agrees(G0, G, iso.images[perm])
+    if Q.order > 1:
+        moved = np.array(proj.images)
+        moved[x] = (moved[x] + 1 + rng.randrange(Q.order - 1)) % Q.order
+        assert not _map_agrees(G, Q, moved)  # a coset is not mapped whole
+
+
+# ---------------------------------------------------------------------------
+# GroupMap keeps its own images and range-checks them
+
+
+def test_groupmap_keeps_a_read_only_copy():
+    G = fg.dihedral(8)
+    H, iso = fg.random_relabeling(G, random.Random(1))
+    images = np.array(iso.images, dtype=np.int64)
+    f = fg.GroupMap(G, H, images)
+    images[1], images[2] = images[2], images[1]
+    assert np.array_equal(f.images, iso.images)
+    assert f.images.dtype == np.int32 and not f.images.flags.writeable
+    with pytest.raises(ValueError):
+        f.images[1] = 0
+
+
+@pytest.mark.parametrize("bad,value", [(3, 8), (5, -1), (7, 10 ** 12)])
+def test_groupmap_refuses_images_out_of_range(bad, value):
+    C8 = fg.cyclic(8)
+    images = np.arange(8, dtype=np.int64)
+    images[bad] = value
+    with pytest.raises(ValueError, match=rf"^image {value} of {bad} is outside 0\.\.7$"):
+        fg.GroupMap(C8, C8, images)
+
+
+def test_groupmap_refuses_non_integer_images():
+    with pytest.raises(ValueError, match="integers"):
+        fg.GroupMap(fg.cyclic(2), fg.cyclic(2), np.array([0.0, 1.0]))
+
+
+# ---------------------------------------------------------------------------
+# Light's test in row blocks
+
+
+def _light_unblocked(t: np.ndarray):
+    """The whole-table Light's test over the same span walk picks: the
+    message for the first failing pick's first (x, y), row-major, or None."""
+    for a in fg.span_walk(t, range(1, len(t))):
+        bad = t[t[:, a]] != t[:, t[a]]
+        if bad.any():
+            x, y = np.argwhere(bad)[0]
+            return f"associativity fails at ({int(x)},{a},{int(y)})"
+    return None
+
+
+def _planted(G: fg.FiniteGroup, x: int, y: int, shift: int) -> np.ndarray:
+    """G's table with the nonzero cell (x, y) moved to another nonzero
+    value; the identity and inverse laws still hold, associativity fails."""
+    t = np.array(G.table)
+    assert x and y and t[x, y]
+    t[x, y] = 1 + (t[x, y] - 1 + shift) % (G.order - 1)
+    return t
+
+
+def _blocked_message(t: np.ndarray) -> str:
+    with pytest.raises(NotAGroup) as exc:
+        fg.from_table(len(t), t)
+    return str(exc.value)
+
+
+@pytest.fixture(scope="module")
+def big_tables():
+    """Orders over 256, so Light's test runs in more than one row block."""
+    return [fg.cyclic(300), jn2.materialize(jn2.parse_spec("I(2,4)")).group]
+
+
+def test_light_blocks_name_the_unblocked_fault(big_tables):
+    seen_rows = set()
+    for G in big_tables:
+        n = G.order
+        rows = fg._LIGHT_BLOCK // n
+        assert rows < n
+        last = (n - 1) // rows * rows
+        for x in (rows - 1, rows, rows + 1, last, n - 1):
+            for y in (1, 7, n - 2):
+                if G.table[x, y] == 0:
+                    continue
+                t = _planted(G, x, y, 1)
+                ref = _light_unblocked(t)
+                assert ref is not None
+                assert _blocked_message(t) == ref
+                seen_rows.add((int(ref.split("(")[1].split(",")[0]) // rows, n))
+    # faults named in the first and second block of each table, and in the last
+    for G in big_tables:
+        n = G.order
+        rows = fg._LIGHT_BLOCK // n
+        assert {(0, n), (1, n), ((n - 1) // rows, n)} <= seen_rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_light_blocks_match_unblocked_loop(big_tables, data):
+    G = data.draw(st.sampled_from(big_tables))
+    cells = data.draw(st.lists(st.tuples(st.integers(1, G.order - 1),
+                                         st.integers(1, G.order - 1)),
+                               min_size=1, max_size=3))
+    t = np.array(G.table)
+    for x, y in cells:
+        if t[x, y]:
+            t[x, y] = 1 + (t[x, y] - 1 + data.draw(st.integers(1, G.order - 2))) % (G.order - 1)
+    ref = _light_unblocked(t)
+    if ref is None:
+        assert np.array_equal(fg.from_table(len(t), t).table, t)
+    else:
+        assert _blocked_message(t) == ref
