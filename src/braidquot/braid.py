@@ -284,11 +284,21 @@ def find_witness(G: FiniteGroup, n: int, g: int,
     (it is a commutator of witness elements), and for nonabelian G the case
     sigma^2 = 1 is skipped since a pairwise-commuting tuple cannot generate.
 
-    For G of prime-power order, generation is tested by the Burnside basis
-    theorem: a set generates G exactly when its image spans the Frattini
-    quotient G/Phi(G), of rank d.  A sigma whose rank plus 2g is below d is
-    skipped, since 2g + 1 elements cannot span.  Groups of any other order
-    use the closure of the candidate set.
+    Generation is tested once per leaf, by the closure of sigma and the 2g
+    placed elements.  For G of order p^k one test comes earlier: by the
+    Burnside basis theorem a generating set has at least d elements outside
+    the Frattini subgroup Phi(G), d the rank of G/Phi(G), so a sigma is
+    skipped when (sigma not in Phi) + 2g < d.
+
+    No cut tests generation inside the tree, since on the groups the sweep
+    tries it cannot fire.  On a JN2 group sigma^2 generates G', the placed
+    pairs span a nondegenerate subspace W of V = G/Z under the commutator
+    pairing, and the prefix's centralizer C contains Z and maps onto
+    W^perp; so the prefix and C always generate G.  The sweep's other
+    candidates, the catalog groups up to order 15 other than D8 and Q8,
+    have |Z| <= 2, so every sigma there has sigma^2 = 1 and is skipped
+    before any pair is placed.  On any other group such a cut could only
+    save time; it could never change a verdict.
 
     Two prunings shape the loops over a_{r+1} and b_{r+1}.  The elements
     still placeable after r pairs form C = C(sigma, a_1, b_1, ..., a_r, b_r),
@@ -330,17 +340,8 @@ def find_witness(G: FiniteGroup, n: int, g: int,
     derived = derived_subgroup(G).mask
     nonabelian = not G.is_abelian
     frattini = G.frattini
-    ranks: dict[bytes, int] = {}   # span rank by the set of cosets met
     stats = stats if stats is not None else SearchStats()
     stats.explored = 0
-
-    def generates(elements: list[int]) -> bool:
-        if frattini is None:
-            return closure_indices(T, elements).size == N
-        key = np.unique(frattini.cosets[elements]).tobytes()
-        if key not in ranks:
-            ranks[key] = frattini.span_rank(elements)
-        return ranks[key] == frattini.rank
 
     def bump() -> None:
         stats.explored += 1
@@ -361,21 +362,16 @@ def find_witness(G: FiniteGroup, n: int, g: int,
     def place(r: int, placed: list[int], mask: np.ndarray,
               sigma: int, s2: int) -> Optional[list[int]]:
         if r == g:
-            return placed if generates([sigma] + placed) else None
+            whole = closure_indices(T, [sigma] + placed).size == N
+            return placed if whole else None
         cent = np.flatnonzero(mask)    # C, the centralizer of the prefix
         partnered = (comm[cent][:, cent] == s2).any(axis=1)
         for a in least_in_class(cent[partnered]):
             bump()
             for b in least_in_class(cent[comm[a, cent] == s2]):
                 bump()
-                nxt = mask & commutes[a] & commutes[b]
-                if r + 1 < g:
-                    # everything still to be placed commutes with the pairs
-                    # so far; prune when even that cannot generate G
-                    seeds = list(np.flatnonzero(nxt)) + placed + [sigma, int(a), int(b)]
-                    if not generates(seeds):
-                        continue
-                res = place(r + 1, placed + [int(a), int(b)], nxt, sigma, s2)
+                res = place(r + 1, placed + [int(a), int(b)],
+                            mask & commutes[a] & commutes[b], sigma, s2)
                 if res is not None:
                     return res
         return None
@@ -386,7 +382,7 @@ def find_witness(G: FiniteGroup, n: int, g: int,
             continue
         if nonabelian and s2 == 0:
             continue  # commuting tuple generates an abelian subgroup only
-        if frattini is not None and frattini.span_rank([sigma]) + 2 * g < frattini.rank:
+        if frattini is not None and (not frattini.in_phi[sigma]) + 2 * g < frattini.rank:
             continue
         found = place(0, [], np.ones(N, dtype=bool), sigma, s2)
         if found is not None:

@@ -218,8 +218,8 @@ class FiniteGroup:
 
     @cached_property
     def frattini(self) -> Optional["FrattiniQuotient"]:
-        """G/Phi(G) in F_p coordinates when the order is a power of a prime
-        p, else None."""
+        """Phi(G) and the rank of G/Phi(G) when the order is a power of a
+        prime p, else None."""
         return _frattini_quotient(self)
 
     @cached_property
@@ -688,21 +688,16 @@ def row_reduce(mat: np.ndarray, p: int) -> tuple[np.ndarray, int]:
 class FrattiniQuotient:
     """G/Phi(G) for a group G of order p^k, with Phi(G) = G'G^p.
 
-    ``coords[x]`` holds the F_p coordinates of x's coset in G/Phi(G), an
-    elementary abelian group of rank ``rank``, on a basis picked by the
-    span walk; ``cosets[x]`` numbers that coset by reading them as base-p
-    digits.  By the Burnside basis theorem a set of elements generates G exactly
-    when its coordinates span F_p^rank.
+    ``in_phi`` is the membership mask of Phi(G).  G/Phi(G) is elementary
+    abelian of rank ``rank``, so |G| = p^rank |Phi|.  By the Burnside basis
+    theorem a set generates G exactly when its image spans G/Phi(G); so a
+    generating set keeps generating without its elements in Phi, and it
+    has at least ``rank`` elements outside Phi.
     """
 
     p: int
     rank: int
-    coords: np.ndarray
-    cosets: np.ndarray
-
-    def span_rank(self, elements) -> int:
-        """Dimension of the span of the cosets of ``elements`` in G/Phi(G)."""
-        return row_reduce(self.coords[elements], self.p)[1]
+    in_phi: np.ndarray
 
 
 def _frattini_quotient(G: FiniteGroup) -> Optional[FrattiniQuotient]:
@@ -716,24 +711,16 @@ def _frattini_quotient(G: FiniteGroup) -> Optional[FrattiniQuotient]:
         rest //= p
     if rest != 1:
         return None
-    pth = power_map(t, p)
-    phi = closure_indices(t, np.concatenate([derived_subgroup(G).elements, pth]))
-    basis = list(span_walk(t, range(n), base=phi))
-    d = len(basis)
-    assert phi.size * p ** d == n, "G/Phi(G) must be elementary abelian"
-    # each coset of Phi holds exactly one product x_1^e_1 ... x_d^e_d
-    rep = t[:, phi].min(axis=1)   # least element of the coset x*Phi
-    prods, vecs = np.zeros(1, dtype=np.int64), np.zeros((1, d), dtype=np.int64)
-    for i, x in enumerate(basis):
-        prods = t[prods[:, None], powers(t, x, p)[None, :]].ravel()
-        vecs = np.repeat(vecs, p, axis=0)
-        vecs[:, i] = np.tile(np.arange(p), vecs.shape[0] // p)
-    by_rep = np.zeros((n, d), dtype=np.int64)
-    by_rep[rep[prods]] = vecs
-    coords = by_rep[rep]
-    cosets = coords @ p ** np.arange(d)
-    coords.flags.writeable = cosets.flags.writeable = False
-    return FrattiniQuotient(p=p, rank=d, coords=coords, cosets=cosets)
+    phi = closure_indices(t, np.concatenate([derived_subgroup(G).elements,
+                                             power_map(t, p)]))
+    index, rank = n // phi.size, 0
+    while index > 1:
+        index //= p
+        rank += 1
+    in_phi = np.zeros(n, dtype=bool)
+    in_phi[phi] = True
+    in_phi.flags.writeable = False
+    return FrattiniQuotient(p=p, rank=rank, in_phi=in_phi)
 
 
 # ---------------------------------------------------------------------------

@@ -142,8 +142,6 @@ def _enumerate_tables(k: int, budget: int = _ENUM_BUDGET) -> list[list[tuple[int
             for u in defined:
                 ru = rows[u]
                 for v in defined:
-                    if v not in rows or u not in rows:
-                        continue
                     w = ru[v]
                     rv = rows[v]
                     comp = tuple(ru[rv[t]] for t in range(k))
@@ -165,9 +163,8 @@ def _enumerate_tables(k: int, budget: int = _ENUM_BUDGET) -> list[list[tuple[int
 
     def row_candidates(x: int, rows: dict[int, tuple[int, ...]], d: int
                        ) -> list[tuple[int, ...]]:
-        defined = sorted(rows)
-        dset = set(defined)
-        cols = [set(rows[r][t] for r in defined) for t in range(k)]
+        # x*t must avoid the column H*t of the defined rows H = {0..x-1}
+        cols = [set(rows[r][t] for r in rows) for t in range(k)]
         found: list[tuple[int, ...]] = []
 
         def fill(pos: int, row: list[int], used: set[int]):
@@ -182,26 +179,9 @@ def _enumerate_tables(k: int, budget: int = _ENUM_BUDGET) -> list[list[tuple[int
                 if 0 < _semiregular(tuple(row)) <= d:
                     found.append(tuple(row))
                 return
-            forced = None
-            for b in range(min(pos, len(defined))):
-                if b not in dset or row[b] not in dset:
+            for v in range(k):
+                if v in used or v in cols[pos]:
                     continue
-                rb_img = rows[row[b]]
-                rb = rows[b]
-                # x*(b*c) = (x*b)*c for every c with b*c == pos
-                for c in range(k):
-                    if rb[c] == pos:
-                        val = rb_img[c]
-                        if forced is None:
-                            forced = val
-                        elif forced != val:
-                            return
-            cands = [forced] if forced is not None else list(range(k))
-            for v in cands:
-                if v is None or v in used or v in cols[pos]:
-                    continue
-                if pos in dset and v in dset:
-                    continue  # x*H must avoid H for x outside H
                 row.append(v)
                 used.add(v)
                 fill(pos + 1, row, used)

@@ -364,6 +364,62 @@ def test_sigma_cut_settles_order_128_at_once():
     assert braid.find_witness(G, 5, 2, budget=10_000) is None
 
 
+# Nodes explored on every candidate of the (5,4,64) sweep, as the search
+# counted them while it still cut branches whose prefix and centralizer
+# could not generate G; no candidate has a witness.
+NODES_5_4_64 = {
+    "I(2^2,1)": 60, "II(2^2,1)": 60, "I(2^3,1)": 216, "II(2^3,1)": 216,
+    "I(2^4,1)": 816, "II(2^4,1)": 816, "I(2^2,2)": 29_820, "II(2^2,2)": 29_820,
+}
+
+
+def test_genus_four_sweep_node_counts_unchanged():
+    rep = braid.minimal_braid_reduced_search(5, 4, 64)
+    assert rep.minimum is None
+    explored = {c.label: c.explored for c in rep.candidates}
+    assert len(explored) == 22
+    assert {k: v for k, v in explored.items() if v} == NODES_5_4_64
+
+
+@pytest.fixture(scope="module")
+def jn2_sigmas(specs_243):
+    """Each spec up to order 243 with the central sigmas the search tries:
+    sigma^2 a nontrivial element of G'."""
+    corpus = []
+    for spec in specs_243:
+        G = materialize(spec).group
+        derived = fg.derived_subgroup(G).mask
+        sigmas = [int(s) for s in np.flatnonzero(G.center_mask)
+                  if G.table[s, s] != 0 and derived[G.table[s, s]]]
+        if sigmas:
+            corpus.append((spec, G, sigmas))
+    return corpus
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_prefix_and_its_centralizer_generate_jn2_groups(jn2_sigmas, data):
+    """Why find_witness tests generation only at the leaf: on a JN2 group
+    the pairs placed so far, with [a, b] = sigma^2 and each pair inside the
+    centralizer of those before it, generate G together with their
+    centralizer, so a cut on that set never fires."""
+    spec, G, sigmas = data.draw(st.sampled_from(jn2_sigmas))
+    sigma = data.draw(st.sampled_from(sigmas))
+    s2 = int(G.table[sigma, sigma])
+    comm, commutes = G.commutators, G.commutes
+    placed, mask = [sigma], np.ones(G.order, dtype=bool)
+    for _ in range(data.draw(st.integers(1, spec.m))):
+        cent = np.flatnonzero(mask)
+        partnered = cent[(comm[cent][:, cent] == s2).any(axis=1)]
+        assert partnered.size, (str(spec), placed)   # W^perp is not zero yet
+        a = data.draw(st.sampled_from(partnered.tolist()))
+        b = data.draw(st.sampled_from(cent[comm[a, cent] == s2].tolist()))
+        mask = mask & commutes[a] & commutes[b]
+        placed += [a, b]
+        seeds = placed + np.flatnonzero(mask).tolist()
+        assert fg.closure_indices(G.table, seeds).size == G.order, (str(spec), placed)
+
+
 # ---------------------------------------------------------------------------
 # standard witnesses (explicit sigma recipes)
 

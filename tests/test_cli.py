@@ -1,5 +1,8 @@
 import contextlib
 import io
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -45,6 +48,16 @@ def test_construct_and_classify(tmp_path, capsys):
 def test_classify_abelian_negative(tmp_path, capsys):
     path = tmp_path / "c6.grp"
     fg.write_cayley(fg.cyclic(6), path)
+    code, out = run(capsys, "classify", "--in", str(path))
+    assert code == 1
+    assert machine_block(out)["jn2"] == "false"
+
+
+def test_classify_derived_not_central_negative(tmp_path, capsys):
+    # C3 x S3: G' = A3 has prime order and Z = C3 is cyclic, but G' is not
+    # central, so is_jn2 refuses it on that test
+    path = tmp_path / "c3s3.grp"
+    fg.write_cayley(fg.direct_product(fg.cyclic(3), fg.symmetric(3)), path)
     code, out = run(capsys, "classify", "--in", str(path))
     assert code == 1
     assert machine_block(out)["jn2"] == "false"
@@ -224,6 +237,26 @@ def test_each_verb_accepts_only_the_flags_it_reads(verb, capsys, tmp_path, monke
             assert cli.main(argv + [flag, "1"]) == 2, flag
     capsys.readouterr()
     assert sum(map(len, VERB_FLAGS.values())) == 17
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys, monkeypatch):
+    """The parser is built once per process; calls in one process, mixing
+    verbs and a usage error, each print what a fresh process prints."""
+    monkeypatch.chdir(tmp_path)
+    fg.write_cayley(fg.dihedral(8), tmp_path / "d8.grp")
+    argvs = [["classify", "--in", "d8.grp"],
+             ["construct", "--spec", "I(2,1)", "--bound", "3"],
+             ["search-min", "--n", "6", "--g", "1", "--bound", "16"],
+             ["enumerate", "--bound", "4"],
+             ["construct", "--spec", "I(2,1)"]]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    fresh = [subprocess.run([sys.executable, "-m", "braidquot.cli", *argv], env=env,
+                            capture_output=True, text=True) for argv in argvs]
+    assert [f.returncode for f in fresh] == [0, 2, 0, 0, 0]
+    for _ in range(2):
+        for argv, f in zip(argvs, fresh):
+            code, out = run(capsys, *argv)
+            assert (code, out) == (f.returncode, f.stdout), argv
 
 
 @pytest.mark.parametrize("verb", ["check-witness", "check-full"])

@@ -481,29 +481,41 @@ def test_frattini_only_for_prime_power_orders(exhaustive_tiers):
         assert G.frattini is None
 
 
-def test_frattini_coordinates(p_group_corpus):
-    """coords is a homomorphism onto F_p^rank whose kernel is G'G^p."""
+def test_frattini_subgroup_and_rank(p_group_corpus):
+    """Phi is the closure of all n^2 commutators and the p-th powers, and
+    ``rank`` is the length of a basis walk of G over Phi, each pick of
+    which multiplies the span by p (G/Phi is elementary abelian)."""
     for G in p_group_corpus:
         fr = G.frattini
-        t = G.table
         assert G.order % fr.p == 0 and fr.rank >= 1
-        lhs = fr.coords[t]                                  # coords of x*y
-        rhs = (fr.coords[:, None, :] + fr.coords[None, :, :]) % fr.p
-        assert np.array_equal(lhs, rhs), G.label
         pth = [G.power(x, fr.p) for x in range(G.order)]
         phi = fg.subgroup_generated(G, list(np.unique(G.commutators)) + pth)
-        assert np.array_equal(~fr.coords.any(axis=1), phi.mask), G.label
-        assert np.unique(fr.cosets).size == fr.p ** fr.rank
-        assert np.array_equal(fr.cosets, fr.coords @ fr.p ** np.arange(fr.rank))
+        assert np.array_equal(fr.in_phi, phi.mask), G.label
+        basis, span = [], set(phi.elements)
+        for x in G.elements():
+            if x not in span:
+                basis.append(x)
+                span = set(fg.closure_indices(G.table, [*phi.elements, *basis]).tolist())
+                assert len(span) == fr.p ** len(basis) * phi.order, G.label
+        assert len(basis) == fr.rank, G.label
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_frattini_rank_decides_generation(p_group_corpus, data):
+def test_frattini_elements_are_non_generators(p_group_corpus, data):
+    """What the witness search's sigma skip rests on: an element x of Phi
+    can be dropped from any set that generates with it, so a generating
+    set has at least ``rank`` elements outside Phi."""
     G = data.draw(st.sampled_from(p_group_corpus))
+    fr = G.frattini
     subset = data.draw(st.lists(st.integers(0, G.order - 1), max_size=6))
-    by_rank = G.frattini.span_rank(subset) == G.frattini.rank
-    assert by_rank == (fg.closure_indices(G.table, subset).size == G.order), G.label
+    if data.draw(st.booleans()):
+        subset = list(G.generators) + subset
+    x = data.draw(st.sampled_from(np.flatnonzero(fr.in_phi).tolist()))
+    whole = fg.closure_indices(G.table, subset).size == G.order
+    assert (fg.closure_indices(G.table, subset + [x]).size == G.order) == whole, G.label
+    if whole:
+        assert len({s for s in subset if not fr.in_phi[s]}) >= fr.rank, G.label
 
 
 # ---------------------------------------------------------------------------

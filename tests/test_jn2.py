@@ -277,6 +277,17 @@ def test_is_jn2_s4_none():
     assert jn2.is_jn2(fg.symmetric(4)) is None
 
 
+def test_is_jn2_derived_not_central_none():
+    # C3 x S3 passes every test before the last two: G' = A3 has prime
+    # order 3 and Z = C3 x 1 is cyclic of order 3; but G' is not central
+    G = fg.direct_product(fg.cyclic(3), fg.symmetric(3))
+    D, Z = fg.derived_subgroup(G), fg.center(G)
+    assert (G.order, D.order, Z.order) == (18, 3, 3)
+    assert G.element_orders[Z.mask].max() == 3
+    assert not Z.mask[D.mask].all()
+    assert jn2.is_jn2(G) is None
+
+
 # ---------------------------------------------------------------------------
 # symplectic data
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -59,6 +60,31 @@ def test_tables_put_an_element_of_maximal_order_first():
             d = int(G.element_orders[1])
             assert d == G.element_orders.max(), (k, rows)
             assert [G.power(1, i) for i in range(d)] == list(range(d)), (k, rows)
+
+
+# sha256 of repr(_enumerate_tables(k)) and the nodes it visits, k <= 9, as
+# the enumeration gave them while it still tried forced row entries
+TABLE_DIGESTS = {
+    1: ("86b5d3162787617aa35eb7d0c9b00a08fb3f4d1b2bba193bd6c2ccbd53fefdcf", 0),
+    2: ("dc3d530bb05de88023054a9b34efd50a134f717efe23f98dc73d4b08f20b3cb6", 1),
+    3: ("b542902a02f3a0c0c5b3e6c4ac69b628e09bf04717fb52784879af0f4d90e27c", 1),
+    4: ("90e0df99a0779619093c851d6f8cda683b342f298df9608eb91e126d4cb29598", 8),
+    5: ("dbcbeb19bb80df8bbe7911f5a5df441989d0815fe7c32cf65f0b887ff4620810", 1),
+    6: ("fd6417bac01ee98b1130161bd57c91d60c8caf79f45e63e822f0be0a06a2aed6", 145),
+    7: ("1c756656d6face6e46eaae2521b2c3909f8ec4e7bc83b6fdb39538970ea01ee5", 1),
+    8: ("1d01abc98c18f3a488fa995a766eb17bc922c4271e302bbc58f5fb042c483a18", 10_351),
+    9: ("469c43edc01488c0385162f7d335529e7beeba6907e2a0646e2a2162b2569476", 161_129),
+}
+
+
+@pytest.mark.parametrize("k", sorted(TABLE_DIGESTS))
+def test_enumerated_tables_and_nodes_pinned(k):
+    digest, nodes = TABLE_DIGESTS[k]
+    tables = oracle._enumerate_tables(k, budget=nodes)
+    assert hashlib.sha256(repr(tables).encode()).hexdigest() == digest
+    if nodes:
+        with pytest.raises(SearchBudgetExceeded):
+            oracle._enumerate_tables(k, budget=nodes - 1)
 
 
 def _match_one_to_one(tier, standard):
