@@ -280,9 +280,10 @@ def find_witness(G: FiniteGroup, n: int, g: int,
     is given, its ``explored`` is set to the number of nodes visited.
 
     sigma ranges over central elements with sigma^(2(g+n-1)) = 1 (forced by
-    R1' together with generation); sigma^2 must land in the derived subgroup
-    (it is a commutator of witness elements), and for nonabelian G the case
-    sigma^2 = 1 is skipped since a pairwise-commuting tuple cannot generate.
+    R1' together with generation) and <sigma^2> = G'.  A witness forces the
+    latter: G is generated by sigma and pairs whose only nontrivial
+    commutators are the central sigma^2, so G' = <sigma^2>.  The gate is
+    sigma^2 in G' with order |G'|; on abelian G it asks sigma^2 = 1.
 
     Generation is tested once per leaf, by the closure of sigma and the 2g
     placed elements.  For G of order p^k one test comes earlier: by the
@@ -315,19 +316,15 @@ def find_witness(G: FiniteGroup, n: int, g: int,
     first witness is least in its orbit at every position (else a conjugate
     would come first).
 
-    Those orbits are whole conjugacy classes whenever sigma has a witness,
-    so the search tests "least in its conjugacy class" from one table of
-    class minima.  If sigma has a witness, G is generated by sigma and
-    pairs whose only nontrivial commutators are the central sigma^2, so
-    G' = <sigma^2>.  Let a be tried, with a partner b in C, [a, b] = sigma^2.
-    Then b a b^-1 = a sigma^-2, so conjugating by powers of b (all in C)
-    sweeps the coset a<sigma^2>; and every conjugate h a h^-1 = a[a^-1, h]
-    lies in aG' = a<sigma^2>.  So a's C-orbit is its class.  Likewise b's
-    orbit under C ∩ C(a) holds a^k b a^-k = sigma^2k b, the coset b<sigma^2>,
-    which is b's class.  If sigma has no witness, pruning more nodes cannot
-    turn its None into a witness.  So every sigma ends as it would in the
-    unpruned search, and the verdict and the first witness returned are
-    those of the unpruned search.
+    Past the gate those orbits are the cosets of G' = <sigma^2>, so the
+    search tests "least in its coset" from one gather per sigma.  Let a be
+    tried, with a partner b in C, [a, b] = sigma^2.  Then b a b^-1 =
+    a sigma^-2, so conjugating by powers of b (all in C) sweeps the coset
+    a<sigma^2>; and every conjugate h a h^-1 = a[a^-1, h] lies in aG'.  So
+    a's C-orbit is its coset.  Likewise b's orbit under C ∩ C(a) holds
+    a^k b a^-k = sigma^2k b, the coset b<sigma^2>, and every conjugate of b
+    lies in bG'.  The pruning is exact orbit pruning, so the verdict and the
+    first witness returned are those of the unpruned search.
     """
     if n < 3 or g < 1:
         raise ParamRange(f"need n >= 3 and g >= 1, got n={n}, g={g}")
@@ -335,10 +332,8 @@ def find_witness(G: FiniteGroup, n: int, g: int,
     T = G.table
     tr_exp = 2 * (g + n - 1)
     comm = G.commutators
-    commutes = G.commutes
     orders = G.element_orders
-    derived = derived_subgroup(G).mask
-    nonabelian = not G.is_abelian
+    derived = derived_subgroup(G)
     frattini = G.frattini
     stats = stats if stats is not None else SearchStats()
     stats.explored = 0
@@ -349,42 +344,35 @@ def find_witness(G: FiniteGroup, n: int, g: int,
             raise SearchBudgetExceeded(
                 f"witness search exceeded {budget} nodes", explored=stats.explored)
 
-    class_least = np.empty(N, dtype=np.int64)   # least element of x's class
-    for cls in G.conjugacy_classes:
-        class_least[list(cls)] = cls[0]
-
-    def least_in_class(xs: np.ndarray) -> np.ndarray:
-        return xs[class_least[xs] == xs]
-
     sigmas = [s for s in range(N)
-              if G.center_mask[s] and tr_exp % int(orders[s]) == 0]
+              if G.center_mask[s] and tr_exp % int(orders[s]) == 0
+              and derived.is_generated_by(int(T[s, s]))]
 
     def place(r: int, placed: list[int], mask: np.ndarray,
-              sigma: int, s2: int) -> Optional[list[int]]:
+              sigma: int, s2: int, least: np.ndarray) -> Optional[list[int]]:
         if r == g:
             whole = closure_indices(T, [sigma] + placed).size == N
             return placed if whole else None
         cent = np.flatnonzero(mask)    # C, the centralizer of the prefix
         partnered = (comm[cent][:, cent] == s2).any(axis=1)
-        for a in least_in_class(cent[partnered]):
+        for a in cent[partnered & (least[cent] == cent)]:
             bump()
-            for b in least_in_class(cent[comm[a, cent] == s2]):
+            inner = mask & (comm[a] == 0)
+            bs = cent[comm[a, cent] == s2]
+            for b in bs[least[bs] == bs]:
                 bump()
                 res = place(r + 1, placed + [int(a), int(b)],
-                            mask & commutes[a] & commutes[b], sigma, s2)
+                            inner & (comm[b] == 0), sigma, s2, least)
                 if res is not None:
                     return res
         return None
 
     for sigma in sigmas:
         s2 = int(T[sigma, sigma])
-        if not derived[s2]:
-            continue
-        if nonabelian and s2 == 0:
-            continue  # commuting tuple generates an abelian subgroup only
         if frattini is not None and (not frattini.in_phi[sigma]) + 2 * g < frattini.rank:
             continue
-        found = place(0, [], np.ones(N, dtype=bool), sigma, s2)
+        least = T[:, fingroup.powers(T, s2, derived.order)].min(axis=1)  # min of x<sigma^2>
+        found = place(0, [], np.ones(N, dtype=bool), sigma, s2, least)
         if found is not None:
             return Witness(group=G, n=n, g=g, sigma=sigma,
                            a=tuple(found[0::2]), b=tuple(found[1::2]))

@@ -75,8 +75,9 @@ def powers(table: np.ndarray, x: int, count: int) -> np.ndarray:
 def closure_indices(table: np.ndarray, seeds: Iterable[int]) -> np.ndarray:
     """Sorted indices of the subgroup generated by ``seeds``, identity
     included: the set S = seeds + {0} is replaced by all products S*S until
-    it stops growing.  Products are marked in a membership mask, so each
-    round reads the next sorted set off the mask with no sort or hash."""
+    it stops growing or holds every element.  Products are marked in a
+    membership mask, so each round reads the next sorted set off the mask
+    with no sort or hash."""
     inside = np.zeros(table.shape[0], dtype=bool)
     inside[0] = True
     inside[np.fromiter(seeds, dtype=np.int64, count=-1)] = True
@@ -84,8 +85,8 @@ def closure_indices(table: np.ndarray, seeds: Iterable[int]) -> np.ndarray:
     while True:
         inside[table[cur][:, cur]] = True
         nxt = np.flatnonzero(inside)
-        if nxt.size == cur.size:
-            return cur
+        if nxt.size == cur.size or nxt.size == table.shape[0]:
+            return nxt
         cur = nxt
 
 
@@ -159,13 +160,8 @@ class FiniteGroup:
         return orders
 
     @cached_property
-    def commutes(self) -> np.ndarray:
-        """Boolean matrix: commutes[x, y] iff xy = yx."""
-        return np.asarray(self.table == self.table.T)
-
-    @cached_property
     def centralizer_sizes(self) -> np.ndarray:
-        return self.commutes.sum(axis=1)
+        return (self.table == self.table.T).sum(axis=1)
 
     @cached_property
     def center_mask(self) -> np.ndarray:
@@ -498,6 +494,10 @@ class Subgroup:
     @property
     def is_whole(self) -> bool:
         return self.order == self.parent.order
+
+    def is_generated_by(self, x: int) -> bool:
+        """<x> is this subgroup: x lies in it and has its order."""
+        return bool(self.mask[x] and self.parent.element_orders[x] == self.order)
 
     def normality_violation(self) -> Optional[tuple[int, int]]:
         """First (x, s), x-major, with x s x^-1 outside the subgroup, or None.

@@ -183,13 +183,11 @@ def is_jn2(G: FiniteGroup) -> Optional[tuple[int, int, int]]:
         return None  # central quotient not abelian
     if not Z.mask[power_map(G.table, p)].all():
         return None  # central quotient not of exponent p
-    v = G.order // Z.order
+    v = G.order // Z.order    # |G/Z|, a power of p by Cauchy: G/Z has exponent p
     e = 0
     while v % p == 0:
         v //= p
         e += 1
-    if v != 1:
-        return None
     assert e % 2 == 0, "commutator pairing forces even dimension"
     return (p, j, e // 2)
 

@@ -241,7 +241,7 @@ def _first_witness_unpruned(G, n, g):
     the pairs before it, and a branch is cut only when that centralizer and
     the prefix together cannot generate G (closure, not Frattini rank)."""
     N, T = G.order, G.table
-    comm, commutes = G.commutators, G.commutes
+    comm, commutes = G.commutators, G.commutators == 0
     tr_exp = 2 * (g + n - 1)
 
     def extend(sigma, s2, placed, mask):
@@ -381,16 +381,72 @@ def test_genus_four_sweep_node_counts_unchanged():
     assert {k: v for k, v in explored.items() if v} == NODES_5_4_64
 
 
+# Nodes explored on every candidate of the (5,2,128) and (7,3,128) sweeps,
+# 9,620 and 1,088 in all, as the search counted them while it pruned by
+# conjugacy-class minima and tried every sigma with sigma^2 a nontrivial
+# element of G'.
+NODES_5_2_128 = {
+    "I(2^2,1)": 60, "II(2^2,1)": 60, "I(3,1)": 64, "II(3,1)": 64,
+    "I(2^3,1)": 216, "II(2^3,1)": 216, "I(2^2,2)": 4, "II(2^2,2)": 4,
+    "I(2^4,1)": 816, "II(2^4,1)": 816, "I(3^2,1)": 480, "II(3^2,1)": 480,
+    "I(2^5,1)": 3_168, "II(2^5,1)": 3_168, "II(2^3,2)": 4,
+}
+NODES_7_3_128 = {"I(3,1)": 64, "II(3,1)": 64, "I(3^2,1)": 480, "II(3^2,1)": 480}
+
+
+@pytest.mark.parametrize("n,g,nodes", [(5, 2, NODES_5_2_128), (7, 3, NODES_7_3_128)],
+                         ids=["n5_g2", "n7_g3"])
+def test_bound_128_sweep_node_counts_unchanged(n, g, nodes):
+    rep = braid.minimal_braid_reduced_search(n, g, 128)
+    explored = {c.label: c.explored for c in rep.candidates}
+    assert len(explored) == 32
+    assert {k: v for k, v in explored.items() if v} == nodes
+
+
+@pytest.fixture(scope="module")
+def gate_corpus(exhaustive_tiers, catalog, specs_243):
+    groups = [G for tier in exhaustive_tiers.values() for G in tier]
+    groups += [entry.group for entry in catalog.entries]
+    groups += [materialize(spec).group for spec in specs_243]
+    return [(G, fg.derived_subgroup(G)) for G in groups]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sigma_gate_admits_exactly_when_sigma_squared_generates_derived(gate_corpus,
+                                                                        data):
+    # find_witness tries a central sigma only when derived.is_generated_by(sigma^2).
+    # Every x in G is checked, not only central squares: A4's involutions
+    # lie in G' = V4 without spanning it, which no central square here does.
+    G, derived = data.draw(st.sampled_from(gate_corpus))
+    for x in range(G.order):
+        spanned = tuple(fg.closure_indices(G.table, [x]).tolist())
+        assert derived.is_generated_by(x) == (spanned == derived.elements), (G.label, x)
+
+
+# G' has order 6 and 4 here, but sigma^2 has order at most 2 for every
+# central sigma, so no sigma passes the gate.  Before the gate
+# asked <sigma^2> = G', the search visited 372, 372 and 1,944 nodes.
+@pytest.mark.parametrize("factor,n,g", [("S3", 6, 1), ("S3", 5, 2), ("D8", 5, 2)])
+def test_sigma_gate_skips_products_with_a_larger_derived_subgroup(factor, n, g):
+    H = fg.symmetric(3) if factor == "S3" else fg.dihedral(8)
+    G = fg.direct_product(H, materialize(parse_spec("I(2^2,1)")).group)
+    stats = braid.SearchStats()
+    assert braid.find_witness(G, n, g, stats=stats) is None
+    assert stats.explored == 0
+    assert _first_witness_unpruned(G, n, g) is None
+
+
 @pytest.fixture(scope="module")
 def jn2_sigmas(specs_243):
     """Each spec up to order 243 with the central sigmas the search tries:
-    sigma^2 a nontrivial element of G'."""
+    <sigma^2> = G'."""
     corpus = []
     for spec in specs_243:
         G = materialize(spec).group
-        derived = fg.derived_subgroup(G).mask
+        derived = fg.derived_subgroup(G)
         sigmas = [int(s) for s in np.flatnonzero(G.center_mask)
-                  if G.table[s, s] != 0 and derived[G.table[s, s]]]
+                  if derived.is_generated_by(int(G.table[s, s]))]
         if sigmas:
             corpus.append((spec, G, sigmas))
     return corpus
@@ -406,7 +462,7 @@ def test_prefix_and_its_centralizer_generate_jn2_groups(jn2_sigmas, data):
     spec, G, sigmas = data.draw(st.sampled_from(jn2_sigmas))
     sigma = data.draw(st.sampled_from(sigmas))
     s2 = int(G.table[sigma, sigma])
-    comm, commutes = G.commutators, G.commutes
+    comm, commutes = G.commutators, G.commutators == 0
     placed, mask = [sigma], np.ones(G.order, dtype=bool)
     for _ in range(data.draw(st.integers(1, spec.m))):
         cent = np.flatnonzero(mask)

@@ -216,7 +216,7 @@ def test_symmetric_names_are_adjacent_transpositions():
         s = S4.names[f"s{i}"]
         assert S4.element_order(s) == 2
     # adjacent transpositions don't commute
-    assert not S4.commutes[S4.names["s1"], S4.names["s2"]]
+    assert S4.commutator(S4.names["s1"], S4.names["s2"]) != 0
 
 
 def test_direct_product_orders():
@@ -700,8 +700,11 @@ def _closure_by_unique(table: np.ndarray, seeds) -> np.ndarray:
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_closure_indices_matches_unique_reference(small_corpus, data):
-    t = data.draw(st.sampled_from([LOOP6] + [G.table for G in small_corpus]))
-    seeds = data.draw(st.lists(st.integers(0, len(t) - 1), max_size=5))
+    G = data.draw(st.sampled_from([None] + small_corpus))
+    t = LOOP6 if G is None else G.table
+    # seeds that close to the whole table end the loop a round early
+    whole = list(range(len(t))) if G is None else list(G.generators)
+    seeds = data.draw(st.lists(st.integers(0, len(t) - 1), max_size=5) | st.just(whole))
     got = fg.closure_indices(t, seeds)
     assert np.array_equal(got, _closure_by_unique(t, seeds))
     assert list(fg.closure_indices(t, np.asarray(seeds, dtype=np.int64))) == list(got)
