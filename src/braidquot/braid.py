@@ -267,7 +267,9 @@ def check_reduced_witness(w: Witness) -> QuotientReport:
 @dataclass
 class SearchStats:
     """What one witness search did: ``explored`` counts its nodes, one per
-    a and one per b tried (the count a budget error reports)."""
+    a and one per b tried (the count a budget error reports).  0 means the
+    count cut, the sigma gate or the Frattini skip settled the group before
+    any pair was placed."""
 
     explored: int = 0
 
@@ -279,64 +281,50 @@ def find_witness(G: FiniteGroup, n: int, g: int,
     element index), or None after exhausting the search space.  If ``stats``
     is given, its ``explored`` is set to the number of nodes visited.
 
-    sigma ranges over central elements with sigma^(2(g+n-1)) = 1 (forced by
-    R1' together with generation) and <sigma^2> = G'.  A witness forces the
-    latter: G is generated by sigma and pairs whose only nontrivial
-    commutators are the central sigma^2, so G' = <sigma^2>.  The gate is
-    sigma^2 in G' with order |G'|; on abelian G it asks sigma^2 = 1.
+    A witness forces G' = <sigma^2>: G is generated by sigma and pairs whose
+    only nontrivial commutators are the central sigma^2.  Three necessary
+    conditions follow, each tested before any pair is placed.
+    - The count cut: |G : Z| = |G'|^(2g).  With k = |G'|, G has class at
+      most 2, so commutators are bilinear and x -> ([x, b_j], [a_j, x])_j,
+      read in <sigma^2> = Z/k, is a homomorphism G -> (Z/k)^(2g).  It is
+      onto, since a_i and b_i map to the 2g unit vectors, and its kernel is
+      Z, since an x in it commutes with sigma and every pair, which generate
+      G.  On JN2 groups of rank m it admits only m = g.
+    - The sigma gate: sigma ranges over central elements with
+      sigma^(2(g+n-1)) = 1 (forced by R1' together with generation) and
+      <sigma^2> = G', tested as sigma^2 in G' with order |G'|; on abelian G
+      it asks sigma^2 = 1.
+    - The Frattini skip: for G of order p^k, by the Burnside basis theorem a
+      generating set has at least d elements outside the Frattini subgroup
+      Phi(G), d the rank of G/Phi(G), so a sigma is skipped when
+      (sigma not in Phi) + 2g < d.
 
-    Generation is tested once per leaf, by the closure of sigma and the 2g
-    placed elements.  For G of order p^k one test comes earlier: by the
-    Burnside basis theorem a generating set has at least d elements outside
-    the Frattini subgroup Phi(G), d the rank of G/Phi(G), so a sigma is
-    skipped when (sigma not in Phi) + 2g < d.
-
-    No cut tests generation inside the tree, since on the groups the sweep
-    tries it cannot fire.  On a JN2 group sigma^2 generates G', the placed
-    pairs span a nondegenerate subspace W of V = G/Z under the commutator
-    pairing, and the prefix's centralizer C contains Z and maps onto
-    W^perp; so the prefix and C always generate G.  The sweep's other
-    candidates, the catalog groups up to order 15 other than D8 and Q8,
-    have |Z| <= 2, so every sigma there has sigma^2 = 1 and is skipped
-    before any pair is placed.  On any other group such a cut could only
-    save time; it could never change a verdict.
-
-    Two prunings shape the loops over a_{r+1} and b_{r+1}.  The elements
-    still placeable after r pairs form C = C(sigma, a_1, b_1, ..., a_r, b_r),
-    the centralizer of the prefix (sigma is central).
-    - An a with no b in C such that [a, b] = sigma^2 starts no witness, so it
-      is not tried.
-    - Conjugation by h in C fixes sigma and the prefix and maps C to itself,
-      so it maps witnesses to witnesses with the same prefix.  Hence a_{r+1}
-      only needs to range over elements least in their orbit under
-      conjugation by C, and b_{r+1} over elements least in their orbit under
-      C ∩ C(a_{r+1}) (orbit-stabilizer pruning: Holt, Eick & O'Brien,
-      *Handbook of Computational Group Theory*, 2005).
-    The search visits tuples in lexicographic order, and the lexicographically
-    first witness is least in its orbit at every position (else a conjugate
-    would come first).
-
-    Past the gate those orbits are the cosets of G' = <sigma^2>, so the
-    search tests "least in its coset" from one gather per sigma.  Let a be
-    tried, with a partner b in C, [a, b] = sigma^2.  Then b a b^-1 =
-    a sigma^-2, so conjugating by powers of b (all in C) sweeps the coset
-    a<sigma^2>; and every conjugate h a h^-1 = a[a^-1, h] lies in aG'.  So
-    a's C-orbit is its coset.  Likewise b's orbit under C ∩ C(a) holds
-    a^k b a^-k = sigma^2k b, the coset b<sigma^2>, and every conjugate of b
-    lies in bG'.  The pruning is exact orbit pruning, so the verdict and the
-    first witness returned are those of the unpruned search.
+    Past them, a_{r+1} ranges over C, the centralizer of sigma and the r
+    pairs placed, and b_{r+1} over the elements of C with
+    [a_{r+1}, b_{r+1}] = sigma^2.  Generation is tested once per leaf, by
+    the closure of sigma and the 2g placed elements.  No cut tests it
+    inside the tree, since on the groups the sweep tries it cannot fire.
+    On a JN2 group sigma^2 generates G', the placed pairs span a
+    nondegenerate subspace W of V = G/Z under the commutator pairing, and
+    C contains Z and maps onto W^perp; so the prefix and C always generate
+    G.  The sweep's catalog groups up to order 15 are settled before a pair
+    is placed: the count cut admits only D8 and Q8 at g = 1, and there the
+    gate skips every sigma (|Z| = 2, so sigma^2 = 1).  Every test is a
+    necessary condition, so the verdict and the first witness are those of
+    the unpruned search.
     """
     if n < 3 or g < 1:
         raise ParamRange(f"need n >= 3 and g >= 1, got n={n}, g={g}")
     N = G.order
     T = G.table
-    tr_exp = 2 * (g + n - 1)
-    comm = G.commutators
-    orders = G.element_orders
     derived = derived_subgroup(G)
-    frattini = G.frattini
     stats = stats if stats is not None else SearchStats()
     stats.explored = 0
+    if N // int(G.center_mask.sum()) != derived.order ** (2 * g):
+        return None
+    tr_exp = 2 * (g + n - 1)
+    orders = G.element_orders
+    frattini = G.frattini
 
     def bump() -> None:
         stats.explored += 1
@@ -349,30 +337,27 @@ def find_witness(G: FiniteGroup, n: int, g: int,
               and derived.is_generated_by(int(T[s, s]))]
 
     def place(r: int, placed: list[int], mask: np.ndarray,
-              sigma: int, s2: int, least: np.ndarray) -> Optional[list[int]]:
+              sigma: int, s2: int) -> Optional[list[int]]:
         if r == g:
             whole = closure_indices(T, [sigma] + placed).size == N
             return placed if whole else None
         cent = np.flatnonzero(mask)    # C, the centralizer of the prefix
-        partnered = (comm[cent][:, cent] == s2).any(axis=1)
-        for a in cent[partnered & (least[cent] == cent)]:
+        for a in cent:
             bump()
             inner = mask & (comm[a] == 0)
-            bs = cent[comm[a, cent] == s2]
-            for b in bs[least[bs] == bs]:
+            for b in cent[comm[a, cent] == s2]:
                 bump()
                 res = place(r + 1, placed + [int(a), int(b)],
-                            inner & (comm[b] == 0), sigma, s2, least)
+                            inner & (comm[b] == 0), sigma, s2)
                 if res is not None:
                     return res
         return None
 
     for sigma in sigmas:
-        s2 = int(T[sigma, sigma])
         if frattini is not None and (not frattini.in_phi[sigma]) + 2 * g < frattini.rank:
             continue
-        least = T[:, fingroup.powers(T, s2, derived.order)].min(axis=1)  # min of x<sigma^2>
-        found = place(0, [], np.ones(N, dtype=bool), sigma, s2, least)
+        comm = G.commutators    # the N x N matrix, built for the first sigma past the tests
+        found = place(0, [], np.ones(N, dtype=bool), sigma, int(T[sigma, sigma]))
         if found is not None:
             return Witness(group=G, n=n, g=g, sigma=sigma,
                            a=tuple(found[0::2]), b=tuple(found[1::2]))
@@ -448,7 +433,8 @@ class CandidateVerdict:
     spec: Optional[Jn2Spec]    # None for a catalog group
     group: FiniteGroup
     witness: Optional[Witness]
-    explored: int              # nodes the witness search visited
+    explored: int              # nodes the witness search visited; 0 when the
+                               # count cut, sigma gate or Frattini skip settled it
 
 
 @dataclass(frozen=True)
