@@ -13,7 +13,9 @@ the laws below are checked on the certified generators A only, exactly:
 - ``center_mask``: x commutes with every a in A, n*|A| cells;
 - ``Subgroup.is_normal``: a N a^-1 lies in N for a in A, |A|*|N| cells;
 - ``derived_subgroup``: the normal closure of the commutators [a, b] of
-  generators, conjugating by A only.
+  generators, conjugating by A only;
+- ``is_isomorphic``: f(g*y) = f(g)*f(y) on each K = <g_1..g_i> of its
+  generating sequence, for g among g_1..g_i and every y in K.
 All values are immutable after construction; operations are pure functions
 of their inputs.
 """
@@ -107,10 +109,6 @@ class FiniteGroup:
     label: Optional[str] = None
     names: Mapping[str, int] = field(default_factory=dict, repr=False)
 
-    @property
-    def identity(self) -> int:
-        return 0
-
     def elements(self) -> range:
         return range(self.order)
 
@@ -200,11 +198,6 @@ class FiniteGroup:
             seen[cls] = True
             classes.append(tuple(int(c) for c in cls))
         return tuple(classes)
-
-    @cached_property
-    def class_sizes(self) -> np.ndarray:
-        """Length of each element's conjugacy class, |G| / |C_G(x)|."""
-        return self.order // self.centralizer_sizes
 
     @cached_property
     def order_profile(self) -> dict[int, int]:
@@ -732,7 +725,6 @@ def _signatures(G: FiniteGroup) -> np.ndarray:
     sq = G.table[np.arange(G.order), np.arange(G.order)]
     return np.stack([G.element_orders,
                      G.centralizer_sizes,
-                     G.class_sizes,
                      G.element_orders[sq]], axis=1)
 
 
@@ -754,82 +746,24 @@ def span_walk(table: np.ndarray, candidates: Iterable[int],
             inside[closure_indices(table, [*base, *picks])] = True
 
 
-@dataclass(frozen=True, eq=False)
-class _Level:
-    """One step of an isomorphism plan: the pick ``g`` and the closure
-    rounds that carry a domain D to <D, g>.  In each round, x = u*v for
-    every (u, v, x); u and v lie in D, are g, or came in an earlier round.
-    ``added`` lists g and the xs in placement order, ``dom`` is <D, g>."""
-
-    g: int
-    rounds: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-    added: np.ndarray
-    dom: np.ndarray
-
-
-def _extension_plan(G: FiniteGroup) -> list[_Level]:
-    """G's side of the isomorphism search, which no candidate image alters.
-
-    Walks the elements by (-order, centralizer size, index), picks each one
-    outside the domain so far and closes the domain over it, until the
-    domain is all of G.  Each round multiplies the elements new in the last
-    round by the whole domain, on both sides, and keeps the products not
-    yet known, each with the first (u, v) that gives it."""
-    n, T = G.order, G.table
-    orders, csz = G.element_orders, G.centralizer_sizes
-    known = np.zeros(n, dtype=bool)
-    known[0] = True
-    dom = np.zeros(1, dtype=np.int64)
-    levels: list[_Level] = []
-    for g in sorted(range(1, n), key=lambda x: (-orders[x], csz[x], x)):
-        if dom.size == n:
-            break
-        if known[g]:
-            continue
-        known[g] = True
-        new = np.array([g], dtype=np.int64)
-        dom = np.append(dom, new)
-        start = dom.size - 1
-        rounds = []
-        while True:
-            f, k = new.size, dom.size
-            prods = np.concatenate([T[new][:, dom].ravel(),
-                                    T[dom][:, new].ravel()])
-            pos = np.flatnonzero(~known[prods])
-            if pos.size == 0:
-                break
-            xs, first = np.unique(prods[pos], return_index=True)
-            pos = pos[first]
-            left = pos < f * k            # new * dom, else dom * new
-            q = np.where(left, pos, pos - f * k)
-            u = np.where(left, new[q // k], dom[q // f])
-            v = np.where(left, dom[q % k], new[q % f])
-            rounds.append((u, v, xs))
-            known[xs] = True
-            dom = np.append(dom, xs)
-            new = xs
-        levels.append(_Level(g=int(g), rounds=tuple(rounds),
-                             added=dom[start:], dom=dom))
-    return levels
-
-
 def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupMap]:
     """Explicit isomorphism G -> H, or None.
 
-    Backtracks over images of a greedy generating sequence g_1, g_2, ... of
-    G (see ``_extension_plan``), trying for g_i each h in H with the same
-    element order, centralizer size, class size and square order, in index
-    order, that is not yet an image.  A candidate h is accepted exactly when
-    some injective homomorphism on K = <g_1..g_i> extends the map f placed
-    on D = <g_1..g_(i-1)> and sends g_i to h.  Such a homomorphism is
-    unique, since its values on the closure rounds are forced: x = u*v goes
-    to f(u)*f(v).  So a candidate costs one gather per round, which sets f
-    on the new elements K - D, and one test: f(a*y) = f(a)*f(y) for every
-    new a and every y in K, and no new element is sent into f(D).
-    - The test makes f a homomorphism on K.  The s in K with
-      f(s*y) = f(s)*f(y) for all y in K are closed under products, and they
-      include K - D, whose products give all of K: for d in D and a
-      outside D, d*a and a^-1 are outside D, and d = (d*a)*a^-1.
+    Backtracks over images of the greedy generating sequence g_1, g_2, ...
+    that ``span_walk`` picks from G's elements sorted by (-order,
+    centralizer size, index), trying for g_i each h in H with the same
+    element order, centralizer size and square order, in index order, that
+    is not yet an image.  A candidate h is accepted exactly when some
+    injective homomorphism on K = <g_1..g_i> extends the map f placed on
+    D = <g_1..g_(i-1)> and sends g_i to h.  G's side is fixed once per
+    call: the breadth-first rounds that reach K from D by right
+    multiplication with g_1..g_i, each new x as x = u*g_k with u in D or an
+    earlier round.  Such a homomorphism is unique, since its values there
+    are forced: f(x) = f(u)*f(g_k).  So a candidate costs one gather per
+    round and one test: no new element is sent into f(D), and
+    f(g_k*y) = f(g_k)*f(y) for every k <= i and y in K, i*|K| cells.
+    - The test makes f a homomorphism on K, by the generator law of the
+      module docstring applied to K and its generators g_1..g_i.
     - It makes f injective: a nontrivial kernel element is not in D, where
       f is injective, so it is new, and its image is the identity, the
       image of an element of D.
@@ -847,45 +781,57 @@ def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupMap]:
     if sorted(map(tuple, sigG.tolist())) != sorted(map(tuple, sigH.tolist())):
         return None
 
-    n = G.order
-    if n == 1:
-        return GroupMap(G, H, np.zeros(1, dtype=np.int32))
+    n, TG, TH = G.order, G.table, H.table
+    orders, csz = G.element_orders, G.centralizer_sizes
+    picks = span_walk(TG, sorted(range(1, n), key=lambda x: (-orders[x], csz[x], x)))
+    seq = np.fromiter(picks, dtype=np.intp)
+    # per level i: the rounds (u, k, x), the elements new in K, K itself,
+    # and the products g_k*y for k <= i and y in K
+    levels = []
+    known = np.zeros(n, dtype=bool)
+    known[0] = True
+    dom = np.zeros(1, dtype=np.intp)
+    for i in range(1, seq.size + 1):
+        new, rounds = dom, []
+        while True:
+            prods = TG[new][:, seq[:i]].ravel()
+            pos = np.flatnonzero(~known[prods])
+            if pos.size == 0:
+                break
+            xs, first = np.unique(prods[pos], return_index=True)
+            rounds.append((new[pos[first] // i], pos[first] % i, xs))
+            known[xs] = True
+            new = xs
+        dom = np.flatnonzero(known)
+        levels.append((rounds, np.concatenate([x for _, _, x in rounds]), dom,
+                       TG[seq[:i]][:, dom]))
 
-    levels = _extension_plan(G)
     buckets: dict[tuple, list[int]] = {}
     for h in range(n):
         buckets.setdefault(tuple(sigH[h].tolist()), []).append(h)
-
-    TG, TH = G.table, H.table
-    gmap = np.full(n, -1, dtype=np.int64)
-    gmap[0] = 0
+    gmap = np.zeros(n, dtype=np.int64)
+    fgen = np.zeros(seq.size, dtype=np.int64)   # f(g_1), f(g_2), ...
     used = np.zeros(n, dtype=bool)   # images of the domain so far
     used[0] = True
-
-    def extend(level: _Level, h: int) -> bool:
-        gmap[level.g] = h
-        for u, v, x in level.rounds:
-            gmap[x] = TH[gmap[u], gmap[v]]
-        img = gmap[level.added]
-        if (not used[img].any()
-                and np.array_equal(gmap[TG[level.added][:, level.dom]],
-                                   TH[img][:, gmap[level.dom]])):
-            used[img] = True
-            return True
-        gmap[level.added] = -1
-        return False
 
     def backtrack(i: int) -> bool:
         if i == len(levels):
             return True
-        level = levels[i]
-        for h in buckets.get(tuple(sigG[level.g].tolist()), []):
-            if used[h] or not extend(level, h):
+        rounds, added, dom, prods = levels[i]
+        for h in buckets.get(tuple(sigG[seq[i]].tolist()), []):
+            if used[h]:
                 continue
+            fgen[i] = h
+            for u, k, x in rounds:
+                gmap[x] = TH[gmap[u], fgen[k]]
+            img = gmap[added]
+            if used[img].any() or not np.array_equal(gmap[prods],
+                                                     TH[fgen[:i + 1]][:, gmap[dom]]):
+                continue
+            used[img] = True
             if backtrack(i + 1):
                 return True
-            used[gmap[level.added]] = False
-            gmap[level.added] = -1
+            used[img] = False
         return False
 
     if not backtrack(0):

@@ -213,12 +213,6 @@ def _enumerate_tables(k: int, budget: int = _ENUM_BUDGET) -> list[list[tuple[int
     return tables
 
 
-def _iso_bucket(G: FiniteGroup) -> tuple:
-    """Isomorphism invariants of G: its sorted order profile and the order
-    of its center.  Isomorphic groups always share a bucket."""
-    return tuple(sorted(G.order_profile.items())), int(G.center_mask.sum())
-
-
 @lru_cache(maxsize=None)
 def enumerate_groups_exhaustive(k: int, budget: int = _ENUM_BUDGET) -> tuple[FiniteGroup, ...]:
     """Every isomorphism class of order k, by backtracking over Cayley
@@ -226,19 +220,14 @@ def enumerate_groups_exhaustive(k: int, budget: int = _ENUM_BUDGET) -> tuple[Fin
     ``_enumerate_tables``: element 1 has maximal order d, its powers are
     labeled 0..d-1, and each initial label segment generates an initial
     segment.  Every class keeps such a labeling, because every finite group
-    has an element of maximal order.  The dedup is bucketed: a table is
-    compared with the isomorphism test only against the representatives
-    that share its ``_iso_bucket`` invariants (sorted order profile, order
-    of the center)."""
+    has an element of maximal order.  A table is kept as a representative
+    when the isomorphism test matches it with none kept before."""
     if k < 1:
         raise ValueError("k must be positive")
     reps: list[FiniteGroup] = []
-    buckets: dict[tuple, list[FiniteGroup]] = {}
     for idx, rows in enumerate(_enumerate_tables(k, budget)):
         G = from_table(k, rows, label=f"order{k}#{idx}")
-        bucket = buckets.setdefault(_iso_bucket(G), [])
-        if all(is_isomorphic(G, R) is None for R in bucket):
-            bucket.append(G)
+        if all(is_isomorphic(G, R) is None for R in reps):
             reps.append(G)
     return tuple(reps)
 

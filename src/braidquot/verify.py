@@ -28,7 +28,6 @@ from .fingroup import (
     is_isomorphic,
     nilpotency_class,
     random_relabeling,
-    subgroup_generated,
     symmetric,
 )
 from .jn2 import Jn2Spec, classify, enumerate_specs, is_jn2, materialize
@@ -123,7 +122,7 @@ def witness_dichotomies_ok(w: Witness) -> bool:
     p = G.element_order(s2)
     if not ((p % 2 == 1 and d == p) or (p == 2 and d == 4)):
         return False
-    return subgroup_generated(G, [s2]).elements == derived_subgroup(G).elements
+    return derived_subgroup(G).is_generated_by(s2)
 
 
 def build_row(n: int, g: int, bound: Optional[int] = None,

@@ -448,7 +448,7 @@ def test_class_sizes_are_conjugacy_class_lengths(exhaustive_tiers, catalog, spec
         lengths = np.zeros(G.order, dtype=np.int64)
         for cls in G.conjugacy_classes:
             lengths[list(cls)] = len(cls)
-        assert np.array_equal(G.class_sizes, lengths), G.label
+        assert np.array_equal(G.order // G.centralizer_sizes, lengths), G.label
 
 
 def test_power_map_and_powers_match_scalar_power(small_corpus):
@@ -672,6 +672,19 @@ def test_isomorphism_maps_match_scalar_extension(iso_corpus, seed):
             ref = _is_isomorphic_by_assignment(src, dst)
             assert iso is not None and ref is not None, G.label
             assert np.array_equal(iso.images, ref), G.label
+
+
+def test_isomorphism_rejects_non_injective_extensions():
+    # in these labellings an image of the second generator passes the
+    # generator law but sends a new element to the identity; only the test
+    # that new images avoid the used ones rejects it
+    c4c4 = fg.direct_product(fg.cyclic(4), fg.cyclic(4))
+    i31 = jn2.materialize(jn2.parse_spec("I(3,1)")).group
+    for G, seed in ((c4c4, 0), (i31, 11)):
+        H, _ = fg.random_relabeling(G, random.Random(seed))
+        iso = fg.is_isomorphic(G, H)
+        assert iso is not None and iso.is_bijective, G.label
+        assert np.array_equal(iso.images, _is_isomorphic_by_assignment(G, H)), G.label
 
 
 def test_variants_of_a_class_are_not_isomorphic(specs_243):
