@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping, Optional
 
 import numpy as np
@@ -336,6 +335,11 @@ def find_witness(G: FiniteGroup, n: int, g: int,
               if G.center_mask[s] and tr_exp % int(orders[s]) == 0
               and derived.is_generated_by(int(T[s, s]))]
 
+    everything = np.arange(N)
+
+    def comm(x: int) -> np.ndarray:
+        return G.commutators_of([x], everything)[0]    # the row [x, .]
+
     def place(r: int, placed: list[int], mask: np.ndarray,
               sigma: int, s2: int) -> Optional[list[int]]:
         if r == g:
@@ -344,11 +348,12 @@ def find_witness(G: FiniteGroup, n: int, g: int,
         cent = np.flatnonzero(mask)    # C, the centralizer of the prefix
         for a in cent:
             bump()
-            inner = mask & (comm[a] == 0)
-            for b in cent[comm[a, cent] == s2]:
+            ca = comm(a)
+            inner = mask & (ca == 0)
+            for b in cent[ca[cent] == s2]:
                 bump()
                 res = place(r + 1, placed + [int(a), int(b)],
-                            inner & (comm[b] == 0), sigma, s2)
+                            inner & (comm(b) == 0), sigma, s2)
                 if res is not None:
                     return res
         return None
@@ -356,7 +361,6 @@ def find_witness(G: FiniteGroup, n: int, g: int,
     for sigma in sigmas:
         if frattini is not None and (not frattini.in_phi[sigma]) + 2 * g < frattini.rank:
             continue
-        comm = G.commutators    # the N x N matrix, built for the first sigma past the tests
         found = place(0, [], np.ones(N, dtype=bool), sigma, int(T[sigma, sigma]))
         if found is not None:
             return Witness(group=G, n=n, g=g, sigma=sigma,
@@ -431,7 +435,6 @@ class CandidateVerdict:
     label: str
     order: int
     spec: Optional[Jn2Spec]    # None for a catalog group
-    group: FiniteGroup
     witness: Optional[Witness]
     explored: int              # nodes the witness search visited; 0 when the
                                # count cut, sigma gate or Frattini skip settled it
@@ -458,16 +461,16 @@ _PROVENANCE = ("orders <= 15: unconditional (order <= 8 exhaustively enumerated,
                "quotients by the classification of JN2 groups")
 
 
-@lru_cache(maxsize=None)
 def minimal_braid_reduced_search(n: int, g: int, bound: int,
                                  budget: Optional[int] = None) -> SearchReport:
     """Sweep all candidate groups of order <= bound and report the minimum
-    order admitting a witness, together with every attaining group up to
-    isomorphism.
+    order admitting a witness, together with the spec labels of every
+    standard JN2 group attaining it.
 
     Candidates are all standard JN2 groups within the bound plus the
     oracle catalog of nonabelian groups through order 15, so minimality is
-    unconditional below 16.
+    unconditional below 16.  No catalog group has a witness (see
+    ``find_witness``), so every attaining group is a standard one.
     """
     predicted = predicted_minimum(n, g)
     if bound > fingroup.TABLE_CAP:
@@ -489,27 +492,21 @@ def minimal_braid_reduced_search(n: int, g: int, bound: int,
         if w is not None:
             rep = check_reduced_witness(w)
             assert rep.ok, f"witness for {label} failed re-verification"
-        verdicts.append(CandidateVerdict(label=label, order=order,
-                                         spec=spec, group=group, witness=w,
-                                         explored=stats.explored))
+        verdicts.append(CandidateVerdict(label=label, order=order, spec=spec,
+                                         witness=w, explored=stats.explored))
 
     hits = [v for v in verdicts if v.witness is not None]
+    # every catalog group is nonabelian with |Z| <= 2, so a central sigma
+    # has sigma^2 = 1, which generates G' only on abelian G
+    assert all(v.spec is not None for v in hits), "a catalog group has a witness"
     minimum = min((v.order for v in hits), default=None)
-    attained: list[str] = []
-    if minimum is not None:
-        winners = [v for v in hits if v.order == minimum]
-        spec_winners = [v for v in winners if v.spec is not None]
-        spec_winners.sort(key=lambda v: (v.spec.variant, v.spec.p, v.spec.j, v.spec.m))
-        attained = [v.label for v in spec_winners]
-        for v in winners:
-            if v.spec is None:
-                if not any(fingroup.is_isomorphic(v.group, s.group) is not None
-                           for s in spec_winners):
-                    attained.append(v.label)
+    winners = sorted((v for v in hits if v.order == minimum),
+                     key=lambda v: (v.spec.variant, v.spec.p, v.spec.j, v.spec.m))
     return SearchReport(n=n, g=g, bound=bound,
                         predicted=predicted,
                         candidates=tuple(verdicts), minimum=minimum,
-                        attained=tuple(attained), provenance=_PROVENANCE)
+                        attained=tuple(v.label for v in winners),
+                        provenance=_PROVENANCE)
 
 
 # ---------------------------------------------------------------------------

@@ -218,16 +218,8 @@ def cmd_search_min(args) -> int:
 
     if args.witness and report.minimum is not None:
         first = next(c for c in report.found() if c.order == report.minimum)
-        if first.spec is not None:
-            ref = first.label
-        else:
-            # catalog winners carry no descriptor; write the table next to
-            # the witness so the reference stays resolvable
-            gpath = args.witness + ".grp"
-            fingroup.write_cayley(first.group, gpath)
-            ref = os.path.basename(gpath)
         with open(args.witness, "w", newline="") as fh:
-            fh.write(braid.witness_to_text(first.witness, ref))
+            fh.write(braid.witness_to_text(first.witness, first.label))
         human.append(f"wrote minimal witness to {args.witness}")
 
     machine = {

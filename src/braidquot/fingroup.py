@@ -180,11 +180,6 @@ class FiniteGroup:
                  self.inverse[gens][:, None]]
 
     @cached_property
-    def commutators(self) -> np.ndarray:
-        """Matrix of commutators [x, y] = x y x^-1 y^-1."""
-        return self.commutators_of(self.elements(), self.elements())
-
-    @cached_property
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         t, inv = self.table, self.inverse
         n = self.order
@@ -615,13 +610,6 @@ class GroupMap:
         if then.source is not self.target:
             raise ValueError("maps are not composable")
         return GroupMap(self.source, then.target, then.images[self.images])
-
-    def inverted(self) -> "GroupMap":
-        if not self.is_bijective:
-            raise ValueError("map is not bijective")
-        inv = np.empty_like(self.images)
-        inv[self.images] = np.arange(self.source.order, dtype=np.int32)
-        return GroupMap(self.target, self.source, inv)
 
 
 # ---------------------------------------------------------------------------

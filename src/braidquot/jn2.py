@@ -238,7 +238,11 @@ def _gram(G: FiniteGroup, log: np.ndarray, p: int, j: int, reps) -> np.ndarray:
 
 
 def symplectic_data(G: FiniteGroup, z: int) -> SymplecticData:
-    """Compute a basis of V = G/ZG, the commutator Gram matrix and nu."""
+    """Compute a basis of V = G/ZG, the commutator Gram matrix and nu.
+
+    The pairing is nondegenerate: once ``is_jn2`` holds, G' <= ZG, so an x
+    that pairs trivially with every representative commutes with
+    G = <ZG, reps> and lies in ZG."""
     params = is_jn2(G)
     if params is None:
         raise NotJn2("group fails the JN2 characterization")
@@ -254,17 +258,8 @@ def symplectic_data(G: FiniteGroup, z: int) -> SymplecticData:
     reps = list(fingroup.span_walk(G.table, range(G.order), base=[z]))
     assert len(reps) == 2 * m
     gram = _gram(G, log, p, j, reps)
-    # scale each later basis vector so its first nonzero pairing with an
-    # earlier one equals 1 (a deterministic choice of basis direction)
-    for u in range(1, 2 * m):
-        nonzero = np.flatnonzero(gram[:u, u])
-        if nonzero.size and gram[nonzero[0], u] != 1:
-            reps[u] = G.power(reps[u], pow(int(gram[nonzero[0], u]), p - 2, p))
-            gram = _gram(G, log, p, j, reps)
     assert (np.diagonal(gram) == 0).all()
     assert ((gram + gram.T) % p == 0).all()
-    if row_reduce(gram, p)[1] != 2 * m:
-        raise NotJn2("commutator pairing is degenerate")
 
     # is_jn2 puts every x^p in ZG = <z>, so each log is defined
     nu = tuple((log[power_map(G.table, p)[reps]] % p).tolist())
@@ -440,8 +435,8 @@ def classify(G: FiniteGroup) -> tuple[Jn2Spec, GroupMap]:
         images_from_std = T[T[images_from_std, a_pow[alpha[i]]], b_pow[beta[i]]]
     assert np.unique(images_from_std).size == S.order, \
         "normal forms must enumerate the group"
-    std_to_g = GroupMap(S, G, images_from_std)
-    return spec, std_to_g.inverted()
+    # images_from_std is a permutation: its inverse sends G to S
+    return spec, GroupMap(G, S, np.argsort(images_from_std))
 
 
 def enumerate_specs(max_order: int) -> list[Jn2Spec]:

@@ -240,7 +240,8 @@ def _first_witness_unpruned(G, n, g):
     the pairs before it, and a branch is cut only when that centralizer and
     the prefix together cannot generate G (closure, not Frattini rank)."""
     N, T = G.order, G.table
-    comm, commutes = G.commutators, G.commutators == 0
+    comm = G.commutators_of(range(N), range(N))
+    commutes = comm == 0
     tr_exp = 2 * (g + n - 1)
 
     def extend(sigma, s2, placed, mask):
@@ -422,16 +423,31 @@ def test_sigma_cut_settles_order_128_at_once():
     assert braid.find_witness(G, 5, 2, budget=10_000) is None
 
 
-def test_genus_four_sweep_node_counts_unchanged():
+def test_genus_four_sweep_node_counts_unchanged(catalog):
     # the count cut settles every candidate: |G : Z| <= 16 < |G'|^8 = 256
     rep = braid.minimal_braid_reduced_search(5, 4, 64)
     assert rep.minimum is None
     explored = {c.label: c.explored for c in rep.candidates}
     assert len(explored) == 22
     assert not any(explored.values())
+    tier = {e.group.label: e.group for e in catalog.entries}
     for c in rep.candidates:
-        G = c.group
+        G = materialize(c.spec).group if c.spec is not None else tier[c.label]
         assert G.order // fg.center(G).order != fg.derived_subgroup(G).order ** 8, c.label
+
+
+def test_catalog_groups_never_carry_a_witness(catalog):
+    # the premise of the sweep's assertion that every hit has a spec: a
+    # central sigma has sigma^2 = 1, which generates G' only on abelian G,
+    # so no catalog group gets past the count cut and the sigma gate
+    for entry in catalog.entries:
+        G = entry.group
+        assert not G.is_abelian and fg.center(G).order <= 2, G.label
+        for n in range(5, 10):
+            for g in range(1, 5):
+                stats = braid.SearchStats()
+                assert braid.find_witness(G, n, g, stats=stats) is None, (G.label, n, g)
+                assert stats.explored == 0, (G.label, n, g)
 
 
 # Nodes explored on every candidate of the (5,2,128) and (7,3,128) sweeps:
@@ -508,7 +524,8 @@ def test_prefix_and_its_centralizer_generate_jn2_groups(jn2_sigmas, data):
     spec, G, sigmas = data.draw(st.sampled_from(jn2_sigmas))
     sigma = data.draw(st.sampled_from(sigmas))
     s2 = int(G.table[sigma, sigma])
-    comm, commutes = G.commutators, G.commutators == 0
+    comm = G.commutators_of(range(G.order), range(G.order))
+    commutes = comm == 0
     placed, mask = [sigma], np.ones(G.order, dtype=bool)
     for _ in range(data.draw(st.integers(1, spec.m))):
         cent = np.flatnonzero(mask)

@@ -295,7 +295,7 @@ def test_is_jn2_derived_not_central_none():
 def test_symplectic_m3():
     std = materialize(Jn2Spec(3, 1, 1, "I"))
     data = jn2.symplectic_data(std.group, std.z)
-    assert data.gram.tolist() == [[0, 1], [2, 0]]  # [[0,1],[-1,0]] mod 3
+    assert data.gram.tolist() == [[0, 2], [1, 0]]  # [[0,-1],[1,0]] mod 3
     assert data.nu == (0, 0)
 
 
@@ -476,7 +476,7 @@ NORMALIZED_REPS = {
     "II(2^2,2)": ((2, 8, 1, 4), (2, 9, 1, 27)),
     "II(2^4,1)": ((1, 2), (2, 60)),
     "I(3^2,1)": ((1, 6), (1, 42)),
-    "II(3^2,1)": ((1, 80), (48, 68)),
+    "II(3^2,1)": ((1, 80), (48, 5)),
     "I(5,1)": ((1, 20), (1, 2)),
     "II(5,1)": ((1, 72), (71, 58)),
     "I(2^3,2)": ((1, 4, 2, 8), (25, 7, 102, 20)),
@@ -485,7 +485,7 @@ NORMALIZED_REPS = {
     "II(2^5,1)": ((1, 2), (102, 51)),
     "I(3,2)": ((1, 18, 3, 54), (1, 231, 234, 47)),
     "I(3^3,1)": ((1, 6), (112, 114)),
-    "II(3,2)": ((3, 222, 1, 18), (1, 180, 126, 194)),
+    "II(3,2)": ((3, 222, 1, 18), (1, 213, 135, 187)),
     "II(3^3,1)": ((1, 242), (133, 227)),
 }
 
@@ -626,8 +626,8 @@ def test_classify_map_matches_normal_forms_by_index(specs_243, seed):
         z = min(x for x in Z.elements if H.element_order(x) == Z.order)
         data = jn2.normalize_basis(jn2.symplectic_data(H, z))
         ref = fg.GroupMap(materialize(spec).group, H,
-                          _normal_form_map_by_index(H, spec, data)).inverted()
-        assert np.array_equal(iso.images, ref.images), str(spec)
+                          _normal_form_map_by_index(H, spec, data))
+        assert np.array_equal(iso.images, np.argsort(ref.images)), str(spec)
 
 
 # ---------------------------------------------------------------------------
