@@ -490,15 +490,16 @@ def minimal_braid_reduced_search(n: int, g: int, bound: int,
         stats = SearchStats()
         w = find_witness(group, n, g, budget=budget, stats=stats)
         if w is not None:
-            rep = check_reduced_witness(w)
-            assert rep.ok, f"witness for {label} failed re-verification"
+            if not check_reduced_witness(w).ok:
+                raise RuntimeError(f"witness for {label} failed re-verification")
         verdicts.append(CandidateVerdict(label=label, order=order, spec=spec,
                                          witness=w, explored=stats.explored))
 
     hits = [v for v in verdicts if v.witness is not None]
     # every catalog group is nonabelian with |Z| <= 2, so a central sigma
     # has sigma^2 = 1, which generates G' only on abelian G
-    assert all(v.spec is not None for v in hits), "a catalog group has a witness"
+    if any(v.spec is None for v in hits):
+        raise RuntimeError("a catalog group has a witness")
     minimum = min((v.order for v in hits), default=None)
     winners = sorted((v for v in hits if v.order == minimum),
                      key=lambda v: (v.spec.variant, v.spec.p, v.spec.j, v.spec.m))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -103,6 +103,7 @@ def _row1_candidates(k: int) -> list[tuple[int, ...]]:
     return out
 
 
+@lru_cache(maxsize=None)
 def _enumerate_tables(k: int, budget: int = _ENUM_BUDGET) -> list[list[tuple[int, ...]]]:
     """All group tables with identity 0 under three canonical labeling rules:
 
@@ -115,13 +116,36 @@ def _enumerate_tables(k: int, budget: int = _ENUM_BUDGET) -> list[list[tuple[int
     an element of maximal order (every finite group has one), label its
     powers 0..d-1, then repeatedly give the next free label to any element
     outside the subgroup labeled so far and the following labels to the
-    rest of the subgroup it generates with them.  Rule 1 is enforced during
-    the search: a row, whether filled or forced by closure, whose element
-    has order above d is rejected, as is a partial row whose chain
-    x, x^2, ... already runs past x^d without reaching 0."""
+    rest of the subgroup it generates with them.
+
+    The search fills the row of the smallest undefined label x, t -> x*t,
+    one cell at a time in label order, each cell avoiding the values of
+    its column in the rows of H = {0..x-1}, then closes the defined rows
+    under products (``propagate``), rejecting a product row that
+    disagrees with a row already defined, meets one in a column, or is
+    not semiregular with cycles of length at most d.  Two prunes in the
+    cell filling drop only rows that these checks would reject, so the
+    tables and their order do not depend on them:
+
+    - Cycle shape.  The row of x is semiregular: its cycles, the cosets
+      <x>y, all have length ord(x) <= d.  A cell is not given a value that
+      closes a cycle longer than d or of another length than the cycles
+      closed before, or that makes an open chain of more elements than
+      that common length (than d before any cycle closes), since the
+      chain lies in a cycle at least as long.
+    - Coset relations.  When the cell x*t for t in H holds h*x for an h
+      in H, every completion must have x*(t*s) = h*(x*s) for all s, so
+      once x*s is known the cell t*s takes that one value.  A row with
+      another value there is rejected by the closure, because the pairs
+      (x, t) and (h, x) name the same element and give it different
+      rows.
+
+    The result is cached per process and shared: callers must not mutate
+    it."""
     if k == 1:
         return [[(0,)]]
     identity = tuple(range(k))
+    full = (1 << k) - 1
     tables: list[list[tuple[int, ...]]] = []
     nodes = 0
 
@@ -132,84 +156,98 @@ def _enumerate_tables(k: int, budget: int = _ENUM_BUDGET) -> list[list[tuple[int
             raise SearchBudgetExceeded(
                 f"table enumeration exceeded {budget} nodes", explored=nodes)
 
-    def propagate(rows: dict[int, tuple[int, ...]], d: int
-                  ) -> Optional[dict[int, tuple[int, ...]]]:
-        rows = dict(rows)
-        changed = True
-        while changed:
-            changed = False
-            defined = sorted(rows)
-            for u in defined:
-                ru = rows[u]
-                for v in defined:
-                    w = ru[v]
-                    rv = rows[v]
-                    comp = tuple(ru[rv[t]] for t in range(k))
+    def propagate(rows: dict[int, tuple[int, ...]], cols: list[int], x: int,
+                  d: int) -> Optional[tuple[dict[int, tuple[int, ...]], list[int]]]:
+        """Close ``rows`` under products, in place.  The rows are closed
+        except row x, so only pairs with a row added since are composed.
+        Bit c of ``cols[t]`` is set when a defined row has c in column t."""
+        work = [x]
+        while work:
+            u = work.pop()
+            ru = rows[u]
+            for v in list(rows):
+                rv = rows[v]
+                for w, comp in ((ru[v], tuple(map(ru.__getitem__, rv))),
+                                (rv[u], tuple(map(rv.__getitem__, ru)))):
                     if w in rows:
                         if rows[w] != comp:
                             return None
-                    else:
-                        if not 0 < _semiregular(comp) <= d:
-                            return None
-                        for r, rr in rows.items():
-                            if any(rr[t] == comp[t] for t in range(k)):
-                                return None
-                        rows[w] = comp
-                        changed = True
-        defined = sorted(rows)
-        if defined != list(range(len(defined))):
+                        continue
+                    if not 0 < _semiregular(comp) <= d:
+                        return None
+                    if any(m >> c & 1 for m, c in zip(cols, comp)):
+                        return None
+                    rows[w] = comp
+                    cols = [m | 1 << c for m, c in zip(cols, comp)]
+                    work.append(w)
+        if max(rows) != len(rows) - 1:
             return None  # defined rows must fill an initial label segment
-        return rows
+        return rows, cols
 
-    def row_candidates(x: int, rows: dict[int, tuple[int, ...]], d: int
-                       ) -> list[tuple[int, ...]]:
-        # x*t must avoid the column H*t of the defined rows H = {0..x-1}
-        cols = [set(rows[r][t] for r in rows) for t in range(k)]
+    def row_candidates(x: int, rows: dict[int, tuple[int, ...]],
+                       cols: list[int], d: int) -> list[tuple[int, ...]]:
+        coset = {rows[h][x]: h for h in range(x)}  # h*x -> h, the coset Hx
+        inverse = [rows[t].index(0) for t in range(x)]
+        row = [-1] * k  # row[t] = x*t, known for t < pos
+        pre = [-1] * k  # pre[v] = t where row[t] = v
+        row[0], pre[x] = x, 0
         found: list[tuple[int, ...]] = []
 
-        def fill(pos: int, row: list[int], used: set[int]):
+        def fill(pos: int, used: int, cycle: int, rel: list[tuple[int, int]]):
+            # cycle: the common length of the closed cycles, 0 before one
+            # closes; rel: the pairs (t, h) in H with x*t = h*x
             bump()
-            # row[t] = x*t for t < pos; walk x^m = x*x^(m-1) while known
-            y, m = x, 1
-            while y and m < d and y < pos:
-                y, m = row[y], m + 1
-            if y and m == d:
-                return  # x^1, ..., x^d are all nontrivial: ord(x) > d
             if pos == k:
-                if 0 < _semiregular(tuple(row)) <= d:
-                    found.append(tuple(row))
+                found.append(tuple(row))
                 return
-            for v in range(k):
-                if v in used or v in cols[pos]:
+            free = full & ~(used | cols[pos])
+            for t, h in rel:
+                s = rows[inverse[t]][pos]  # t*s = pos
+                if s < pos:
+                    free &= 1 << rows[h][row[s]]  # x*(t*s) = h*(x*s)
+                    break
+            back, t = 1, pos  # elements on the chain that ends at pos
+            while pre[t] >= 0:
+                t, back = pre[t], back + 1
+            while free:
+                low = free & -free
+                free ^= low
+                v = low.bit_length() - 1
+                t, n = v, 1  # elements on the chain that starts at v
+                while t < pos:
+                    t, n = row[t], n + 1
+                closes = t == pos  # x*pos = v closes a cycle, else joins chains
+                length = n if closes else back + n
+                if length > (cycle or d) or closes and cycle and length != cycle:
                     continue
-                row.append(v)
-                used.add(v)
-                fill(pos + 1, row, used)
-                row.pop()
-                used.remove(v)
+                row[pos], pre[v] = v, pos
+                fill(pos + 1, used | low, length if closes else cycle,
+                     rel + [(pos, coset[v])] if pos < x and v in coset else rel)
+                pre[v] = -1
 
-        fill(1, [x], {x})
+        fill(1, 1 << x, 0, [])
         return found
 
-    def search(rows: dict[int, tuple[int, ...]], d: int):
+    def search(rows: dict[int, tuple[int, ...]], cols: list[int], d: int):
         if len(rows) == k:
             tables.append([rows[i] for i in range(k)])
             return
         x = len(rows)  # smallest undefined index, by the segment rule
-        for cand in row_candidates(x, rows, d):
+        for cand in row_candidates(x, rows, cols, d):
             bump()
             nxt = dict(rows)
             nxt[x] = cand
-            closed = propagate(nxt, d)
+            closed = propagate(nxt, [m | 1 << c for m, c in zip(cols, cand)], x, d)
             if closed is not None:
-                search(closed, d)
+                search(*closed, d)
 
     for row1 in _row1_candidates(k):
         bump()
         d = row1.index(0) + 1  # the order of element 1
-        closed = propagate({0: identity, 1: row1}, d)
+        cols = [1 << t | 1 << c for t, c in enumerate(row1)]
+        closed = propagate({0: identity, 1: row1}, cols, 1, d)
         if closed is not None:
-            search(closed, d)
+            search(*closed, d)
     return tables
 
 
@@ -225,7 +263,8 @@ def enumerate_groups_exhaustive(k: int, budget: int = _ENUM_BUDGET) -> tuple[Fin
     if k < 1:
         raise ValueError("k must be positive")
     reps: list[FiniteGroup] = []
-    for idx, rows in enumerate(_enumerate_tables(k, budget)):
+    # budget by keyword, as in _check_tier, so both share one cache entry
+    for idx, rows in enumerate(_enumerate_tables(k, budget=budget)):
         G = from_table(k, rows, label=f"order{k}#{idx}")
         if all(is_isomorphic(G, R) is None for R in reps):
             reps.append(G)
@@ -247,13 +286,42 @@ class GroupCatalog:
         return tuple(e for e in self.entries if e.order == order)
 
 
+def _check_tier(k: int, tier: Sequence[FiniteGroup]) -> None:
+    """Raise unless ``tier`` holds exactly one group of each nonabelian
+    isomorphism class of order k, checked against every table of
+    ``_enumerate_tables(k)``.
+
+    Abelian tables are skipped on their raw rows.  Each nonabelian table
+    is matched to the first tier group isomorphic to it, and it must have
+    one; every tier group must be matched.  The tables cover every class
+    of order k, so each nonabelian class has a group in the tier, and each
+    tier group is a nonabelian group of order k.  Two isomorphic tier
+    groups match the same tables, so the later one is never matched."""
+    matched = [False] * len(tier)
+    for rows in _enumerate_tables(k, budget=_ENUM_BUDGET):
+        if list(zip(*rows)) == rows:
+            continue  # abelian: the table is symmetric
+        G = from_table(k, rows)
+        i = next((i for i, H in enumerate(tier) if is_isomorphic(G, H) is not None),
+                 None)
+        if i is None:
+            raise RuntimeError(f"catalog misses a nonabelian group of order {k}")
+        matched[i] = True
+    if not all(matched):
+        raise RuntimeError(f"catalog tier {k} holds a group that is no "
+                           f"nonabelian class of order {k}, or one twice")
+
+
 @lru_cache(maxsize=None)
 def nonabelian_catalog_upto() -> GroupCatalog:
     """Complete catalog of nonabelian groups through order 15.
 
-    Orders up to 8 are machine-verified complete against the exhaustive
-    enumeration; orders 9 to 15 follow the classical classification
-    (documented, not re-derived).
+    The entries are checked pairwise non-isomorphic.  Orders 6 and 8 are
+    machine-verified complete from the axioms in every process: each
+    nonabelian table the enumeration gives is matched to a tier entry, and
+    every tier entry must be matched (``_check_tier``), so the tier is
+    exactly the set of nonabelian classes of its order.  Orders 9 to 15
+    follow the classical classification (documented, not re-derived).
     """
     groups = [
         (6, symmetric(3), "exhaustive"),
@@ -269,15 +337,10 @@ def nonabelian_catalog_upto() -> GroupCatalog:
                     for o, G, tag in groups)
     for i in range(len(entries)):
         for j in range(i + 1, len(entries)):
-            assert is_isomorphic(entries[i].group, entries[j].group) is None, \
-                "catalog entries must be pairwise non-isomorphic"
-    # machine-verify completeness of the tiers covered by the enumeration
+            if is_isomorphic(entries[i].group, entries[j].group) is not None:
+                raise RuntimeError("catalog entries must be pairwise non-isomorphic")
     for k in (6, 8):
-        nonab = [G for G in enumerate_groups_exhaustive(k) if not G.is_abelian]
-        tier = [e.group for e in entries if e.order == k]
-        assert len(nonab) == len(tier)
-        for G in nonab:
-            assert any(is_isomorphic(G, H) is not None for H in tier)
+        _check_tier(k, [e.group for e in entries if e.order == k])
     return GroupCatalog(entries=entries)
 
 

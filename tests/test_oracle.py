@@ -1,5 +1,8 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -54,7 +57,7 @@ def test_enumeration_pairwise_nonisomorphic(exhaustive_tiers):
 
 def test_tables_put_an_element_of_maximal_order_first():
     """Element 1 has the largest element order d, and 1^i is labeled i."""
-    for k in range(2, 9):
+    for k in range(2, 11):
         for rows in oracle._enumerate_tables(k):
             G = fg.from_table(k, rows)
             d = int(G.element_orders[1])
@@ -62,18 +65,22 @@ def test_tables_put_an_element_of_maximal_order_first():
             assert [G.power(1, i) for i in range(d)] == list(range(d)), (k, rows)
 
 
-# sha256 of repr(_enumerate_tables(k)) and the nodes it visits, k <= 9, as
-# the enumeration gave them while it still tried forced row entries
+# sha256 of repr(_enumerate_tables(k)) and the nodes it visits, k <= 10.
+# The digests for k <= 9 date from before the cycle-shape and coset-relation
+# prunes, and the k = 10 one was taken from the enumeration before them:
+# the prunes drop only rows the closure rejects, so the tables are the same.
+# The node counts are those of the pruned search.
 TABLE_DIGESTS = {
     1: ("86b5d3162787617aa35eb7d0c9b00a08fb3f4d1b2bba193bd6c2ccbd53fefdcf", 0),
     2: ("dc3d530bb05de88023054a9b34efd50a134f717efe23f98dc73d4b08f20b3cb6", 1),
     3: ("b542902a02f3a0c0c5b3e6c4ac69b628e09bf04717fb52784879af0f4d90e27c", 1),
-    4: ("90e0df99a0779619093c851d6f8cda683b342f298df9608eb91e126d4cb29598", 8),
+    4: ("90e0df99a0779619093c851d6f8cda683b342f298df9608eb91e126d4cb29598", 7),
     5: ("dbcbeb19bb80df8bbe7911f5a5df441989d0815fe7c32cf65f0b887ff4620810", 1),
-    6: ("fd6417bac01ee98b1130161bd57c91d60c8caf79f45e63e822f0be0a06a2aed6", 145),
+    6: ("fd6417bac01ee98b1130161bd57c91d60c8caf79f45e63e822f0be0a06a2aed6", 78),
     7: ("1c756656d6face6e46eaae2521b2c3909f8ec4e7bc83b6fdb39538970ea01ee5", 1),
-    8: ("1d01abc98c18f3a488fa995a766eb17bc922c4271e302bbc58f5fb042c483a18", 10_351),
-    9: ("469c43edc01488c0385162f7d335529e7beeba6907e2a0646e2a2162b2569476", 161_129),
+    8: ("1d01abc98c18f3a488fa995a766eb17bc922c4271e302bbc58f5fb042c483a18", 1_548),
+    9: ("469c43edc01488c0385162f7d335529e7beeba6907e2a0646e2a2162b2569476", 9_613),
+    10: ("5c6d80941fec110f924169fa00fde3172066dda4a27d4812f57b6d88eabf54eb", 51_462),
 }
 
 
@@ -129,6 +136,52 @@ def test_catalog_matches_exhaustive_at_8(catalog, exhaustive_tiers):
     assert len(tier) == len(nonab) == 2
     for G in nonab:
         assert any(fg.is_isomorphic(G, H) is not None for H in tier)
+
+
+def _bad_tiers():
+    d8, q8 = fg.dihedral(8), fg.dicyclic(8)
+    return {"order 8 without Q8": (8, [d8]),
+            "order 8 with D8 twice": (8, [d8, fg.relabel(d8, [0, *range(7, 0, -1)])[0], q8]),
+            "order 6 with an extra group": (6, [fg.symmetric(3), fg.cyclic(6)])}
+
+
+def test_check_tier_accepts_the_catalog_tiers(catalog):
+    for k in (6, 8):
+        oracle._check_tier(k, [e.group for e in catalog.tier(k)])
+
+
+@pytest.mark.parametrize("name", sorted(_bad_tiers()))
+def test_check_tier_rejects_bad_tiers(name):
+    k, tier = _bad_tiers()[name]
+    with pytest.raises(RuntimeError):
+        oracle._check_tier(k, tier)
+
+
+def test_check_tier_rejects_under_python_O():
+    """The completeness check is no assert: ``python -O`` keeps it."""
+    script = ("from braidquot import fingroup as fg, oracle\n"
+              "try:\n"
+              "    oracle._check_tier(8, [fg.dihedral(8)])\n"
+              "except RuntimeError:\n"
+              "    print('rejected')\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(oracle.__file__)))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "rejected\n"
+
+
+def test_catalog_and_enumeration_enumerate_each_order_once():
+    """verify-paper reaches both the catalog and enumerate_groups_exhaustive;
+    they read the same cached tables of orders 6 and 8."""
+    for fn in (oracle._enumerate_tables, oracle.enumerate_groups_exhaustive,
+               oracle.nonabelian_catalog_upto):
+        fn.cache_clear()
+    oracle.nonabelian_catalog_upto()
+    oracle.enumerate_groups_exhaustive(6)
+    oracle.enumerate_groups_exhaustive(8)
+    info = oracle._enumerate_tables.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
 
 
 def test_catalog_order15_empty(catalog):
