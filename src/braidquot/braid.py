@@ -398,7 +398,8 @@ def standard_witness(spec: Jn2Spec, n: int, g: int) -> Witness:
     G = std.group
     w = Witness(group=G, n=n, g=g, sigma=G.power(std.z, t), a=std.a, b=std.b)
     report = check_reduced_witness(w)
-    assert report.ok, f"standard witness failed: {report.failures()}"
+    if not report.ok:
+        raise RuntimeError(f"standard witness failed: {report.failures()}")
     return w
 
 

@@ -39,7 +39,8 @@ TABLE_CAP = 10_000
 # Isomorphism backtracking refuses beyond this many elements.
 ISO_SIZE_LIMIT = 2_000
 
-# Table entries per row block of Light's test; bounds its temporaries.
+# Table entries per row block of Light's test and of ``relabel``; bounds
+# their temporaries.
 _LIGHT_BLOCK = 1 << 16
 
 
@@ -61,8 +62,9 @@ def power_map(table: np.ndarray, k: int) -> np.ndarray:
     while k:
         if k & 1:
             acc = table[acc, base]
-        base = table[base, base]
         k >>= 1
+        if k:
+            base = table[base, base]
     return acc
 
 
@@ -79,14 +81,14 @@ def closure_indices(table: np.ndarray, seeds: Iterable[int]) -> np.ndarray:
     included: the set S = seeds + {0} is replaced by all products S*S until
     it stops growing or holds every element.  Products are marked in a
     membership mask, so each round reads the next sorted set off the mask
-    with no sort or hash."""
+    with no sort or hash, and gathers S*S with two ``take``s."""
     inside = np.zeros(table.shape[0], dtype=bool)
     inside[0] = True
     inside[np.fromiter(seeds, dtype=np.int64, count=-1)] = True
-    cur = np.flatnonzero(inside)
+    cur = inside.nonzero()[0]
     while True:
-        inside[table[cur][:, cur]] = True
-        nxt = np.flatnonzero(inside)
+        inside[table.take(cur, axis=0).take(cur, axis=1)] = True
+        nxt = inside.nonzero()[0]
         if nxt.size == cur.size or nxt.size == table.shape[0]:
             return nxt
         cur = nxt
@@ -145,16 +147,23 @@ class FiniteGroup:
 
     @cached_property
     def element_orders(self) -> np.ndarray:
-        n = self.order
-        orders = np.zeros(n, dtype=np.int64)
-        orders[0] = 1
-        cur = np.arange(n)
-        k = 1
-        while (orders == 0).any():
-            k += 1
-            cur = self.table[cur, np.arange(n)]
-            hit = (cur == 0) & (orders == 0)
-            orders[hit] = k
+        """ord(x) for every x, one prime q at a time.  For q^e exactly
+        dividing |G|, y = x^(|G|/q^e) has order the q-part of ord(x), so
+        that part is q to the number of steps y -> y^q takes to reach the
+        identity, at most e."""
+        n, t = self.order, self.table
+        orders = np.ones(n, dtype=np.int64)
+        rest = n
+        while rest > 1:
+            q, qe = least_prime_factor(rest), 1
+            while rest % q == 0:
+                rest, qe = rest // q, qe * q
+            y, to_q = power_map(t, n // qe), power_map(t, q)
+            live = y != 0
+            while live.any():
+                orders[live] *= q
+                y = to_q.take(y)
+                live = y != 0
         return orders
 
     @cached_property
@@ -299,14 +308,29 @@ def from_table(order: int,
 
 
 def relabel(G: FiniteGroup, perm: Sequence[int]) -> tuple[FiniteGroup, "GroupMap"]:
-    """Relabel elements by ``perm`` (which must fix 0); returns (H, iso G->H)."""
+    """Relabel elements by ``perm`` (which must fix 0); returns (H, iso G->H).
+
+    ``perm`` is range-checked, then scattered into its inverse q; it is a
+    permutation exactly when that fills every slot.  H's table is
+    p[G.table[q[u], q[v]]], gathered in row blocks of about ``_LIGHT_BLOCK``
+    cells straight into the new table, so the only n x n array is H's."""
+    n = G.order
     p = np.asarray(perm, dtype=np.int32)
-    if (p.shape != (G.order,) or p[0] != 0
-            or not np.array_equal(np.sort(p), np.arange(G.order))):
-        raise ValueError("perm must be a permutation of 0..order-1 fixing 0")
+    bad = ValueError("perm must be a permutation of 0..order-1 fixing 0")
+    if p.shape != (n,) or p[0] != 0 or p.min() < 0 or p.max() >= n:
+        raise bad
+    q = np.full(n, -1, dtype=np.int32)
+    q[p] = np.arange(n, dtype=np.int32)
+    if (q < 0).any():
+        raise bad
     t2 = np.empty_like(G.table)
-    t2[p[:, None], p[None, :]] = p[G.table]
-    H = from_table(G.order, t2, label=G.label)
+    rows = max(1, _LIGHT_BLOCK // n)
+    for lo in range(0, n, rows):
+        # every index is in range, so "clip" never clips; unlike "raise" it
+        # writes into ``out`` without a buffer
+        p.take(G.table.take(q[lo:lo + rows], axis=0).take(q, axis=1),
+               out=t2[lo:lo + rows], mode="clip")
+    H = from_table(n, t2, label=G.label)
     return H, GroupMap(G, H, p)
 
 
@@ -589,8 +613,8 @@ class GroupMap:
         if img[0] != 0:
             raise ValueError("homomorphisms must send identity to identity")
         gens = np.asarray(self.source.generators, dtype=np.intp)
-        lhs = img[self.source.table[gens]]
-        rhs = self.target.table[img[gens][:, None], img[None, :]]
+        lhs = img.take(self.source.table.take(gens, axis=0))
+        rhs = self.target.table.take(img.take(gens), axis=0).take(img, axis=1)
         if not np.array_equal(lhs, rhs):
             i, y = np.argwhere(lhs != rhs)[0]
             raise ValueError(f"not a homomorphism at ({int(gens[i])},{int(y)})")

@@ -188,7 +188,8 @@ def is_jn2(G: FiniteGroup) -> Optional[tuple[int, int, int]]:
     while v % p == 0:
         v //= p
         e += 1
-    assert e % 2 == 0, "commutator pairing forces even dimension"
+    if e % 2:
+        raise RuntimeError("commutator pairing forces even dimension")
     return (p, j, e // 2)
 
 
@@ -256,10 +257,11 @@ def symplectic_data(G: FiniteGroup, z: int) -> SymplecticData:
     # greedy coset basis: smallest-index representatives independent mod
     # ZG; V is elementary abelian, so the walk ends after exactly 2m picks
     reps = list(fingroup.span_walk(G.table, range(G.order), base=[z]))
-    assert len(reps) == 2 * m
+    if len(reps) != 2 * m:
+        raise RuntimeError(f"coset basis has {len(reps)} elements, expected {2 * m}")
     gram = _gram(G, log, p, j, reps)
-    assert (np.diagonal(gram) == 0).all()
-    assert ((gram + gram.T) % p == 0).all()
+    if (np.diagonal(gram) != 0).any() or ((gram + gram.T) % p).any():
+        raise RuntimeError("commutator pairing must be alternating")
 
     # is_jn2 puts every x^p in ZG = <z>, so each log is defined
     nu = tuple((log[power_map(G.table, p)[reps]] % p).tolist())
@@ -295,7 +297,8 @@ def _symplectic_pairs(gram: np.ndarray, p: int,
         u = work[0]
         vals = (work @ gram.T @ u) % p  # <u, w> for each row w
         hits = np.flatnonzero(vals)
-        assert hits.size, "restricted pairing must stay nondegenerate"
+        if not hits.size:
+            raise RuntimeError("restricted pairing must stay nondegenerate")
         f = (work[hits[0]] * pow(int(vals[hits[0]]), p - 2, p)) % p
         out += [u, f]
         work = (work - np.outer(work @ gram @ f, u)
@@ -380,7 +383,9 @@ def normalize_basis(data: SymplecticData) -> SymplecticData:
         e1 = (units[t] * pow(int(vals[t]), p - 2, p)) % p
         # <e1, f1> = 1, so the extraction keeps (e1, f1) as its first pair
         coords = np.array(_symplectic_pairs(gram, p, [e1, (u + e1) % p] + units))
-    assert coords.shape == (dim, dim)
+    if coords.shape != (dim, dim):
+        raise RuntimeError(f"symplectic basis has shape {coords.shape}, "
+                           f"expected {(dim, dim)}")
 
     # lift coordinate vectors to group elements, prod_t reps[t]^coords[:, t]
     new_reps = np.zeros(dim, dtype=np.int64)
@@ -395,13 +400,16 @@ def normalize_basis(data: SymplecticData) -> SymplecticData:
     if basis_type == "II":
         targets[:2] = 1
     delta = (targets - log[xp[new_reps]]) % p ** j
-    assert not (delta % p).any(), "nu value must match the normalized pattern"
+    if (delta % p).any():
+        raise RuntimeError("nu value must match the normalized pattern")
     adjusted = T[new_reps, zpow[delta // p]]
     # recompute and verify the postcondition directly in the group
     gram2 = _gram(G, log, p, j, adjusted)
     std = np.kron(np.eye(m, dtype=np.int64), [[0, 1], [p - 1, 0]])
-    assert np.array_equal(gram2 % p, std), "normalized Gram must be standard"
-    assert np.array_equal(xp[adjusted], zpow[targets]), "p-th power must be exact"
+    if not np.array_equal(gram2 % p, std):
+        raise RuntimeError("normalized Gram must be standard")
+    if not np.array_equal(xp[adjusted], zpow[targets]):
+        raise RuntimeError("p-th power must be exact")
     # x^p = z^t exactly, so nu(x) = t
     return replace(data, reps=tuple(adjusted.tolist()), gram=gram2,
                    nu=tuple(targets.tolist()), basis_type=basis_type)
@@ -433,8 +441,8 @@ def classify(G: FiniteGroup) -> tuple[Jn2Spec, GroupMap]:
         a_pow = powers(T, data.reps[2 * i], spec.p)
         b_pow = powers(T, data.reps[2 * i + 1], spec.p)
         images_from_std = T[T[images_from_std, a_pow[alpha[i]]], b_pow[beta[i]]]
-    assert np.unique(images_from_std).size == S.order, \
-        "normal forms must enumerate the group"
+    if np.unique(images_from_std).size != S.order:
+        raise RuntimeError("normal forms must enumerate the group")
     # images_from_std is a permutation: its inverse sends G to S
     return spec, GroupMap(G, S, np.argsort(images_from_std))
 

@@ -539,7 +539,8 @@ def central_product(G: FiniteGroup, H: FiniteGroup,
     Q, proj = quotient(P, N)
     embed_left = GroupMap(G, Q, proj.images[np.arange(G.order) * H.order])
     embed_right = GroupMap(H, Q, proj.images[np.arange(H.order)])
-    assert np.unique(embed_left.images).size == G.order
-    assert np.unique(embed_right.images).size == H.order
+    if (np.unique(embed_left.images).size != G.order
+            or np.unique(embed_right.images).size != H.order):
+        raise RuntimeError("central product embeddings must be injective")
     return CentralProduct(group=Q, embed_left=embed_left,
                           embed_right=embed_right, projection=proj)

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import os
@@ -341,6 +342,20 @@ def test_unexpected_exceptions_exit_four(monkeypatch, capsys, exc):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"internal error: {type(exc).__name__}: {exc}\n"
+
+
+def test_no_assert_guards_a_result():
+    """Checks that guard results raise (exit 4 through the CLI): ``python -O``
+    strips ``assert`` statements."""
+    src = os.path.dirname(cli.__file__)
+    found = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def _is_group_text(text: str) -> bool:

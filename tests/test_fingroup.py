@@ -1,3 +1,5 @@
+import collections
+import math
 import random
 import re
 
@@ -405,6 +407,41 @@ def test_relabel_needs_a_permutation():
         fg.relabel(fg.cyclic(3), [0, 1, 1])
 
 
+# a negative entry would wrap when scattered into the inverse: [0, -1, 1]
+# fills every slot once wrapped, so only the range check refuses it
+@pytest.mark.parametrize("perm", [[0, -1, 2], [0, -1, 1], [0, 1, 3], [0, 1], [0, 2, 2]])
+def test_relabel_rejects_non_permutations(perm):
+    with pytest.raises(ValueError):
+        fg.relabel(fg.cyclic(3), perm)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_relabel_moves_every_cell(small_corpus, data):
+    G = data.draw(st.sampled_from(small_corpus))
+    p = np.array([0] + data.draw(st.permutations(range(1, G.order))), dtype=np.int64)
+    H, iso = fg.relabel(G, p)
+    assert np.array_equal(H.table[p[:, None], p[None, :]], p[G.table])
+    assert np.array_equal(iso.images, p)
+
+
+# the generators of relabelled copies, pinned: the span walk's picks feed
+# Light's test, GroupMap and is_isomorphic, so a closure that returns
+# another set shows here first
+RELABELLED_GENERATORS = {
+    "I(3,2)": [(1, 2, 3, 5), (1, 2, 3, 4), (1, 2, 3, 4), (1, 2, 4, 6), (1, 2, 3, 4)],
+    "II(2^5,1)": [(1, 2, 3, 4), (1, 4), (1, 2), (1, 2), (1, 2)],
+    "S5": [(1, 2, 5), (1, 2), (1, 2, 4), (1, 2, 3), (1, 2)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(RELABELLED_GENERATORS))
+def test_relabelled_generators_pinned(name):
+    G = fg.symmetric(5) if name == "S5" else jn2.materialize(jn2.parse_spec(name)).group
+    got = [fg.random_relabeling(G, random.Random(seed))[0].generators for seed in range(5)]
+    assert got == RELABELLED_GENERATORS[name]
+
+
 def test_groupmap_rejects_non_homomorphism():
     C4 = fg.cyclic(4)
     with pytest.raises(ValueError, match="homomorphism"):
@@ -698,6 +735,43 @@ def test_variants_of_a_class_are_not_isomorphic(specs_243):
             jn2.Jn2Spec(spec.p, spec.j, spec.m, "II")).group, random.Random(0))
         assert fg.is_isomorphic(G, H) is None, str(spec)
         assert _is_isomorphic_by_assignment(G, H) is None, str(spec)
+
+
+def _orders_by_multiplication(G: fg.FiniteGroup) -> list[int]:
+    """Reference for ``element_orders``: multiply by x until the identity."""
+    orders = []
+    for x in G.elements():
+        y, k = x, 1
+        while y != 0:
+            y, k = G.mul(y, x), k + 1
+        orders.append(k)
+    return orders
+
+
+def _groups_of_mixed_order():
+    i31 = jn2.materialize(jn2.parse_spec("I(3,1)")).group
+    return [fg.symmetric(5), fg.alternating(5), fg.dihedral(30), fg.cyclic(97),
+            fg.direct_product(i31, fg.cyclic(3)), fg.dicyclic(12)]
+
+
+def test_element_orders_match_repeated_multiplication(exhaustive_tiers):
+    groups = _groups_of_mixed_order()
+    groups += [G for k in range(1, 9) for G in exhaustive_tiers[k]]
+    for G in groups:
+        ref = _orders_by_multiplication(G)
+        assert G.element_orders.tolist() == ref, G.label
+        assert G.element_orders.dtype == np.int64
+        assert G.order_profile == dict(sorted(collections.Counter(ref).items())), G.label
+        assert G.exponent == math.lcm(*ref), G.label
+
+
+def test_order_profile_and_exponent_pinned():
+    assert fg.symmetric(5).order_profile == {1: 1, 2: 25, 3: 20, 4: 30, 5: 24, 6: 20}
+    assert fg.symmetric(5).exponent == 60
+    assert fg.alternating(5).order_profile == {1: 1, 2: 15, 3: 20, 5: 24}
+    assert fg.dihedral(30).order_profile == {1: 1, 2: 15, 3: 2, 5: 4, 15: 8}
+    assert fg.cyclic(97).order_profile == {1: 1, 97: 96}
+    assert fg.dicyclic(12).exponent == 12
 
 
 def _closure_by_unique(table: np.ndarray, seeds) -> np.ndarray:
