@@ -340,7 +340,10 @@ def find_witness(G: FiniteGroup, n: int, g: int,
     def comm(x: int) -> np.ndarray:
         return G.commutators_of([x], everything)[0]    # the row [x, .]
 
-    def place(r: int, placed: list[int], mask: np.ndarray,
+    # ``recurse`` is ``place`` itself, passed in: a nested function that
+    # names itself is a reference cycle through its closure, which would
+    # keep G alive after the search until the cyclic collector runs
+    def place(recurse, r: int, placed: list[int], mask: np.ndarray,
               sigma: int, s2: int) -> Optional[list[int]]:
         if r == g:
             whole = closure_indices(T, [sigma] + placed).size == N
@@ -352,8 +355,8 @@ def find_witness(G: FiniteGroup, n: int, g: int,
             inner = mask & (ca == 0)
             for b in cent[ca[cent] == s2]:
                 bump()
-                res = place(r + 1, placed + [int(a), int(b)],
-                            inner & (comm(b) == 0), sigma, s2)
+                res = recurse(recurse, r + 1, placed + [int(a), int(b)],
+                              inner & (comm(b) == 0), sigma, s2)
                 if res is not None:
                     return res
         return None
@@ -361,7 +364,7 @@ def find_witness(G: FiniteGroup, n: int, g: int,
     for sigma in sigmas:
         if frattini is not None and (not frattini.in_phi[sigma]) + 2 * g < frattini.rank:
             continue
-        found = place(0, [], np.ones(N, dtype=bool), sigma, int(T[sigma, sigma]))
+        found = place(place, 0, [], np.ones(N, dtype=bool), sigma, int(T[sigma, sigma]))
         if found is not None:
             return Witness(group=G, n=n, g=g, sigma=sigma,
                            a=tuple(found[0::2]), b=tuple(found[1::2]))

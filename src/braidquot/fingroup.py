@@ -743,19 +743,52 @@ def _signatures(G: FiniteGroup) -> np.ndarray:
 def span_walk(table: np.ndarray, candidates: Iterable[int],
               base: Sequence[int] = ()) -> Iterator[int]:
     """Greedy span walk: yield each candidate, in order, that lies outside
-    the closure of ``base`` and the candidates yielded so far under
-    multiplication; stop once that closure is the whole table.  Each pick
-    is yielded before its closure is taken."""
-    inside = np.zeros(table.shape[0], dtype=bool)
-    inside[closure_indices(table, base)] = True
-    picks: list[int] = []
+    the closure H of ``base`` and the candidates yielded so far under
+    multiplication; stop once H is the whole table.  Each pick is yielded
+    before H is extended by it.
+
+    H is extended by right cosets, as in Dimino's algorithm (G. Butler,
+    *Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991).  After
+    a pick x the queue starts at 0, the representative of H itself; for
+    each queued r and each generator g (a base element or a pick, x
+    included), if y = r*g is unmarked, mark the coset H*y and queue y.  A
+    new coset costs one gather of |H| cells.  In a group, with H a
+    subgroup, the marked set K is a union of cosets H*r with every r*g
+    marked, so K*g lies in K for each generator; K holds 0, so it holds
+    every product of generators, and it is <H, x>, the closure.
+
+    ``from_table`` walks a table that is not yet known to be associative,
+    and there the picks are the same as well.  It has already checked that
+    0 is the identity and that each a has a two-sided inverse a', and it
+    resumes the walk only after the pick passed Light's test.  The elements
+    that pass that test form a set A closed under products, and for a in A,
+    a'*(a*y) = (a'*a)*y = y and (y*a)*a' = y*(a*a') = y, so multiplying by a
+    on either side is one-to-one.  The closure M of the tested picks lies in
+    A, so M is associative, cancellative, finite and holds 0: a group, with
+    H a subgroup of it at every step.  So the coset walk marks the closure
+    there too, every pick is the one the closure would give, and the first
+    failing pick, and the message naming it, are unchanged.
+    """
+    n = table.shape[0]
+    inside = np.zeros(n, dtype=bool)
+    H = closure_indices(table, base)
+    inside[H] = True
+    gens = np.asarray(base, dtype=np.intp)
     for x in candidates:
-        if inside.all():
+        if H.size == n:
             break
-        if not inside[x]:
-            picks.append(int(x))
-            yield int(x)
-            inside[closure_indices(table, [*base, *picks])] = True
+        if inside[x]:
+            continue
+        yield int(x)
+        gens = np.append(gens, x)
+        cosets, queue = [H], [0]
+        while queue:
+            for y in table[queue.pop()].take(gens).tolist():
+                if not inside[y]:
+                    cosets.append(table[:, y].take(H).astype(np.intp))
+                    inside[cosets[-1]] = True
+                    queue.append(y)
+        H = np.concatenate(cosets)
 
 
 def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupMap]:

@@ -32,6 +32,7 @@ from .fingroup import (
     direct_product,
     from_table,
     is_isomorphic,
+    power_map,
     quotient,
     subgroup_generated,
     symmetric,
@@ -41,6 +42,9 @@ if TYPE_CHECKING:
     from .jn2 import Jn2Spec
 
 _ENUM_BUDGET = 3_000_000
+
+# Tuples per block of ``find_witness_naive``; bounds its temporaries.
+_NAIVE_BLOCK = 1 << 16
 
 
 def first_assoc_violation(table) -> Optional[tuple[int, int, int]]:
@@ -404,39 +408,41 @@ def is_just_nonabelian(G: FiniteGroup) -> bool:
 
 def find_witness_naive(G: FiniteGroup, n: int, g: int
                        ) -> Optional[tuple[int, tuple[int, ...], tuple[int, ...]]]:
-    """Reference witness search: enumerate every (2g+1)-tuple and check the
-    reduced relations and generation directly from the table.  Returns the
-    first (sigma, a, b) in lexicographic order, or None."""
-    N = G.order
-    T = G.table
-    tr_exp = 2 * (g + n - 1)
+    """Reference witness search: enumerate every (2g+1)-tuple
+    (sigma, a_1, b_1, ..., a_g, b_g) in lexicographic order and check the
+    reduced relations and generation directly from the table, with no
+    pruning.  Returns the first (sigma, a, b), or None.
 
-    def comm(x: int, y: int) -> int:
-        return int(T[T[T[x, y], G.inverse[x]], G.inverse[y]])
-
-    for tup in itertools.product(range(N), repeat=2 * g + 1):
-        sigma = tup[0]
-        a = tup[1::2]
-        b = tup[2::2]
-        if G.power(sigma, tr_exp) != 0:
+    For each sigma with sigma^(2(g+n-1)) = 1, the (a_1, b_1, ...) tuples
+    are taken in blocks of ``_NAIVE_BLOCK`` consecutive ones, and each
+    commutator relation is tested on a whole block by gathers on the
+    commutator matrix; the tuples that pass every relation are then tested
+    for generation one by one, in order.  Meant for small groups: the
+    matrix has |G|^2 entries and each sigma |G|^(2g) tuples."""
+    N, T = G.order, G.table
+    comm = G.commutators_of(range(N), range(N))    # comm[x, y] = [x, y]
+    sigma_tr = power_map(T, 2 * (g + n - 1))
+    total = N ** (2 * g)
+    for sigma in range(N):
+        if sigma_tr[sigma] != 0:
             continue
-        s2 = int(T[sigma, sigma])
-        ok = all(comm(a[r], sigma) == 0 and comm(b[r], sigma) == 0
-                 for r in range(g))
-        if not ok:
-            continue
-        if any(comm(a[r], b[r]) != s2 for r in range(g)):
-            continue
-        ok = True
-        for s in range(g):
-            for r in range(s + 1, g):
-                if (comm(a[s], a[r]) or comm(b[s], b[r])
-                        or comm(b[s], a[r]) or comm(a[s], b[r])):
-                    ok = False
-        if not ok:
-            continue
-        if closure_indices(T, tup).size == N:
-            return (sigma, tuple(a), tuple(b))
+        s2 = T[sigma, sigma]
+        for lo in range(0, total, _NAIVE_BLOCK):
+            idx = np.arange(lo, min(lo + _NAIVE_BLOCK, total))
+            # digit k, most significant first, is the k-th of a_1, b_1, ...
+            digits = [idx // N ** (2 * g - 1 - k) % N for k in range(2 * g)]
+            a, b = digits[0::2], digits[1::2]
+            ok = np.ones(idx.size, dtype=bool)
+            for r in range(g):
+                ok &= (comm[a[r], sigma] == 0) & (comm[b[r], sigma] == 0)
+                ok &= comm[a[r], b[r]] == s2
+                for s in range(r):
+                    ok &= ((comm[a[s], a[r]] == 0) & (comm[b[s], b[r]] == 0)
+                           & (comm[b[s], a[r]] == 0) & (comm[a[s], b[r]] == 0))
+            for i in np.flatnonzero(ok):
+                tup = [sigma] + [int(d[i]) for d in digits]
+                if closure_indices(T, tup).size == N:
+                    return sigma, tuple(tup[1::2]), tuple(tup[2::2])
     return None
 
 

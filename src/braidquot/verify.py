@@ -10,6 +10,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import braid, fingroup, jn2, oracle
 from .braid import (
     SearchReport,
@@ -275,6 +277,32 @@ def check_exponent_dichotomy() -> GlobalCheck:
                        detail=f"failures: {bad}")
 
 
+def _draws(rng: random.Random, bounds: Sequence[int], count: int) -> np.ndarray:
+    """``count`` rows of ``rng.randrange(b)`` for b in ``bounds``, drawn row
+    by row, so in the order a loop over the rows draws them."""
+    draw = rng.randrange
+    return np.array([draw(b) for _ in range(count) for b in bounds],
+                    dtype=np.intp).reshape(count, len(bounds))
+
+
+def _nu_violations(G: FiniteGroup, nu: np.ndarray, p: int,
+                  xs: np.ndarray, ys: np.ndarray) -> int:
+    """How many of the pairs (xs[i], ys[i]) have nu(xy) != nu(x) + nu(y)
+    mod p."""
+    return int(np.count_nonzero(nu[G.table[xs, ys]] != (nu[xs] + nu[ys]) % p))
+
+
+def _pairing_violations(G: FiniteGroup, xs: np.ndarray, ys: np.ndarray,
+                       cs: np.ndarray) -> int:
+    """How many of the triples (xs[i], ys[i], cs[i]) have [x c, y] != [x, y]."""
+    t, inv = G.table, G.inverse
+
+    def comm(us, vs):
+        return t[t[t[us, vs], inv[us]], inv[vs]]
+
+    return int(np.count_nonzero(comm(t[xs, cs], ys) != comm(xs, ys)))
+
+
 def check_nu_linearity(seed: int = 0) -> GlobalCheck:
     """nu(xy) = nu(x) + nu(y) on random pairs, for central orders 3, 9, 5."""
     rng = random.Random(seed)
@@ -286,12 +314,9 @@ def check_nu_linearity(seed: int = 0) -> GlobalCheck:
             G = std.group
             # nu of every element, computed once per group
             nu = jn2.log_table(G, std.z)[fingroup.power_map(G.table, p)] % p
-            for _ in range(1000):
-                x = rng.randrange(G.order)
-                y = rng.randrange(G.order)
-                checked += 1
-                if nu[G.mul(x, y)] != (nu[x] + nu[y]) % p:
-                    violations += 1
+            xs, ys = _draws(rng, (G.order, G.order), 1000).T
+            checked += xs.size
+            violations += _nu_violations(G, nu, p, xs, ys)
     return GlobalCheck("nu-linearity", ok=violations == 0,
                        detail=f"{checked} pairs, {violations} violations")
 
@@ -305,14 +330,10 @@ def check_pairing_representative_independence(seed: int = 0) -> GlobalCheck:
         for variant in ("I", "II"):
             std = materialize(Jn2Spec(p, j, 1, variant))
             G = std.group
-            central = [x for x in range(G.order) if G.center_mask[x]]
-            for _ in range(1000):
-                x = rng.randrange(G.order)
-                y = rng.randrange(G.order)
-                c = central[rng.randrange(len(central))]
-                checked += 1
-                if G.commutator(G.mul(x, c), y) != G.commutator(x, y):
-                    violations += 1
+            central = np.flatnonzero(G.center_mask)
+            xs, ys, ks = _draws(rng, (G.order, G.order, central.size), 1000).T
+            checked += xs.size
+            violations += _pairing_violations(G, xs, ys, central[ks])
     return GlobalCheck("pairing-representative-independence",
                        ok=violations == 0,
                        detail=f"{checked} perturbations, {violations} violations")

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from braidquot import braid, fingroup as fg, jn2, oracle
 from braidquot.braid import Witness
 from braidquot.errors import HypothesisFailed, ParamRange, SearchBudgetExceeded, SizeLimit
 from braidquot.jn2 import Jn2Spec, materialize, parse_spec
+from references import find_witness_scalar, first_witness_unpruned
 
 
 def family_count(pres, family):
@@ -194,6 +197,24 @@ def test_find_witness_d8_none():
     assert braid.find_witness(fg.dihedral(8), 6, 1) is None
 
 
+def test_find_witness_keeps_no_reference_cycle():
+    """The search holds its group only while it runs: with the cyclic
+    collector off, a searched group is freed with its last reference."""
+    G = materialize(parse_spec("I(2^2,1)")).group
+    H = fg.random_relabeling(G, random.Random(0))[0]
+    alive = weakref.ref(H)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        w = braid.find_witness(H, 6, 1)
+        assert w is not None and w.group is H
+        del w, H
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _naive_corpus(exhaustive_tiers, catalog):
     """Every group of order <= 16 the naive search is compared on."""
     groups = [G for k in range(2, 9) for G in exhaustive_tiers[k]]
@@ -233,41 +254,6 @@ def test_find_witness_agrees_with_naive_on_relabeled_tables(exhaustive_tiers,
                 oracle.find_witness_naive(H, n, g), (G.label, seed, n, g)
 
 
-def _first_witness_unpruned(G, n, g):
-    """Reference for genus >= 2, where the naive search is out of reach:
-    backtracking over the reduced relations in lexicographic order with no
-    symmetry breaking.  Each a_r, b_r ranges over the whole centralizer of
-    the pairs before it, and a branch is cut only when that centralizer and
-    the prefix together cannot generate G (closure, not Frattini rank)."""
-    N, T = G.order, G.table
-    comm = G.commutators_of(range(N), range(N))
-    commutes = comm == 0
-    tr_exp = 2 * (g + n - 1)
-
-    def extend(sigma, s2, placed, mask):
-        if len(placed) == 2 * g:
-            whole = fg.closure_indices(T, [sigma, *placed]).size == N
-            return placed if whole else None
-        if fg.closure_indices(T, [sigma, *placed, *np.flatnonzero(mask)]).size < N:
-            return None
-        for a in np.flatnonzero(mask):
-            for b in np.flatnonzero(mask & (comm[a] == s2)):
-                found = extend(sigma, s2, placed + [int(a), int(b)],
-                               mask & commutes[a] & commutes[b])
-                if found is not None:
-                    return found
-        return None
-
-    for sigma in map(int, np.flatnonzero(G.center_mask)):
-        s2 = int(T[sigma, sigma])
-        # sigma^2 = 1 leaves a commuting tuple, which spans only abelian groups
-        if G.power(sigma, tr_exp) == 0 and (G.is_abelian or s2 != 0):
-            found = extend(sigma, s2, [], np.ones(N, dtype=bool))
-            if found is not None:
-                return sigma, tuple(found[0::2]), tuple(found[1::2])
-    return None
-
-
 @settings(max_examples=5, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_find_witness_agrees_with_unpruned_search_genus_two(seed):
@@ -277,7 +263,7 @@ def test_find_witness_agrees_with_unpruned_search_genus_two(seed):
     for spec in ("I(2^2,2)", "II(2^2,2)", "II(2^3,2)", "II(2^3,1)"):
         H, _ = fg.random_relabeling(materialize(parse_spec(spec)).group, rng)
         assert _triple(braid.find_witness(H, 5, 2)) == \
-            _first_witness_unpruned(H, 5, 2), (spec, seed)
+            first_witness_unpruned(H, 5, 2), (spec, seed)
 
 
 @pytest.fixture(scope="module")
@@ -305,7 +291,7 @@ def test_find_witness_agrees_with_references_on_relabeled_groups(reference_corpu
     if g == 1 and H.order <= 14:
         ref = oracle.find_witness_naive(H, n, g)
     else:
-        ref = _first_witness_unpruned(H, n, g)
+        ref = first_witness_unpruned(H, n, g)
     assert _triple(braid.find_witness(H, n, g)) == ref, (G.label, n, g)
 
 
@@ -341,6 +327,83 @@ def test_find_witness_agrees_with_naive_genus_two():
             assert fast is None
         else:
             assert (fast.sigma, fast.a, fast.b) == naive
+
+
+def _semidirect(normal, acting, act, label):
+    """normal x| acting, for abelian groups each given as (elements, mods):
+    tuples, identity first, added coordinatewise modulo ``mods``.  The
+    product is (v, j)(w, k) = (v + act(j, w), j + k)."""
+    (vs, vmods), (js, jmods) = normal, acting
+
+    def add(u, w, mods):
+        return tuple((p + q) % m for p, q, m in zip(u, w, mods))
+
+    els = [(v, j) for j in js for v in vs]
+    index = {e: i for i, e in enumerate(els)}
+    table = [[index[(add(v, act(j, w), vmods), add(j, k, jmods))] for w, k in els]
+             for v, j in els]
+    return fg.from_table(len(els), table, label=label)
+
+
+def _cyclic_tuples(m):
+    return [(i,) for i in range(m)], (m,)
+
+
+def _order_16_groups():
+    """The 14 groups of order 16: five abelian, the two JN2 models, D16,
+    Q16, D8 x C2, Q8 x C2, and three semidirect products."""
+    c, e, dp = fg.cyclic, fg.elementary_abelian, fg.direct_product
+    groups = [c(16), dp(c(2), c(8)), dp(c(4), c(4)), dp(e(2, 2), c(4)), e(2, 4)]
+    groups += [materialize(Jn2Spec(2, 2, 1, v)).group for v in ("I", "II")]
+    groups += [fg.dihedral(16), fg.dicyclic(16), dp(fg.dihedral(8), c(2)),
+               dp(fg.dicyclic(8), c(2))]
+    for m, n, k, label in ((8, 2, 3, "SD16"), (4, 4, 3, "C4:C4")):
+        groups.append(_semidirect(_cyclic_tuples(m), _cyclic_tuples(n),
+                                  lambda j, w, m=m, k=k: ((w[0] * k ** j[0]) % m,), label))
+    pairs = ([(x, y) for x in range(2) for y in range(2)], (2, 2))
+    groups.append(_semidirect(pairs, _cyclic_tuples(4),
+                              lambda j, w: w[::-1] if j[0] % 2 else w, "C2^2:C4"))
+    return groups
+
+
+def test_order_16_groups_are_the_fourteen_classes():
+    groups = _order_16_groups()
+    assert len(groups) == 14
+    for i, G in enumerate(groups):
+        assert G.order == 16
+        for H in groups[:i]:
+            assert fg.is_isomorphic(G, H) is None, (G.label, H.label)
+
+
+def test_naive_search_matches_scalar_reference(exhaustive_tiers, catalog):
+    """The blockwise naive search returns the scalar loop's first witness on
+    every group of order <= 16 at genus one, and on order 8 at (5,2)."""
+    abelian = [fg.cyclic(k) for k in range(9, 16)]
+    abelian += [fg.direct_product(fg.cyclic(3), fg.cyclic(3)),
+                fg.direct_product(fg.cyclic(2), fg.cyclic(6))]
+    groups = [G for k in range(1, 9) for G in exhaustive_tiers[k]]
+    groups += [e.group for e in catalog.entries if e.order > 8]
+    groups += abelian + _order_16_groups()
+    found = 0
+    for G in groups:
+        for n, g in ((5, 1), (6, 1)):
+            ref = find_witness_scalar(G, n, g)
+            assert oracle.find_witness_naive(G, n, g) == ref, (G.label, n, g)
+            found += ref is not None
+    for G in exhaustive_tiers[8]:
+        assert oracle.find_witness_naive(G, 5, 2) == find_witness_scalar(G, 5, 2), G.label
+    assert found > 0
+
+
+def test_naive_search_blocks_keep_the_order(monkeypatch, exhaustive_tiers):
+    """Blocks that split a sigma's tuples leave the first witness as it is."""
+    cases = [(G, n, g) for G in exhaustive_tiers[8] for n, g in ((5, 1), (6, 1), (5, 2))]
+    cases += [(materialize(Jn2Spec(2, 2, 1, "II")).group, n, 1) for n in (5, 6)]
+    refs = [find_witness_scalar(*case) for case in cases]
+    assert any(ref is not None for ref in refs)
+    for block in (5, 100):
+        monkeypatch.setattr(oracle, "_NAIVE_BLOCK", block)
+        assert [oracle.find_witness_naive(*case) for case in cases] == refs, block
 
 
 def test_find_witness_param_range():
@@ -496,7 +559,7 @@ def test_sigma_gate_skips_products_with_a_larger_derived_subgroup(factor, n, g):
     stats = braid.SearchStats()
     assert braid.find_witness(G, n, g, stats=stats) is None
     assert stats.explored == 0
-    assert _first_witness_unpruned(G, n, g) is None
+    assert first_witness_unpruned(G, n, g) is None
 
 
 @pytest.fixture(scope="module")

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from braidquot import fingroup as fg
 from braidquot import jn2
 from braidquot.errors import NotAGroup
+from references import span_walk_from_scratch
+from test_fingroup import LOOP6
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +55,37 @@ def test_generators_are_the_span_walk_picks():
     G = fg.symmetric(4)
     assert G.generators == tuple(fg.span_walk(G.table, range(1, G.order)))
     assert fg.cyclic(1).generators == ()
+
+
+# ---------------------------------------------------------------------------
+# the coset walk picks what the closure-from-scratch walk picks
+
+
+def _walks_agree(table, candidates, base=()) -> list:
+    picks = list(fg.span_walk(table, candidates, base))
+    assert picks == list(span_walk_from_scratch(table, candidates, base))
+    return picks
+
+
+def test_coset_walk_matches_closure_walk(small_corpus):
+    rng = random.Random(0)
+    for G0 in small_corpus:
+        for G in [G0] + [fg.random_relabeling(G0, rng)[0] for _ in range(3)]:
+            n = G.order
+            assert tuple(_walks_agree(G.table, range(1, n))) == G.generators, G.label
+            # any candidate order, such as is_isomorphic's, and any base
+            _walks_agree(G.table, rng.sample(range(n), n))
+            _walks_agree(G.table, range(n), base=rng.sample(range(n), min(n, 2)))
+
+
+def test_coset_walk_matches_closure_walk_over_the_center(specs_243):
+    rng = random.Random(2)
+    for spec in specs_243:
+        G0 = jn2.materialize(spec).group
+        for G in (G0, fg.random_relabeling(G0, rng)[0]):
+            z = min(x for x in fg.center(G).elements
+                    if G.element_order(x) == spec.center_order)
+            assert len(_walks_agree(G.table, range(G.order), base=[z])) == 2 * spec.m
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +238,10 @@ def test_groupmap_refuses_non_integer_images():
 
 
 def _light_unblocked(t: np.ndarray):
-    """The whole-table Light's test over the same span walk picks: the
-    message for the first failing pick's first (x, y), row-major, or None."""
-    for a in fg.span_walk(t, range(1, len(t))):
+    """The whole-table Light's test over the closure-from-scratch walk's
+    picks: the message for the first failing pick's first (x, y), row-major,
+    or None."""
+    for a in span_walk_from_scratch(t, range(1, len(t))):
         bad = t[t[:, a]] != t[:, t[a]]
         if bad.any():
             x, y = np.argwhere(bad)[0]
@@ -275,3 +309,56 @@ def test_light_blocks_match_unblocked_loop(big_tables, data):
         assert np.array_equal(fg.from_table(len(t), t).table, t)
     else:
         assert _blocked_message(t) == ref
+
+
+def _from_table_walk(t: np.ndarray, walk) -> tuple[list[int], str]:
+    """The picks ``from_table`` takes from ``walk`` in place of the span
+    walk, and the message it raises: the walk is resumed after each pick
+    only when the pick passed Light's test."""
+    picks = []
+
+    def recorded(*args):
+        for x in walk(*args):
+            picks.append(x)
+            yield x
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fg, "span_walk", recorded)
+        message = _blocked_message(t)
+    return picks, message
+
+
+def _loop_times_group(K: fg.FiniteGroup, rng: random.Random) -> np.ndarray:
+    """LOOP6 x K, element (i, k) at i*|K| + k, relabelled at random among
+    the (i, k) with i in {0, 1} and among the rest, and 0 fixed.  Light's
+    test passes for the first kind and fails for i = 2, so ``from_table``
+    takes picks from the subgroup {0, 1} x K, resuming the walk after each,
+    until one fails."""
+    m = K.order
+    t = (LOOP6[:, None, :, None] * m + K.table[None, :, None, :]).reshape(6 * m, 6 * m)
+    p = np.array([0] + rng.sample(range(1, 2 * m), 2 * m - 1)
+                 + rng.sample(range(2 * m, 6 * m), 4 * m))
+    q = np.argsort(p)
+    return p[t[q][:, q]]
+
+
+def test_from_table_walks_planted_tables_as_the_closure_walk(big_tables):
+    """On tables that fail Light's test, the coset walk's picks up to the
+    failing one, and the message, are those of the closure walk."""
+    rng = random.Random(3)
+    tables = [LOOP6]
+    for G in big_tables:
+        n = G.order
+        for x, y in ((1, 1), (2, n - 2), (n // 2, 7), (n - 1, n - 1)):
+            for shift in (1, 5):
+                if G.table[x, y]:
+                    tables.append(_planted(G, x, y, shift))
+    for K in (fg.symmetric(4), jn2.materialize(jn2.parse_spec("I(2^2,1)")).group):
+        tables += [_loop_times_group(K, rng) for _ in range(10)]
+    longest = 0
+    for t in tables:
+        coset = _from_table_walk(t, fg.span_walk)
+        assert coset == _from_table_walk(t, span_walk_from_scratch)
+        assert coset[1] == _light_unblocked(t)
+        longest = max(longest, len(coset[0]))
+    assert longest >= 4
