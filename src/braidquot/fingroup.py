@@ -15,7 +15,10 @@ the laws below are checked on the certified generators A only, exactly:
 - ``derived_subgroup``: the normal closure of the commutators [a, b] of
   generators, conjugating by A only;
 - ``is_isomorphic``: f(g*y) = f(g)*f(y) on each K = <g_1..g_i> of its
-  generating sequence, for g among g_1..g_i and every y in K.
+  generating sequence, for g among g_1..g_i and every y in K;
+- ``Subgroup`` closure of a proper set S of more than 128 elements:
+  S*a lies in S for a in a set A that a span walk over S picks, so that
+  <A> holds S; |A|*|S| cells (see ``_is_closed``).
 All values are immutable after construction; operations are pure functions
 of their inputs.
 """
@@ -68,9 +71,10 @@ def power_map(table: np.ndarray, k: int) -> np.ndarray:
     return acc
 
 
-def powers(table: np.ndarray, x: int, count: int) -> np.ndarray:
-    """x^0, x^1, ..., x^(count-1)."""
-    out = np.zeros(count, dtype=np.int64)
+def powers(table: np.ndarray, x, count: int) -> np.ndarray:
+    """x^0, x^1, ..., x^(count-1).  For an index array x, row e holds the
+    e-th powers of all its elements, one gather per row."""
+    out = np.zeros((count,) + np.shape(x), dtype=np.int64)
     for e in range(1, count):
         out[e] = table[out[e - 1], x]
     return out
@@ -247,12 +251,19 @@ def from_table(order: int,
     blocks of about ``_LIGHT_BLOCK`` cells, and the first failing (x, y) in
     row-major order is reported.
 
+    A C-contiguous int32 array that owns its data is taken over as the
+    group's table without a copy, and marked read-only: the caller hands
+    over a table it built, as ``relabel``, ``materialize`` and the ``.grp``
+    reader do.  Any other table (another dtype, a view, a non-contiguous
+    array, nested lists) is range-checked as it is and then copied into a
+    C-contiguous int32 array.
+
     Raises :class:`NotAGroup` naming the first violated law, or
     :class:`SizeLimit` when the order exceeds the table cap.
     """
     _check_order(order)
     if isinstance(table, np.ndarray) and table.dtype.kind in "iu":
-        t = table  # range-checked as it is, then copied narrowed
+        t = table  # range-checked as it is, then taken over or copied narrowed
     else:
         try:
             t = np.array(table, dtype=np.int64)
@@ -262,7 +273,9 @@ def from_table(order: int,
         raise NotAGroup(f"table shape {t.shape} does not match order {order}")
     if t.min(initial=0) < 0 or t.max(initial=0) >= order:
         raise NotAGroup("table entries out of range")
-    t = t.astype(np.int32)
+    if not (t is table and t.dtype == np.int32 and t.flags.owndata
+            and t.flags.c_contiguous):
+        t = t.astype(np.int32, order="C")
 
     idx = np.arange(order, dtype=np.int32)
     if not np.array_equal(t[0], idx):
@@ -477,31 +490,73 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
 # subgroups, quotients, maps
 
 
+# Sets up to this size are checked for closure on all |S|^2 products;
+# larger proper ones by the generator law of ``_is_closed``.
+_SMALL_SET = 128
+
+
+def _is_closed(G: FiniteGroup, els: np.ndarray, mask: np.ndarray) -> bool:
+    """Whether the sorted set ``els`` of distinct indices in 0..|G|-1, with
+    membership ``mask``, is closed under multiplication, decided exactly.
+
+    A set of |G| elements is all of G, closed since ``from_table``
+    range-checked every product.  A set of at most ``_SMALL_SET`` elements
+    is checked on all |S|^2 products.  A larger one is checked on a
+    generating set, as Light's test checks associativity.  The s with S*s in S are closed under products, since
+    S*(s*t) = (S*s)*t lies in S*t.  A span walk over S picks a set A with
+    S inside <A>; in a finite group <A> is the product closure of A.  So if
+    S*a lies in S for every a in A, then every s in S has S*s in S, and S is
+    closed; the converse is plain.  That is |A|*|S| cells, |A| at most
+    log2 |G|, besides the walk."""
+    t = G.table
+    if els.size == G.order:
+        return True
+    if els.size <= _SMALL_SET:
+        return bool(mask[t.take(els, axis=0).take(els, axis=1)].all())
+    gens = np.fromiter(span_walk(t, els.tolist()), dtype=np.intp)
+    return bool(mask[t.take(els, axis=0).take(gens, axis=1)].all())
+
+
 @dataclass(frozen=True, eq=False)
 class Subgroup:
-    """A subgroup of ``parent``: a sorted index tuple containing 0, and its
-    membership ``mask``."""
+    """A subgroup of ``parent``: ``indices``, its elements as a sorted
+    read-only index array containing 0, and its membership ``mask``.
+    ``elements`` is the same set as a tuple, made when first asked for;
+    it is hashable, so it serves as a key.
+
+    The constructor takes any sorted sequence of indices (an array is used
+    without a round trip through Python ints) and checks it exactly: it
+    must be sorted, unique and hold 0, and it must be closed under
+    multiplication (see ``_is_closed``)."""
 
     parent: FiniteGroup
-    elements: tuple[int, ...]
+    indices: np.ndarray
 
     def __post_init__(self):
-        els = np.asarray(self.elements)
-        if els.size == 0 or els[0] != 0 or (np.diff(els) <= 0).any():
+        els = np.array(self.indices, dtype=np.intp)
+        if (els.ndim != 1 or els.size == 0 or els[0] != 0
+                or (els[1:] <= els[:-1]).any()):
             raise ValueError("elements must be sorted, unique, and contain 0")
-        if not self.mask[self.parent.table[np.ix_(els, els)]].all():
+        els.flags.writeable = False
+        object.__setattr__(self, "indices", els)
+        # building the mask refuses an index past the parent (IndexError)
+        if not _is_closed(self.parent, els, self.mask):
             raise ValueError("set is not closed under multiplication")
 
     @cached_property
     def mask(self) -> np.ndarray:
         m = np.zeros(self.parent.order, dtype=bool)
-        m[list(self.elements)] = True
+        m[self.indices] = True
         m.flags.writeable = False
         return m
 
+    @cached_property
+    def elements(self) -> tuple[int, ...]:
+        return tuple(self.indices.tolist())
+
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return self.indices.size
 
     @property
     def is_whole(self) -> bool:
@@ -517,7 +572,7 @@ class Subgroup:
         if self.is_normal:
             return None
         G = self.parent
-        arr = np.asarray(self.elements)
+        arr = self.indices
         outside = ~self.mask[G.table[G.table[:, arr], G.inverse[:, None]]]
         x, i = np.argwhere(outside)[0]
         return (int(x), int(arr[i]))
@@ -526,19 +581,18 @@ class Subgroup:
     def is_normal(self) -> bool:
         """a N a^-1 lies in N for every generator a.  The x with
         x N x^-1 in N are closed under products, so they are all of G."""
-        return bool(self.mask[self.parent.conjugates_by_generators(self.elements)].all())
+        return bool(self.mask[self.parent.conjugates_by_generators(self.indices)].all())
 
     def __repr__(self) -> str:
         return f"<Subgroup order={self.order} of {self.parent!r}>"
 
 
 def subgroup_generated(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
-    els = closure_indices(G.table, gens)
-    return Subgroup(G, tuple(int(e) for e in els))
+    return Subgroup(G, closure_indices(G.table, gens))
 
 
 def center(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, tuple(int(x) for x in np.flatnonzero(G.center_mask)))
+    return Subgroup(G, np.flatnonzero(G.center_mask))
 
 
 def normal_closure(G: FiniteGroup, seeds) -> Subgroup:
@@ -552,7 +606,7 @@ def normal_closure(G: FiniteGroup, seeds) -> Subgroup:
         inside[els] = True
         conj = G.conjugates_by_generators(els).ravel()
         if inside[conj].all():
-            return Subgroup(G, tuple(els.tolist()))
+            return Subgroup(G, els)
         els = closure_indices(G.table, np.concatenate([els, conj]))
 
 
@@ -575,7 +629,7 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, "GroupMap"]:
     if viol is not None:
         x, s = viol
         raise NotNormal(f"{x}*{s}*{x}^-1 lies outside the subgroup")
-    reps = G.table[:, np.asarray(N.elements)].min(axis=1)  # min of the left coset xN
+    reps = G.table[:, N.indices].min(axis=1)  # min of the left coset xN
     rep_list, images = np.unique(reps, return_inverse=True)
     qtable = images[G.table[np.ix_(rep_list, rep_list)]]
     Q = from_table(len(rep_list), qtable, label=f"{G.label or '?'}/N{N.order}")
@@ -645,11 +699,11 @@ def lower_central_series(G: FiniteGroup) -> tuple[Subgroup, ...]:
     [gamma_k, G] is the normal closure M of the [x, a], x in gamma_k, a a
     generator: modulo M every such x commutes with the generators, so it is
     central, and [gamma_k, G] lies in M."""
-    series = [Subgroup(G, tuple(range(G.order)))]
+    series = [Subgroup(G, np.arange(G.order))]
     while True:
-        cur = series[-1].elements
+        cur = series[-1].indices
         nxt = normal_closure(G, G.commutators_of(cur, G.generators))
-        if nxt.elements == series[-1].elements:
+        if np.array_equal(nxt.indices, cur):
             break
         series.append(nxt)
         if nxt.order == 1:
@@ -716,7 +770,7 @@ def _frattini_quotient(G: FiniteGroup) -> Optional[FrattiniQuotient]:
         rest //= p
     if rest != 1:
         return None
-    phi = closure_indices(t, np.concatenate([derived_subgroup(G).elements,
+    phi = closure_indices(t, np.concatenate([derived_subgroup(G).indices,
                                              power_map(t, p)]))
     index, rank = n // phi.size, 0
     while index > 1:

@@ -31,7 +31,6 @@ from .errors import NotCentral, NotGenerator, NotJn2, SizeLimit
 from .fingroup import (
     FiniteGroup,
     GroupMap,
-    center,
     derived_subgroup,
     from_table,
     least_prime_factor,
@@ -165,32 +164,40 @@ def is_jn2(G: FiniteGroup) -> Optional[tuple[int, int, int]]:
     order p, center cyclic of order p^j, central quotient elementary abelian
     of exponent p.
     """
+    params = _jn2_params(G)
+    return None if params is None else params[:3]
+
+
+def _jn2_params(G: FiniteGroup) -> Optional[tuple[int, int, int, np.ndarray]]:
+    """``is_jn2``'s (p, j, m), with x^p for every element x, or None.  The
+    center is read off ``G.center_mask``."""
     D = derived_subgroup(G)
     if D.order < 2 or least_prime_factor(D.order) != D.order:
         return None
     p = D.order
-    Z = center(G)
-    zorder = Z.order
-    j = 0
+    in_z = G.center_mask
+    zsize = int(np.count_nonzero(in_z))
+    zorder, j = zsize, 0
     while zorder % p == 0:
         zorder //= p
         j += 1
     if zorder != 1 or j < 1:
         return None
-    if G.element_orders[Z.mask].max() != Z.order:
+    if G.element_orders[in_z].max() != zsize:
         return None  # center not cyclic
-    if not Z.mask[D.mask].all():
+    if not in_z[D.indices].all():
         return None  # central quotient not abelian
-    if not Z.mask[power_map(G.table, p)].all():
+    xp = power_map(G.table, p)
+    if not in_z[xp].all():
         return None  # central quotient not of exponent p
-    v = G.order // Z.order    # |G/Z|, a power of p by Cauchy: G/Z has exponent p
+    v = G.order // zsize    # |G/Z|, a power of p by Cauchy: G/Z has exponent p
     e = 0
     while v % p == 0:
         v //= p
         e += 1
     if e % 2:
         raise RuntimeError("commutator pairing forces even dimension")
-    return (p, j, e // 2)
+    return (p, j, e // 2, xp)
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +213,13 @@ class SymplecticData:
     Gram matrix stores pairing values as exponents of z^(p^(j-1)); ``nu``
     stores x -> x^p mod (ZG)^p as exponents of z.  ``basis_type`` is None
     before normalization and "I" or "II" after.
+
+    Three invariants of G are carried, read-only, from ``symplectic_data``,
+    where they are first computed, so that later steps do not recompute
+    them: ``xp`` is x^p for every element x (from ``is_jn2``'s exponent
+    check), ``zpow`` is z^0, ..., z^(p^j - 1), and ``log`` is the discrete
+    log table of ``log_table(G, z)``.  ``normalize_basis`` uses them to
+    adjust its representatives, but checks its postcondition without them.
     """
 
     group: FiniteGroup
@@ -216,14 +230,21 @@ class SymplecticData:
     reps: tuple[int, ...]
     gram: np.ndarray
     nu: tuple[int, ...]
+    xp: np.ndarray
+    zpow: np.ndarray
+    log: np.ndarray
     basis_type: Optional[str] = None
 
 
 def log_table(G: FiniteGroup, z: int) -> np.ndarray:
     """Discrete logs to base z: entry z^t is t for 0 <= t < ord(z), and
     every element outside <z> has entry -1."""
-    zpow = powers(G.table, z, G.element_order(z))
-    log = np.full(G.order, -1, dtype=np.int64)
+    return _logs(G.order, powers(G.table, z, G.element_order(z)))
+
+
+def _logs(order: int, zpow: np.ndarray) -> np.ndarray:
+    """The log table of the powers ``zpow`` = z^0, ..., z^(ord(z) - 1)."""
+    log = np.full(order, -1, dtype=np.int64)
     log[zpow] = np.arange(zpow.size)
     return log
 
@@ -244,15 +265,16 @@ def symplectic_data(G: FiniteGroup, z: int) -> SymplecticData:
     The pairing is nondegenerate: once ``is_jn2`` holds, G' <= ZG, so an x
     that pairs trivially with every representative commutes with
     G = <ZG, reps> and lies in ZG."""
-    params = is_jn2(G)
+    params = _jn2_params(G)
     if params is None:
         raise NotJn2("group fails the JN2 characterization")
-    p, j, m = params
+    p, j, m, xp = params
     if not G.center_mask[z]:
         raise NotCentral(f"element {z} is not central")
     if G.element_order(z) != p ** j:
         raise NotGenerator(f"element {z} does not generate the center")
-    log = log_table(G, z)
+    zpow = powers(G.table, z, p ** j)
+    log = _logs(G.order, zpow)
 
     # greedy coset basis: smallest-index representatives independent mod
     # ZG; V is elementary abelian, so the walk ends after exactly 2m picks
@@ -264,9 +286,12 @@ def symplectic_data(G: FiniteGroup, z: int) -> SymplecticData:
         raise RuntimeError("commutator pairing must be alternating")
 
     # is_jn2 puts every x^p in ZG = <z>, so each log is defined
-    nu = tuple((log[power_map(G.table, p)[reps]] % p).tolist())
+    nu = tuple((log[xp[reps]] % p).tolist())
+    for a in (xp, zpow, log):
+        a.flags.writeable = False
     return SymplecticData(group=G, p=p, j=j, m=m, z=z, reps=tuple(reps),
-                          gram=gram, nu=nu, basis_type=None)
+                          gram=gram, nu=nu, xp=xp, zpow=zpow, log=log,
+                          basis_type=None)
 
 
 def _symplectic_pairs(gram: np.ndarray, p: int,
@@ -351,19 +376,15 @@ def _arf_pairs(gram: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, str]:
     return np.array(hyperbolic), "I"
 
 
-def normalize_basis(data: SymplecticData) -> SymplecticData:
-    """Symplectic basis on which nu is identically zero (type I) or
-    (1, 1, 0, ..., 0) (type II), with representatives adjusted by central
-    elements so that a_i^p = b_i^p = 1 exactly, except a_1^p = b_1^p = z in
-    type II.  The postcondition is re-verified by direct group computation.
+def _normalized_coords(data: SymplecticData) -> tuple[np.ndarray, str]:
+    """Coordinates on ``data.reps`` (one row per new basis vector) of the
+    symplectic basis ``normalize_basis`` lifts, and its type "I" or "II".
 
     For p^j = 2, nu is the quadratic form of ``_arf_pairs``.
     """
-    G, p, j, m = data.group, data.p, data.j, data.m
-    T = G.table
+    p, j, dim = data.p, data.j, 2 * data.m
     gram = data.gram % p
     nu_vec = np.array(data.nu, dtype=np.int64) % p
-    dim = 2 * m
     units = list(np.eye(dim, dtype=np.int64))
 
     if p ** j == 2:
@@ -386,32 +407,46 @@ def normalize_basis(data: SymplecticData) -> SymplecticData:
     if coords.shape != (dim, dim):
         raise RuntimeError(f"symplectic basis has shape {coords.shape}, "
                            f"expected {(dim, dim)}")
+    return coords, basis_type
 
-    # lift coordinate vectors to group elements, prod_t reps[t]^coords[:, t]
+
+def normalize_basis(data: SymplecticData) -> SymplecticData:
+    """Symplectic basis on which nu is identically zero (type I) or
+    (1, 1, 0, ..., 0) (type II), with representatives adjusted by central
+    elements so that a_i^p = b_i^p = 1 exactly, except a_1^p = b_1^p = z in
+    type II.  The postcondition is re-verified by direct group computation.
+    """
+    G, p, j, dim = data.group, data.p, data.j, 2 * data.m
+    T = G.table
+    coords, basis_type = _normalized_coords(data)
+
+    # lift coordinate vectors to group elements, prod_t reps[t]^coords[:, t],
+    # from one power ladder: ladder[k, t] = reps[t]^k
+    ladder = powers(T, np.asarray(data.reps), p)
     new_reps = np.zeros(dim, dtype=np.int64)
-    for t, r in enumerate(data.reps):
-        new_reps = T[new_reps, powers(T, r, p)[coords[:, t]]]
+    for t in range(dim):
+        new_reps = T[new_reps, ladder[coords[:, t], t]]
 
     # adjust each representative by a central element so p-th powers are exact
-    xp = power_map(T, p)
-    log = log_table(G, data.z)
-    zpow = powers(T, data.z, p ** j)
     targets = np.zeros(dim, dtype=np.int64)
     if basis_type == "II":
         targets[:2] = 1
-    delta = (targets - log[xp[new_reps]]) % p ** j
+    delta = (targets - data.log[data.xp[new_reps]]) % p ** j
     if (delta % p).any():
         raise RuntimeError("nu value must match the normalized pattern")
-    adjusted = T[new_reps, zpow[delta // p]]
-    # recompute and verify the postcondition directly in the group
-    gram2 = _gram(G, log, p, j, adjusted)
-    std = np.kron(np.eye(m, dtype=np.int64), [[0, 1], [p - 1, 0]])
-    if not np.array_equal(gram2 % p, std):
+    adjusted = T[new_reps, data.zpow[delta // p]]
+    std = np.zeros((dim, dim), dtype=np.int64)
+    i = np.arange(0, dim, 2)
+    std[i, i + 1], std[i + 1, i] = 1, p - 1
+    # verify the postcondition directly in the group, without the carried
+    # invariants: [r_u, r_v] = c^std[u, v] for c = z^(p^(j-1)), r_u^p = z^t_u
+    c = G.power(data.z, p ** (j - 1))
+    if not np.array_equal(G.commutators_of(adjusted, adjusted), powers(T, c, p)[std]):
         raise RuntimeError("normalized Gram must be standard")
-    if not np.array_equal(xp[adjusted], zpow[targets]):
+    if not np.array_equal(powers(T, adjusted, p + 1)[p], np.where(targets, data.z, 0)):
         raise RuntimeError("p-th power must be exact")
     # x^p = z^t exactly, so nu(x) = t
-    return replace(data, reps=tuple(adjusted.tolist()), gram=gram2,
+    return replace(data, reps=tuple(adjusted.tolist()), gram=std,
                    nu=tuple(targets.tolist()), basis_type=basis_type)
 
 
@@ -425,23 +460,25 @@ def classify(G: FiniteGroup) -> tuple[Jn2Spec, GroupMap]:
     The variant is read off a normalized symplectic basis, and the
     isomorphism maps the lifted representatives to the standard generators.
     """
-    Z = center(G)
-    z = min((x for x in Z.elements if G.element_order(x) == Z.order), default=None)
-    if z is None:
+    zs = np.flatnonzero(G.center_mask)
+    zs = zs[G.element_orders[zs] == zs.size]
+    if not zs.size:
         raise NotJn2("center is not cyclic")
-    data = normalize_basis(symplectic_data(G, z))  # recognises JN2
+    data = normalize_basis(symplectic_data(G, int(zs[0])))  # recognises JN2
     spec = Jn2Spec(p=data.p, j=data.j, m=data.m, variant=data.basis_type)
     S = materialize(spec).group
     T = G.table
     # the normal form z^k prod_i a_i^alpha_i b_i^beta_i of every index,
-    # evaluated on the lifted representatives, all indices at once
+    # evaluated on the lifted representatives, all indices at once, with
+    # ladder[e, t] = reps[t]^e
     k, alpha, beta = _decode(spec, np.arange(S.order, dtype=np.int64))
-    images_from_std = powers(T, z, spec.center_order)[k]
+    ladder = powers(T, np.asarray(data.reps), spec.p)
+    images_from_std = data.zpow[k]
     for i in range(spec.m):
-        a_pow = powers(T, data.reps[2 * i], spec.p)
-        b_pow = powers(T, data.reps[2 * i + 1], spec.p)
-        images_from_std = T[T[images_from_std, a_pow[alpha[i]]], b_pow[beta[i]]]
-    if np.unique(images_from_std).size != S.order:
+        images_from_std = T[T[images_from_std, ladder[alpha[i], 2 * i]],
+                            ladder[beta[i], 2 * i + 1]]
+    # |G| = |S| images, so they enumerate G exactly when each is hit
+    if not np.bincount(images_from_std, minlength=S.order).all():
         raise RuntimeError("normal forms must enumerate the group")
     # images_from_std is a permutation: its inverse sends G to S
     return spec, GroupMap(G, S, np.argsort(images_from_std))

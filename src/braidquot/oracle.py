@@ -372,12 +372,12 @@ def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
     while work:
         cur = work.pop()
         for atom in atoms:
-            if cur.mask[list(atom.elements)].all():
+            if cur.mask[atom.indices].all():
                 continue
-            prod = np.unique(G.table[np.ix_(cur.elements, atom.elements)])
-            key = tuple(int(x) for x in prod)
+            prod = np.unique(G.table[np.ix_(cur.indices, atom.indices)])
+            key = tuple(prod.tolist())
             if key not in normals:
-                normals[key] = Subgroup(G, key)
+                normals[key] = Subgroup(G, prod)
                 work.append(normals[key])
     return sorted(normals.values(), key=lambda s: (s.order, s.elements))
 
@@ -397,7 +397,7 @@ def is_just_nonabelian(G: FiniteGroup) -> bool:
         return False
     atoms = [A for A in _class_closures(G) if A.order > 1]
     for M in atoms:
-        if any(B.order < M.order and M.mask[list(B.elements)].all()
+        if any(B.order < M.order and M.mask[B.indices].all()
                for B in atoms):
             continue  # not minimal
         Q, _ = quotient(G, M)

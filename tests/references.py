@@ -7,7 +7,12 @@ kept so that tests can require the kernel to give the same answer:
 - ``find_witness_scalar``: ``oracle.find_witness_naive`` one tuple at a
   time, with one table lookup per Python call;
 - ``first_witness_unpruned``: ``braid.find_witness`` at any genus, without
-  the count cut, the sigma gate or the Frattini skip.
+  the count cut, the sigma gate or the Frattini skip;
+- ``closed_on_all_products``: ``fingroup.Subgroup``'s closure check on all
+  |S|^2 products, without the generator law;
+- ``classify_per_rep``: ``jn2.classify`` with the center taken as a
+  ``Subgroup``, each representative lifted by its own powers, and x^p, the
+  log table and the powers of z recomputed where they are used.
 """
 
 import itertools
@@ -15,6 +20,7 @@ import itertools
 import numpy as np
 
 from braidquot import fingroup as fg
+from braidquot import jn2
 
 
 def span_walk_from_scratch(table, candidates, base=()):
@@ -103,3 +109,55 @@ def first_witness_unpruned(G, n, g):
             if found is not None:
                 return sigma, tuple(found[0::2]), tuple(found[1::2])
     return None
+
+
+def closed_on_all_products(G, elements):
+    """Whether every product x*y of x, y in ``elements`` lies in the set."""
+    els = np.asarray(elements, dtype=np.intp)
+    inside = np.zeros(G.order, dtype=bool)
+    inside[els] = True
+    return bool(inside[G.table[np.ix_(els, els)]].all())
+
+
+def normalize_basis_per_rep(data):
+    """(reps, basis type) of ``jn2.normalize_basis(data)``: the same
+    coordinates, lifted with one ``powers`` call per representative, and
+    the central adjustment and postconditions recomputed from the table."""
+    G, p, j, m = data.group, data.p, data.j, data.m
+    T = G.table
+    coords, basis_type = jn2._normalized_coords(data)
+    new_reps = np.zeros(2 * m, dtype=np.int64)
+    for t, r in enumerate(data.reps):
+        new_reps = T[new_reps, fg.powers(T, r, p)[coords[:, t]]]
+    xp = fg.power_map(T, p)
+    log = jn2.log_table(G, data.z)
+    zpow = fg.powers(T, data.z, p ** j)
+    targets = np.zeros(2 * m, dtype=np.int64)
+    if basis_type == "II":
+        targets[:2] = 1
+    delta = (targets - log[xp[new_reps]]) % p ** j
+    assert not (delta % p).any()
+    adjusted = T[new_reps, zpow[delta // p]]
+    std = np.kron(np.eye(m, dtype=np.int64), [[0, 1], [p - 1, 0]])
+    assert np.array_equal(jn2._gram(G, log, p, j, adjusted) % p, std)
+    assert np.array_equal(xp[adjusted], zpow[targets])
+    return tuple(adjusted.tolist()), basis_type
+
+
+def classify_per_rep(G):
+    """(spec, images of the isomorphism G -> standard model) as
+    ``jn2.classify`` gives them, with the normal form z^k prod_i
+    a_i^alpha_i b_i^beta_i evaluated one representative at a time."""
+    Z = fg.center(G)
+    z = min(x for x in Z.elements if G.element_order(x) == Z.order)
+    data = jn2.symplectic_data(G, z)
+    reps, basis_type = normalize_basis_per_rep(data)
+    spec = jn2.Jn2Spec(p=data.p, j=data.j, m=data.m, variant=basis_type)
+    T = G.table
+    k, alpha, beta = jn2._decode(spec, np.arange(spec.order, dtype=np.int64))
+    images = fg.powers(T, z, spec.center_order)[k]
+    for i in range(spec.m):
+        a_pow = fg.powers(T, reps[2 * i], spec.p)
+        b_pow = fg.powers(T, reps[2 * i + 1], spec.p)
+        images = T[T[images, a_pow[alpha[i]]], b_pow[beta[i]]]
+    return spec, np.argsort(images)

@@ -171,6 +171,23 @@ def test_light_test_agrees_with_full_sweep(small_corpus, data):
     assert _is_violation(t, *_reported_triple(str(exc.value)))
 
 
+def test_from_table_takes_over_only_owned_int32_tables():
+    """An owned C-contiguous int32 table becomes the group's, read-only;
+    a view, a Fortran-ordered array or another dtype is copied and left
+    writable."""
+    src = fg.dihedral(8).table
+    owned = np.array(src)
+    G = fg.from_table(8, owned)
+    assert G.table is owned and not owned.flags.writeable
+    stacked = np.concatenate([src, src])
+    fortran = np.asfortranarray(src)
+    for t in (stacked[:8], fortran, src.astype(np.int64), src.astype(np.uint16)):
+        H = fg.from_table(8, t)
+        assert H.table is not t and not np.shares_memory(H.table, t)
+        assert t.flags.writeable and H.table.flags.c_contiguous
+        assert H.table.dtype == np.int32 and np.array_equal(H.table, src)
+
+
 def test_table_cap():
     with pytest.raises(SizeLimit):
         fg.symmetric(8)
@@ -395,6 +412,13 @@ def test_subgroup_rejects_unclosed_set():
     three_cycle = next(x for x in range(6) if S3.element_order(x) == 3)
     with pytest.raises(ValueError, match="closed"):
         fg.Subgroup(S3, tuple(sorted({0, transposition, three_cycle})))
+
+
+@pytest.mark.parametrize("elements", [(), (1,), (0, 1, 1), (0, 3, 1), np.array([[0, 1]])])
+def test_subgroup_rejects_unsorted_sets(elements):
+    C4 = fg.cyclic(4)
+    with pytest.raises(ValueError, match="^elements must be sorted, unique, and contain 0$"):
+        fg.Subgroup(C4, elements)
 
 
 def test_relabel_must_fix_identity():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from braidquot import fingroup as fg
 from braidquot import jn2
 from braidquot.errors import NotAGroup
-from references import span_walk_from_scratch
+from references import closed_on_all_products, span_walk_from_scratch
 from test_fingroup import LOOP6
 
 
@@ -362,3 +362,97 @@ def test_from_table_walks_planted_tables_as_the_closure_walk(big_tables):
         assert coset[1] == _light_unblocked(t)
         longest = max(longest, len(coset[0]))
     assert longest >= 4
+
+
+# ---------------------------------------------------------------------------
+# Subgroup closure: all |S|^2 products for small sets, the generator law for
+# large proper ones, nothing more for the whole group
+
+
+def _closure_agrees(G, elements) -> bool:
+    """Subgroup accepts the sorted set ``elements`` exactly when every
+    product of two of its elements lies in it, and a rejection keeps its
+    message.  Returns whether the set was accepted."""
+    els = np.array(sorted(elements), dtype=np.intp)
+    if closed_on_all_products(G, els):
+        assert fg.Subgroup(G, els).elements == tuple(els.tolist())
+        return True
+    with pytest.raises(ValueError) as exc:
+        fg.Subgroup(G, els)
+    assert str(exc.value) == "set is not closed under multiplication"
+    return False
+
+
+@pytest.fixture(scope="module")
+def closure_corpus():
+    i31 = jn2.materialize(jn2.parse_spec("I(3,1)")).group
+    return [fg.symmetric(3), fg.dihedral(8), fg.dicyclic(8), fg.alternating(4),
+            fg.cyclic(12), fg.symmetric(4), fg.random_relabeling(i31, random.Random(0))[0]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_subgroup_closure_matches_all_products(closure_corpus, data):
+    G = data.draw(st.sampled_from(closure_corpus))
+    others = st.integers(1, G.order - 1)
+    _closure_agrees(G, {0} | data.draw(st.sets(others)))
+    # planted: a subgroup with one element added, and with one removed
+    H = fg.closure_indices(G.table, data.draw(st.lists(others, max_size=2)))
+    assert _closure_agrees(G, H)
+    outside = np.setdiff1d(np.arange(G.order), H)
+    if outside.size:
+        x = int(outside[data.draw(st.integers(0, outside.size - 1))])
+        added = _closure_agrees(G, {*H.tolist(), x})
+        assert added == (H.size == 1 and G.element_order(x) == 2)
+    if H.size > 1:
+        y = int(H[data.draw(st.integers(1, H.size - 1))])
+        assert _closure_agrees(G, set(H.tolist()) - {y}) == (H.size == 2)
+
+
+@pytest.fixture(scope="module")
+def relabelled_i24():
+    G = jn2.materialize(jn2.parse_spec("I(2,4)")).group
+    return fg.random_relabeling(G, random.Random(0))[0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_subgroup_generator_law_matches_all_products(relabelled_i24, data):
+    """Sets of 129 to 511 elements take the generator-law form of the
+    closure check: the index-2 subgroups spanned by all generators of a
+    group of order 512 but one, and sets planted from them."""
+    G = relabelled_i24
+    gens = list(G.generators)
+    del gens[data.draw(st.integers(0, len(gens) - 1))]
+    H = fg.closure_indices(G.table, gens)
+    assert fg._SMALL_SET < H.size < G.order
+    assert _closure_agrees(G, H)
+    inside = set(H.tolist())
+    outside = np.setdiff1d(np.arange(G.order), H)
+    x = int(outside[data.draw(st.integers(0, outside.size - 1))])
+    y = int(H[data.draw(st.integers(1, H.size - 1))])
+    assert not _closure_agrees(G, inside | {x})
+    assert not _closure_agrees(G, inside - {y})
+    assert not _closure_agrees(G, (inside - {y}) | {x})
+    # a subgroup K and a coset K*w: closed exactly when w^2 lies in K and
+    # w normalizes K, which the reference decides
+    K = fg.closure_indices(G.table, gens[:6])
+    w = data.draw(st.integers(1, G.order - 1))
+    if 2 * K.size > fg._SMALL_SET and not np.isin(w, K):
+        _closure_agrees(G, {*K.tolist(), *G.table[K, w].tolist()})
+    picks = data.draw(st.sets(st.integers(1, G.order - 1), min_size=fg._SMALL_SET + 1,
+                              max_size=2 * fg._SMALL_SET))
+    _closure_agrees(G, {0} | picks)
+
+
+def test_subgroup_generator_law_needs_every_pick():
+    """H and the coset H*a_1 in the standard I(3,2), for H = <b_2, b_1, a_2>
+    of index 3: S*h lies in S for every h in H, so only the walk's last
+    pick, a_1, shows that S is not closed (a_1^2 lies in neither coset)."""
+    std = jn2.materialize(jn2.parse_spec("I(3,2)"))
+    G = std.group
+    H = fg.closure_indices(G.table, [std.b[1], std.b[0], std.a[1]])
+    S = np.union1d(H, G.table[H, std.a[0]])
+    assert H.size == 81 and S.size == 162
+    assert list(fg.span_walk(G.table, S.tolist()))[-1] == std.a[0]
+    assert not _closure_agrees(G, S)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from braidquot import jn2, oracle
 from braidquot.errors import CenterMismatch, NotCentral, NotGenerator, NotJn2, SizeLimit
 from braidquot.jn2 import Jn2Spec, materialize, parse_spec
 from braidquot.oracle import Jn2Element
+from references import classify_per_rep
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +630,61 @@ def test_classify_map_matches_normal_forms_by_index(specs_243, seed):
         ref = fg.GroupMap(materialize(spec).group, H,
                           _normal_form_map_by_index(H, spec, data))
         assert np.array_equal(iso.images, np.argsort(ref.images)), str(spec)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_classify_matches_per_rep_reference(specs_243, seed):
+    """classify's spec and map equal those of the reference that lifts one
+    representative at a time and recomputes every invariant it uses."""
+    rng = random.Random(seed)
+    for spec in specs_243:
+        for _ in range(3):
+            H, _ = fg.random_relabeling(materialize(spec).group, rng)
+            got, iso = jn2.classify(H)
+            ref_spec, ref_images = classify_per_rep(H)
+            assert got == ref_spec == spec
+            assert np.array_equal(iso.images, ref_images), str(spec)
+
+
+def test_classify_matches_per_rep_reference_at_order_512():
+    rng = random.Random(0)
+    for name in ("I(2,4)", "II(2,4)"):
+        spec = parse_spec(name)
+        H, _ = fg.random_relabeling(materialize(spec).group, rng)
+        got, iso = jn2.classify(H)
+        ref_spec, ref_images = classify_per_rep(H)
+        assert got == ref_spec == spec
+        assert np.array_equal(iso.images, ref_images), name
+
+
+def test_normalize_gram_check_catches_planted_representative():
+    """r_0 replaced by r_1 after the Gram matrix was taken: the coordinates
+    come from the stale matrix, the representatives no longer span G/ZG, so
+    no basis lifted from them pairs to the standard matrix, and the
+    pairing recomputed in the group refuses it (I(3,2) has exponent 3, so
+    nu is zero and its check passes)."""
+    std = materialize(Jn2Spec(3, 1, 2, "I"))
+    data = jn2.symplectic_data(std.group, std.z)
+    jn2.normalize_basis(data)
+    r = list(data.reps)
+    r[0] = r[1]
+    with pytest.raises(RuntimeError, match="normalized Gram must be standard"):
+        jn2.normalize_basis(replace(data, reps=tuple(r)))
+
+
+def test_normalize_power_check_ignores_carried_invariants():
+    """A carried x^p table off by z^p everywhere moves every central
+    adjustment by z^-1, so each adjusted representative is wrong: nu mod p
+    and the pairing cannot see it, and the p-th powers recomputed from the
+    table refuse it."""
+    for name in ("I(3^2,1)", "II(3^2,1)"):
+        std = materialize(parse_spec(name))
+        G = std.group
+        data = jn2.symplectic_data(G, std.z)
+        jn2.normalize_basis(data)
+        wrong = G.table[data.xp, G.power(std.z, 3)]
+        with pytest.raises(RuntimeError, match="p-th power must be exact"):
+            jn2.normalize_basis(replace(data, xp=wrong))
 
 
 # ---------------------------------------------------------------------------
