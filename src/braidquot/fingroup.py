@@ -58,10 +58,12 @@ def least_prime_factor(n: int) -> int:
     return n
 
 
-def power_map(table: np.ndarray, k: int) -> np.ndarray:
-    """x^k for every element x (k >= 0), by square-and-multiply applied to
-    all elements at once."""
-    acc, base = np.zeros(table.shape[0], dtype=np.int64), np.arange(table.shape[0])
+def power_map(table: np.ndarray, k: int, xs=None) -> np.ndarray:
+    """x^k for every element x, or for each x in the index array ``xs``
+    (k >= 0), by square-and-multiply applied to all of them at once."""
+    base = np.arange(table.shape[0]) if xs is None else xs
+    base = np.asarray(base, dtype=np.int64)
+    acc = np.zeros_like(base)
     while k:
         if k & 1:
             acc = table[acc, base]

@@ -170,7 +170,8 @@ def is_jn2(G: FiniteGroup) -> Optional[tuple[int, int, int]]:
 
 def _jn2_params(G: FiniteGroup) -> Optional[tuple[int, int, int, np.ndarray]]:
     """``is_jn2``'s (p, j, m), with x^p for every element x, or None.  The
-    center is read off ``G.center_mask``."""
+    center is read off ``G.center_mask``, and its cyclicity from powers of
+    its elements alone."""
     D = derived_subgroup(G)
     if D.order < 2 or least_prime_factor(D.order) != D.order:
         return None
@@ -183,7 +184,8 @@ def _jn2_params(G: FiniteGroup) -> Optional[tuple[int, int, int, np.ndarray]]:
         j += 1
     if zorder != 1 or j < 1:
         return None
-    if G.element_orders[in_z].max() != zsize:
+    # Z has order p^j, so z generates it exactly when z^(p^(j-1)) != 1
+    if not power_map(G.table, p ** (j - 1), np.flatnonzero(in_z)).any():
         return None  # center not cyclic
     if not in_z[D.indices].all():
         return None  # central quotient not abelian
@@ -239,7 +241,10 @@ class SymplecticData:
 def log_table(G: FiniteGroup, z: int) -> np.ndarray:
     """Discrete logs to base z: entry z^t is t for 0 <= t < ord(z), and
     every element outside <z> has entry -1."""
-    return _logs(G.order, powers(G.table, z, G.element_order(z)))
+    zpow = [0]
+    while (x := G.mul(zpow[-1], z)) != 0:
+        zpow.append(x)
+    return _logs(G.order, np.array(zpow, dtype=np.int64))
 
 
 def _logs(order: int, zpow: np.ndarray) -> np.ndarray:
@@ -271,9 +276,11 @@ def symplectic_data(G: FiniteGroup, z: int) -> SymplecticData:
     p, j, m, xp = params
     if not G.center_mask[z]:
         raise NotCentral(f"element {z} is not central")
-    if G.element_order(z) != p ** j:
-        raise NotGenerator(f"element {z} does not generate the center")
     zpow = powers(G.table, z, p ** j)
+    # z is in Z, so ord(z) divides p^j, and is p^j when no z^e with
+    # 0 < e < p^j is 1
+    if not zpow[1:].all():
+        raise NotGenerator(f"element {z} does not generate the center")
     log = _logs(G.order, zpow)
 
     # greedy coset basis: smallest-index representatives independent mod
@@ -461,9 +468,11 @@ def classify(G: FiniteGroup) -> tuple[Jn2Spec, GroupMap]:
     isomorphism maps the lifted representatives to the standard generators.
     """
     zs = np.flatnonzero(G.center_mask)
-    zs = zs[G.element_orders[zs] == zs.size]
+    # symplectic_data accepts only a cyclic center of prime-power order
+    # q^j, whose generators are the z with z^(q^(j-1)) != 1
+    zs = zs[power_map(G.table, zs.size // least_prime_factor(zs.size), zs) != 0]
     if not zs.size:
-        raise NotJn2("center is not cyclic")
+        raise NotJn2("center is not a nontrivial cyclic group")
     data = normalize_basis(symplectic_data(G, int(zs[0])))  # recognises JN2
     spec = Jn2Spec(p=data.p, j=data.j, m=data.m, variant=data.basis_type)
     S = materialize(spec).group

@@ -109,18 +109,28 @@ def _row1_candidates(k: int) -> list[tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def _enumerate_tables(k: int, budget: int = _ENUM_BUDGET) -> list[list[tuple[int, ...]]]:
-    """All group tables with identity 0 under three canonical labeling rules:
+    """All group tables with identity 0 under four canonical labeling rules:
 
     1. element 1 has the largest element order d in the table;
     2. the powers of element 1 are labeled 0, 1, ..., d-1;
     3. the subgroup generated by each initial label segment occupies an
-       initial label segment.
+       initial label segment;
+    4. the labels are the breadth-first word order along the segment
+       starts g_1 = 1, g_2, ...: each g_i is the smallest label outside the
+       subgroup K_(i-1) labeled so far (K_0 = {0}), and K_i = <K_(i-1), g_i>
+       is labeled by a queue that starts from K_(i-1) in label order and
+       takes each u in discovery order, then g = g_1, ..., g_i in turn,
+       giving u*g the next label when it is new.
 
     Every isomorphism class admits such a labeling, so none is missed: pick
-    an element of maximal order (every finite group has one), label its
-    powers 0..d-1, then repeatedly give the next free label to any element
-    outside the subgroup labeled so far and the following labels to the
-    rest of the subgroup it generates with them.
+    an element of maximal order (every finite group has one) as g_1, then
+    any element outside the subgroup reached so far as each next g_i, and
+    label them by the queue of rule 4.  The powers of g_1 come first, in
+    order (rule 2), and g_i gets the label |K_(i-1)|, the smallest outside
+    K_(i-1).  Each K_i occupies an initial segment, and a segment
+    {0..y-1} with |K_(i-1)| < y <= |K_i| holds K_(i-1) and g_i, so it
+    generates K_i (rule 3).  The rules leave one table per automorphism
+    orbit of such generating sequences.
 
     The search fills the row of the smallest undefined label x, t -> x*t,
     one cell at a time in label order, each cell avoiding the values of
@@ -143,6 +153,22 @@ def _enumerate_tables(k: int, budget: int = _ENUM_BUDGET) -> list[list[tuple[int
       another value there is rejected by the closure, because the pairs
       (x, t) and (h, x) name the same element and give it different
       rows.
+
+    Rule 4 is enforced each time ``search`` is entered, where the defined
+    rows form a closed initial segment H = {0..x-1}, by two conditions
+    (``word_order``): H's own labels follow rule 4, and, when x < k,
+    column x of H's rows reads u*x = x + u for every u < x.  Both hold in
+    every complete table that follows rule 4 and has these rows, so the
+    prune drops only branches that no such table completes, and the
+    tables are those of rules 1-3 that follow rule 4, in the same order.
+    In such a table a closed initial segment H is some K_j: were
+    |K_(j-1)| < x < |K_j|, H would hold K_(j-1) and g_j = |K_(j-1)|,
+    hence all of the larger K_j.  The segment starts of K_j and its
+    queue depend only on its own rows, so its labels follow rule 4 on
+    their own.  The next start is g_(j+1) = x, and the queue's first pass
+    over u = 0..x-1 meets u*g_1, ..., u*g_j in H and gives the new u*x,
+    all distinct and outside H, the labels x, x+1, ..., in that order.
+    For complete tables (x = k) the first condition is rule 4 itself.
 
     The result is cached per process and shared: callers must not mutate
     it."""
@@ -232,11 +258,35 @@ def _enumerate_tables(k: int, budget: int = _ENUM_BUDGET) -> list[list[tuple[int
         fill(1, 1 << x, 0, [])
         return found
 
+    def word_order(rows: dict[int, tuple[int, ...]], x: int) -> bool:
+        """Rule 4 on the closed initial segment H = {0..x-1}, and u*x =
+        x + u for u < x when x < k.  Each label is checked as the queue
+        hands it out, so the queue is 0, 1, 2, ... and a product is new
+        exactly when it is not below the next label."""
+        starts: list[int] = []
+        size = 1  # |K_(i-1)|
+        while size < x:
+            starts.append(size)  # g_i: the smallest label outside K_(i-1)
+            nxt, u = size, 0
+            while u < nxt:
+                ru = rows[u]
+                for g in starts:
+                    w = ru[g]
+                    if w >= nxt:
+                        if w != nxt:
+                            return False
+                        nxt += 1
+                u += 1
+            size = nxt
+        return x == k or all(rows[u][x] == x + u for u in range(x))
+
     def search(rows: dict[int, tuple[int, ...]], cols: list[int], d: int):
-        if len(rows) == k:
+        x = len(rows)  # smallest undefined index, by the segment rule
+        if not word_order(rows, x):
+            return
+        if x == k:
             tables.append([rows[i] for i in range(k)])
             return
-        x = len(rows)  # smallest undefined index, by the segment rule
         for cand in row_candidates(x, rows, cols, d):
             bump()
             nxt = dict(rows)
@@ -260,10 +310,15 @@ def enumerate_groups_exhaustive(k: int, budget: int = _ENUM_BUDGET) -> tuple[Fin
     """Every isomorphism class of order k, by backtracking over Cayley
     tables with identity 0 under the canonical labeling rules of
     ``_enumerate_tables``: element 1 has maximal order d, its powers are
-    labeled 0..d-1, and each initial label segment generates an initial
-    segment.  Every class keeps such a labeling, because every finite group
-    has an element of maximal order.  A table is kept as a representative
-    when the isomorphism test matches it with none kept before."""
+    labeled 0..d-1, each initial label segment generates an initial
+    segment, and the labels are the breadth-first word order along the
+    segment starts.  Every class keeps such a labeling, because every
+    finite group has an element of maximal order.  A table is kept as a
+    representative when the isomorphism test matches it with none kept
+    before.  The rules leave few tables per class: 2 tables for the 2
+    classes of order 6, 6 for the 5 of order 8 (2 of them nonabelian, one
+    D8 and one Q8), 2 each for the 2 of orders 9 and 10, and 9 for the 5
+    of order 12."""
     if k < 1:
         raise ValueError("k must be positive")
     reps: list[FiniteGroup] = []
@@ -339,9 +394,10 @@ def nonabelian_catalog_upto() -> GroupCatalog:
     ]
     entries = tuple(CatalogEntry(order=o, group=G, provenance=tag)
                     for o, G, tag in groups)
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            if is_isomorphic(entries[i].group, entries[j].group) is not None:
+    # groups of different orders are never isomorphic
+    for i, e in enumerate(entries):
+        for f in entries[i + 1:]:
+            if e.order == f.order and is_isomorphic(e.group, f.group) is not None:
                 raise RuntimeError("catalog entries must be pairwise non-isomorphic")
     for k in (6, 8):
         _check_tier(k, [e.group for e in entries if e.order == k])

@@ -12,7 +12,10 @@ kept so that tests can require the kernel to give the same answer:
   |S|^2 products, without the generator law;
 - ``classify_per_rep``: ``jn2.classify`` with the center taken as a
   ``Subgroup``, each representative lifted by its own powers, and x^p, the
-  log table and the powers of z recomputed where they are used.
+  log table and the powers of z recomputed where they are used;
+- ``enumerate_tables_rules_1_to_3``: ``oracle._enumerate_tables`` without
+  the breadth-first word-order rule and its prune, and
+  ``follows_word_order``, that rule read off a complete table.
 """
 
 import itertools
@@ -20,7 +23,8 @@ import itertools
 import numpy as np
 
 from braidquot import fingroup as fg
-from braidquot import jn2
+from braidquot import jn2, oracle
+from braidquot.errors import SearchBudgetExceeded
 
 
 def span_walk_from_scratch(table, candidates, base=()):
@@ -161,3 +165,138 @@ def classify_per_rep(G):
         b_pow = fg.powers(T, reps[2 * i + 1], spec.p)
         images = T[T[images, a_pow[alpha[i]]], b_pow[beta[i]]]
     return spec, np.argsort(images)
+
+
+def follows_word_order(rows):
+    """Whether the labels of a complete table are its breadth-first word
+    order: each segment start g_i is the smallest element the queue has
+    not reached, and the queue, which holds every element reached so far
+    in the order reached, takes each u in turn and then g_1, ..., g_i,
+    appending each product u*g it has not reached.  The labels follow the order when the
+    elements are reached as 0, 1, ..., k-1."""
+    k = len(rows)
+    reached = [0]
+    starts = []
+    while len(reached) < k:
+        starts.append(min(set(range(k)) - set(reached)))
+        queue = list(reached)
+        for u in queue:
+            for g in starts:
+                w = rows[u][g]
+                if w not in queue:
+                    queue.append(w)
+        reached = queue
+    return reached == list(range(k))
+
+
+def enumerate_tables_rules_1_to_3(k, budget=oracle._ENUM_BUDGET):
+    """``oracle._enumerate_tables`` without its word-order rule (rule 4):
+    every group table with identity 0 whose element 1 has maximal order d,
+    whose powers of 1 are labeled 0..d-1, and whose initial label segments
+    each generate an initial segment, in the same search order, with the
+    same cycle-shape and coset-relation prunes and node budget."""
+    if k == 1:
+        return [[(0,)]]
+    identity = tuple(range(k))
+    full = (1 << k) - 1
+    tables = []
+    nodes = 0
+
+    def bump():
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise SearchBudgetExceeded(
+                f"table enumeration exceeded {budget} nodes", explored=nodes)
+
+    def propagate(rows, cols, x, d):
+        """Close ``rows`` under products, in place.  The rows are closed
+        except row x, so only pairs with a row added since are composed.
+        Bit c of ``cols[t]`` is set when a defined row has c in column t."""
+        work = [x]
+        while work:
+            u = work.pop()
+            ru = rows[u]
+            for v in list(rows):
+                rv = rows[v]
+                for w, comp in ((ru[v], tuple(map(ru.__getitem__, rv))),
+                                (rv[u], tuple(map(rv.__getitem__, ru)))):
+                    if w in rows:
+                        if rows[w] != comp:
+                            return None
+                        continue
+                    if not 0 < oracle._semiregular(comp) <= d:
+                        return None
+                    if any(m >> c & 1 for m, c in zip(cols, comp)):
+                        return None
+                    rows[w] = comp
+                    cols = [m | 1 << c for m, c in zip(cols, comp)]
+                    work.append(w)
+        if max(rows) != len(rows) - 1:
+            return None  # defined rows must fill an initial label segment
+        return rows, cols
+
+    def row_candidates(x, rows, cols, d):
+        coset = {rows[h][x]: h for h in range(x)}  # h*x -> h, the coset Hx
+        inverse = [rows[t].index(0) for t in range(x)]
+        row = [-1] * k  # row[t] = x*t, known for t < pos
+        pre = [-1] * k  # pre[v] = t where row[t] = v
+        row[0], pre[x] = x, 0
+        found = []
+
+        def fill(pos, used, cycle, rel):
+            # cycle: the common length of the closed cycles, 0 before one
+            # closes; rel: the pairs (t, h) in H with x*t = h*x
+            bump()
+            if pos == k:
+                found.append(tuple(row))
+                return
+            free = full & ~(used | cols[pos])
+            for t, h in rel:
+                s = rows[inverse[t]][pos]  # t*s = pos
+                if s < pos:
+                    free &= 1 << rows[h][row[s]]  # x*(t*s) = h*(x*s)
+                    break
+            back, t = 1, pos  # elements on the chain that ends at pos
+            while pre[t] >= 0:
+                t, back = pre[t], back + 1
+            while free:
+                low = free & -free
+                free ^= low
+                v = low.bit_length() - 1
+                t, n = v, 1  # elements on the chain that starts at v
+                while t < pos:
+                    t, n = row[t], n + 1
+                closes = t == pos  # x*pos = v closes a cycle, else joins chains
+                length = n if closes else back + n
+                if length > (cycle or d) or closes and cycle and length != cycle:
+                    continue
+                row[pos], pre[v] = v, pos
+                fill(pos + 1, used | low, length if closes else cycle,
+                     rel + [(pos, coset[v])] if pos < x and v in coset else rel)
+                pre[v] = -1
+
+        fill(1, 1 << x, 0, [])
+        return found
+
+    def search(rows, cols, d):
+        if len(rows) == k:
+            tables.append([rows[i] for i in range(k)])
+            return
+        x = len(rows)  # smallest undefined index, by the segment rule
+        for cand in row_candidates(x, rows, cols, d):
+            bump()
+            nxt = dict(rows)
+            nxt[x] = cand
+            closed = propagate(nxt, [m | 1 << c for m, c in zip(cols, cand)], x, d)
+            if closed is not None:
+                search(*closed, d)
+
+    for row1 in oracle._row1_candidates(k):
+        bump()
+        d = row1.index(0) + 1  # the order of element 1
+        cols = [1 << t | 1 << c for t, c in enumerate(row1)]
+        closed = propagate({0: identity, 1: row1}, cols, 1, d)
+        if closed is not None:
+            search(*closed, d)
+    return tables

@@ -517,6 +517,8 @@ def test_power_map_and_powers_match_scalar_power(small_corpus):
     for G in small_corpus + [jn2.materialize(jn2.parse_spec("II(3^2,1)")).group]:
         for k in (0, 1, 2, 3, 5, 8, 9):
             assert fg.power_map(G.table, k).tolist() == [G.power(x, k) for x in G.elements()]
+            some = list(G.elements())[::-2]  # some elements, in another order
+            assert fg.power_map(G.table, k, some).tolist() == [G.power(x, k) for x in some]
         for x in G.elements():
             assert fg.powers(G.table, x, 7).tolist() == [G.power(x, e) for e in range(7)]
 

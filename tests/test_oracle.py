@@ -13,6 +13,8 @@ from braidquot import jn2, oracle
 from braidquot.errors import SearchBudgetExceeded
 from braidquot.jn2 import Jn2Spec, materialize
 
+from references import enumerate_tables_rules_1_to_3, follows_word_order
+
 
 # ---------------------------------------------------------------------------
 # exhaustive enumeration
@@ -65,22 +67,32 @@ def test_tables_put_an_element_of_maximal_order_first():
             assert [G.power(1, i) for i in range(d)] == list(range(d)), (k, rows)
 
 
-# sha256 of repr(_enumerate_tables(k)) and the nodes it visits, k <= 10.
-# The digests for k <= 9 date from before the cycle-shape and coset-relation
-# prunes, and the k = 10 one was taken from the enumeration before them:
-# the prunes drop only rows the closure rejects, so the tables are the same.
-# The node counts are those of the pruned search.
+# sha256 of repr(_enumerate_tables(k)) and the nodes it visits, k <= 10,
+# taken with the word-order rule.  Its tables are those of the rules-1-3
+# enumeration that follow the word order (test below); the node counts are
+# those of the search with the word-order prune.
 TABLE_DIGESTS = {
     1: ("86b5d3162787617aa35eb7d0c9b00a08fb3f4d1b2bba193bd6c2ccbd53fefdcf", 0),
     2: ("dc3d530bb05de88023054a9b34efd50a134f717efe23f98dc73d4b08f20b3cb6", 1),
     3: ("b542902a02f3a0c0c5b3e6c4ac69b628e09bf04717fb52784879af0f4d90e27c", 1),
     4: ("90e0df99a0779619093c851d6f8cda683b342f298df9608eb91e126d4cb29598", 7),
     5: ("dbcbeb19bb80df8bbe7911f5a5df441989d0815fe7c32cf65f0b887ff4620810", 1),
-    6: ("fd6417bac01ee98b1130161bd57c91d60c8caf79f45e63e822f0be0a06a2aed6", 78),
+    6: ("845e42471bee68c97f6f165b6f665361d2a1837788f4636e1a6b9f438fce7626", 35),
     7: ("1c756656d6face6e46eaae2521b2c3909f8ec4e7bc83b6fdb39538970ea01ee5", 1),
-    8: ("1d01abc98c18f3a488fa995a766eb17bc922c4271e302bbc58f5fb042c483a18", 1_548),
-    9: ("469c43edc01488c0385162f7d335529e7beeba6907e2a0646e2a2162b2569476", 9_613),
-    10: ("5c6d80941fec110f924169fa00fde3172066dda4a27d4812f57b6d88eabf54eb", 51_462),
+    8: ("e0e6957a6a0cd3ecadbf64842765b09f50d5c36531c5ff4d998e25a55277d52d", 322),
+    9: ("7d95c72990cee74f96870361cdd9e81bfe2ebb633d1f725a266365881f474f77", 504),
+    10: ("ef483b614062820fe36711917a833e89a50d5dc6934aa944b42ad9883f090e81", 7_583),
+}
+
+# sha256 of repr() of the rules-1-3 enumeration in tests/references.py,
+# the pins of the enumeration before the word-order rule: the digests for
+# k <= 9 date from before its cycle-shape and coset-relation prunes, and the
+# k = 10 one was taken from it before them.
+RULES_1_TO_3_DIGESTS = {
+    6: "fd6417bac01ee98b1130161bd57c91d60c8caf79f45e63e822f0be0a06a2aed6",
+    8: "1d01abc98c18f3a488fa995a766eb17bc922c4271e302bbc58f5fb042c483a18",
+    9: "469c43edc01488c0385162f7d335529e7beeba6907e2a0646e2a2162b2569476",
+    10: "5c6d80941fec110f924169fa00fde3172066dda4a27d4812f57b6d88eabf54eb",
 }
 
 
@@ -92,6 +104,27 @@ def test_enumerated_tables_and_nodes_pinned(k):
     if nodes:
         with pytest.raises(SearchBudgetExceeded):
             oracle._enumerate_tables(k, budget=nodes - 1)
+
+
+@pytest.mark.parametrize("k", sorted(TABLE_DIGESTS))
+def test_tables_are_the_word_ordered_tables_of_rules_1_to_3(k):
+    """The word-order prune drops exactly the tables of the rules-1-3
+    enumeration whose labels are not their breadth-first word order, and
+    keeps the others in their order."""
+    ref = enumerate_tables_rules_1_to_3(k)
+    if k in RULES_1_TO_3_DIGESTS:
+        assert hashlib.sha256(repr(ref).encode()).hexdigest() == RULES_1_TO_3_DIGESTS[k]
+    kept = [rows for rows in ref if follows_word_order(rows)]
+    assert oracle._enumerate_tables(k) == kept
+
+
+def test_orders_9_to_13_from_the_axioms(catalog):
+    """Orders 9, 11 and 13 have no nonabelian table, and the catalog's
+    order-10 tier is exactly the nonabelian classes of order 10.  Order 12
+    takes a few seconds; a CI step checks it."""
+    for k in (9, 11, 13):
+        assert all(list(zip(*rows)) == rows for rows in oracle._enumerate_tables(k)), k
+    oracle._check_tier(10, [e.group for e in catalog.tier(10)])
 
 
 def _match_one_to_one(tier, standard):
