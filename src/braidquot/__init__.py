@@ -7,8 +7,7 @@ Subpackages:
   classification into the two standard models per class.
 - :mod:`braidquot.braid` -- surface braid presentations, reduced relations,
   witness search and the minimal-quotient sweep.
-- :mod:`braidquot.oracle` -- independent brute-force cross-checks and
-  reference constructions of the standard groups.
+- :mod:`braidquot.oracle` -- independent brute-force cross-checks.
 - :mod:`braidquot.cli` -- command-line front end.
 """
 

@@ -268,11 +268,12 @@ def cmd_verify_paper(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    human = [f"group enumeration up to order {min(args.bound, 15)}"]
+    exhaustive, catalog_max = oracle.EXHAUSTIVE_MAX_ORDER, oracle.CATALOG_MAX_ORDER
+    human = [f"group enumeration up to order {min(args.bound, catalog_max)}"]
     machine: dict[str, object] = {"verb": "enumerate", "bound": args.bound}
     files = []
     total = 0
-    for k in range(1, min(args.bound, 8) + 1):
+    for k in range(1, min(args.bound, exhaustive) + 1):
         groups = oracle.enumerate_groups_exhaustive(k)
         nonab = sum(1 for G in groups if not G.is_abelian)
         human.append(f"order {k}: {len(groups)} classes ({nonab} nonabelian) "
@@ -281,9 +282,9 @@ def cmd_enumerate(args) -> int:
         for i, G in enumerate(groups):
             files.append((f"order{k}_{i}.grp", G, "exhaustive"))
         total += len(groups)
-    if args.bound > 8:
+    if args.bound > exhaustive:
         catalog = oracle.nonabelian_catalog_upto()
-        for k in range(9, min(args.bound, 15) + 1):
+        for k in range(exhaustive + 1, min(args.bound, catalog_max) + 1):
             tier = catalog.tier(k)
             if not tier:
                 continue

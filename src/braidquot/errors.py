@@ -29,10 +29,6 @@ class NotGenerator(GroupError):
     """An element does not generate the subgroup it is supposed to."""
 
 
-class CenterMismatch(GroupError):
-    """A center identification is not an isomorphism of the full centers."""
-
-
 class ParamRange(GroupError):
     """Parameters outside the operation's admissible range."""
 

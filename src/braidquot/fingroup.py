@@ -686,11 +686,6 @@ class GroupMap:
     def is_surjective(self) -> bool:
         return np.unique(self.images).size == self.target.order
 
-    def compose(self, then: "GroupMap") -> "GroupMap":
-        if then.source is not self.target:
-            raise ValueError("maps are not composable")
-        return GroupMap(self.source, then.target, then.images[self.images])
-
 
 # ---------------------------------------------------------------------------
 # nilpotency

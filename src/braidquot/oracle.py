@@ -1,13 +1,11 @@
-"""Independent brute-force cross-checks and reference constructions.
+"""Independent brute-force cross-checks.
 
-Nothing here depends on the classification machinery: associativity is
-swept over all n^3 triples, groups are enumerated directly from the axioms,
-normal subgroups are the products of conjugacy-class closures, and the
-just-nonabelian test builds the quotient by each minimal normal subgroup,
-of which every proper quotient is itself a quotient.  The standard JN2
-groups are rebuilt two more ways, by scalar normal-form arithmetic and
-by central products taken from the definition.  These are the oracles
-against which the constructive algorithms are validated.
+Nothing here depends on the classification machinery: groups are
+enumerated directly from the axioms, normal subgroups are the products of
+conjugacy-class closures, the just-nonabelian test builds the quotient by
+each minimal normal subgroup, of which every proper quotient is itself a
+quotient, and the naive witness search tries every tuple.  These are the
+oracles against which the constructive algorithms are validated.
 """
 
 from __future__ import annotations
@@ -15,21 +13,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CenterMismatch, SearchBudgetExceeded
+from .errors import SearchBudgetExceeded
 from .fingroup import (
     FiniteGroup,
-    GroupMap,
     Subgroup,
     alternating,
-    center,
     closure_indices,
     dicyclic,
     dihedral,
-    direct_product,
     from_table,
     is_isomorphic,
     power_map,
@@ -38,25 +33,15 @@ from .fingroup import (
     symmetric,
 )
 
-if TYPE_CHECKING:
-    from .jn2 import Jn2Spec
-
 _ENUM_BUDGET = 3_000_000
+
+# Orders enumerated and checked complete from the group axioms, and the
+# largest order the nonabelian catalog covers.
+EXHAUSTIVE_MAX_ORDER = 8
+CATALOG_MAX_ORDER = 15
 
 # Tuples per block of ``find_witness_naive``; bounds its temporaries.
 _NAIVE_BLOCK = 1 << 16
-
-
-def first_assoc_violation(table) -> Optional[tuple[int, int, int]]:
-    """Lexicographically first (x, y, z) with (x*y)*z != x*(y*z), from all
-    n^3 triples at once, or None when the table is associative.  The
-    reference for ``from_table``'s Light's test; meant for small tables."""
-    t = np.asarray(table)
-    bad = t[t] != t[:, t]  # [x, y, z]: (x*y)*z versus x*(y*z)
-    if not bad.any():
-        return None
-    x, y, z = np.argwhere(bad)[0]
-    return (int(x), int(y), int(z))
 
 
 def _semiregular(perm: tuple[int, ...]) -> int:
@@ -373,14 +358,15 @@ def _check_tier(k: int, tier: Sequence[FiniteGroup]) -> None:
 
 @lru_cache(maxsize=None)
 def nonabelian_catalog_upto() -> GroupCatalog:
-    """Complete catalog of nonabelian groups through order 15.
+    """Complete catalog of nonabelian groups through ``CATALOG_MAX_ORDER``.
 
-    The entries are checked pairwise non-isomorphic.  Orders 6 and 8 are
+    Tiers through ``EXHAUSTIVE_MAX_ORDER`` (orders 6 and 8) are
     machine-verified complete from the axioms in every process: each
     nonabelian table the enumeration gives is matched to a tier entry, and
     every tier entry must be matched (``_check_tier``), so the tier is
-    exactly the set of nonabelian classes of its order.  Orders 9 to 15
-    follow the classical classification (documented, not re-derived).
+    exactly the set of nonabelian classes of its order.  Larger orders
+    follow the classical classification (documented, not re-derived), and
+    their tiers are checked pairwise non-isomorphic.
     """
     groups = [
         (6, symmetric(3), "exhaustive"),
@@ -394,12 +380,14 @@ def nonabelian_catalog_upto() -> GroupCatalog:
     ]
     entries = tuple(CatalogEntry(order=o, group=G, provenance=tag)
                     for o, G, tag in groups)
-    # groups of different orders are never isomorphic
+    # groups of different orders are never isomorphic, and _check_tier
+    # rejects a tier that holds two isomorphic groups
     for i, e in enumerate(entries):
         for f in entries[i + 1:]:
-            if e.order == f.order and is_isomorphic(e.group, f.group) is not None:
+            if (e.order == f.order > EXHAUSTIVE_MAX_ORDER
+                    and is_isomorphic(e.group, f.group) is not None):
                 raise RuntimeError("catalog entries must be pairwise non-isomorphic")
-    for k in (6, 8):
+    for k in sorted({e.order for e in entries if e.order <= EXHAUSTIVE_MAX_ORDER}):
         _check_tier(k, [e.group for e in entries if e.order == k])
     return GroupCatalog(entries=entries)
 
@@ -500,109 +488,3 @@ def find_witness_naive(G: FiniteGroup, n: int, g: int
                 if closure_indices(T, tup).size == N:
                     return sigma, tuple(tup[1::2]), tuple(tup[2::2])
     return None
-
-
-# ---------------------------------------------------------------------------
-# reference constructions of the standard JN2 groups
-
-
-@dataclass(frozen=True)
-class Jn2Element:
-    """Normal form z^k * prod_i a_i^alpha_i b_i^beta_i of a standard group."""
-
-    k: int
-    alpha: tuple[int, ...]
-    beta: tuple[int, ...]
-
-
-def jn2_identity(spec: Jn2Spec) -> Jn2Element:
-    return Jn2Element(0, (0,) * spec.m, (0,) * spec.m)
-
-
-def jn2_multiply(spec: Jn2Spec, x: Jn2Element, y: Jn2Element) -> Jn2Element:
-    """Collection formula for products of normal forms.
-
-    Moving the left factor's b-powers past the right factor's a-powers costs
-    z^(p^(j-1)) per swap ([a_i, b_i] = z^(p^(j-1)), distinct pairs commute);
-    for variant II the first pair additionally carries a^p = b^p = z.
-    """
-    p, j = spec.p, spec.j
-    pj = p ** j
-    k = x.k + y.k - p ** (j - 1) * sum(bx * ay for bx, ay in zip(x.beta, y.alpha))
-    alpha = []
-    beta = []
-    for i in range(spec.m):
-        sa = x.alpha[i] + y.alpha[i]
-        sb = x.beta[i] + y.beta[i]
-        if spec.variant == "II" and i == 0:
-            k += sa // p + sb // p
-        alpha.append(sa % p)
-        beta.append(sb % p)
-    return Jn2Element(k % pj, tuple(alpha), tuple(beta))
-
-
-def _encode(spec: Jn2Spec, el: Jn2Element) -> int:
-    """Index of a normal form in the materialized table (base-p digits)."""
-    idx = el.k
-    for a in el.alpha:
-        idx = idx * spec.p + a
-    for b in el.beta:
-        idx = idx * spec.p + b
-    return idx
-
-
-@dataclass(frozen=True)
-class CentralProduct:
-    group: FiniteGroup
-    embed_left: GroupMap
-    embed_right: GroupMap
-    projection: GroupMap
-
-
-def center_identification(G: FiniteGroup, H: FiniteGroup,
-                          zg: Optional[int] = None,
-                          zh: Optional[int] = None) -> dict[int, int]:
-    """The isomorphism ZG -> ZH matching chosen cyclic generators zg -> zh."""
-    ZG, ZH = center(G), center(H)
-    if ZG.order != ZH.order:
-        raise CenterMismatch(f"centers have orders {ZG.order} != {ZH.order}")
-    if zg is None:
-        zg = min(x for x in ZG.elements if G.element_order(x) == ZG.order)
-    if zh is None:
-        zh = min(x for x in ZH.elements if H.element_order(x) == ZH.order)
-    if G.element_order(zg) != ZG.order or not G.center_mask[zg]:
-        raise CenterMismatch(f"{zg} does not generate the center of G")
-    if H.element_order(zh) != ZH.order or not H.center_mask[zh]:
-        raise CenterMismatch(f"{zh} does not generate the center of H")
-    phi = {}
-    x, y = 0, 0
-    for _ in range(ZG.order):
-        phi[x] = y
-        x, y = G.mul(x, zg), H.mul(y, zh)
-    return phi
-
-
-def central_product(G: FiniteGroup, H: FiniteGroup,
-                    phi: Mapping[int, int]) -> CentralProduct:
-    """(G x H) / {(g, phi(g)^-1)} for an isomorphism phi of the full centers."""
-    ZG, ZH = center(G), center(H)
-    # set equalities; sorted distinct indices also rule out negative ones
-    if not np.array_equal(np.unique(list(phi)), ZG.elements):
-        raise CenterMismatch("phi is not defined exactly on the center of G")
-    if not np.array_equal(np.unique(list(phi.values())), ZH.elements):
-        raise CenterMismatch("phi is not onto the center of H")
-    for x in ZG.elements:
-        for y in ZG.elements:
-            if phi[G.mul(x, y)] != H.mul(phi[x], phi[y]):
-                raise CenterMismatch(f"phi is not multiplicative at ({x},{y})")
-    P = direct_product(G, H)
-    nelems = sorted(g * H.order + H.inv(phi[g]) for g in ZG.elements)
-    N = Subgroup(P, tuple(nelems))
-    Q, proj = quotient(P, N)
-    embed_left = GroupMap(G, Q, proj.images[np.arange(G.order) * H.order])
-    embed_right = GroupMap(H, Q, proj.images[np.arange(H.order)])
-    if (np.unique(embed_left.images).size != G.order
-            or np.unique(embed_right.images).size != H.order):
-        raise RuntimeError("central product embeddings must be injective")
-    return CentralProduct(group=Q, embed_left=embed_left,
-                          embed_right=embed_right, projection=proj)

@@ -186,7 +186,8 @@ def check_equivalence_with_definition() -> GlobalCheck:
     """is_jn2 agrees with the literal definition (nilpotency class 2 and
     every proper quotient abelian) on the exhaustive classes through order
     8, the nonabelian catalog and the standard JN2 groups of order <= 64."""
-    groups = [G for k in range(1, 9) for G in oracle.enumerate_groups_exhaustive(k)]
+    groups = [G for k in range(1, oracle.EXHAUSTIVE_MAX_ORDER + 1)
+              for G in oracle.enumerate_groups_exhaustive(k)]
     groups += [entry.group for entry in oracle.nonabelian_catalog_upto().entries]
     groups += [materialize(spec).group for spec in enumerate_specs(64)]
     bad = []
@@ -350,11 +351,11 @@ def check_unconditional_below_16() -> GlobalCheck:
     """Every nonabelian group of order < 16 rejects (n, g) = (6, 1), by
     exhaustive tuple search, independently of any classification."""
     groups: list[FiniteGroup] = []
-    for k in range(1, 9):
+    for k in range(1, oracle.EXHAUSTIVE_MAX_ORDER + 1):
         groups.extend(G for G in oracle.enumerate_groups_exhaustive(k)
                       if not G.is_abelian)
     for entry in oracle.nonabelian_catalog_upto().entries:
-        if entry.order > 8:
+        if entry.order > oracle.EXHAUSTIVE_MAX_ORDER:
             groups.append(entry.group)
     bad = []
     for G in groups:

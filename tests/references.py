@@ -15,16 +15,29 @@ kept so that tests can require the kernel to give the same answer:
   log table and the powers of z recomputed where they are used;
 - ``enumerate_tables_rules_1_to_3``: ``oracle._enumerate_tables`` without
   the breadth-first word-order rule and its prune, and
-  ``follows_word_order``, that rule read off a complete table.
+  ``follows_word_order``, that rule read off a complete table;
+- ``first_assoc_violation``: ``fingroup.from_table``'s Light's test as a
+  sweep over all n^3 triples;
+- ``compose``: the composite of two ``fingroup.GroupMap``s.
+
+Two more build the standard JN2 groups of ``jn2.materialize`` from the
+definition, by routes that share none of its code:
+- ``Jn2Element``, ``jn2_identity``, ``jn2_multiply`` and ``jn2_encode``:
+  scalar normal-form arithmetic, z^k prod_i a_i^alpha_i b_i^beta_i
+  multiplied by the collection formula;
+- ``CentralProduct``, ``center_identification`` and ``central_product``:
+  literal central products (G x H) / {(g, phi(g)^-1)}, raising
+  ``CenterMismatch`` when phi is not an isomorphism of the full centers.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
 from braidquot import fingroup as fg
 from braidquot import jn2, oracle
-from braidquot.errors import SearchBudgetExceeded
+from braidquot.errors import GroupError, SearchBudgetExceeded
 
 
 def span_walk_from_scratch(table, candidates, base=()):
@@ -300,3 +313,125 @@ def enumerate_tables_rules_1_to_3(k, budget=oracle._ENUM_BUDGET):
         if closed is not None:
             search(*closed, d)
     return tables
+
+
+def first_assoc_violation(table):
+    """Lexicographically first (x, y, z) with (x*y)*z != x*(y*z), from all
+    n^3 triples at once, or None when the table is associative.  Meant for
+    small tables."""
+    t = np.asarray(table)
+    bad = t[t] != t[:, t]  # [x, y, z]: (x*y)*z versus x*(y*z)
+    if not bad.any():
+        return None
+    x, y, z = np.argwhere(bad)[0]
+    return (int(x), int(y), int(z))
+
+
+def compose(f, then):
+    """The map x -> then(f(x)), validated as a ``GroupMap``."""
+    if then.source is not f.target:
+        raise ValueError("maps are not composable")
+    return fg.GroupMap(f.source, then.target, then.images[f.images])
+
+
+@dataclass(frozen=True)
+class Jn2Element:
+    """Normal form z^k * prod_i a_i^alpha_i b_i^beta_i of a standard group."""
+
+    k: int
+    alpha: tuple[int, ...]
+    beta: tuple[int, ...]
+
+
+def jn2_identity(spec):
+    return Jn2Element(0, (0,) * spec.m, (0,) * spec.m)
+
+
+def jn2_multiply(spec, x, y):
+    """Collection formula for products of normal forms.
+
+    Moving the left factor's b-powers past the right factor's a-powers costs
+    z^(p^(j-1)) per swap ([a_i, b_i] = z^(p^(j-1)), distinct pairs commute);
+    for variant II the first pair additionally carries a^p = b^p = z.
+    """
+    p, j = spec.p, spec.j
+    pj = p ** j
+    k = x.k + y.k - p ** (j - 1) * sum(bx * ay for bx, ay in zip(x.beta, y.alpha))
+    alpha = []
+    beta = []
+    for i in range(spec.m):
+        sa = x.alpha[i] + y.alpha[i]
+        sb = x.beta[i] + y.beta[i]
+        if spec.variant == "II" and i == 0:
+            k += sa // p + sb // p
+        alpha.append(sa % p)
+        beta.append(sb % p)
+    return Jn2Element(k % pj, tuple(alpha), tuple(beta))
+
+
+def jn2_encode(spec, el):
+    """Index of a normal form in the materialized table (base-p digits)."""
+    idx = el.k
+    for a in el.alpha:
+        idx = idx * spec.p + a
+    for b in el.beta:
+        idx = idx * spec.p + b
+    return idx
+
+
+class CenterMismatch(GroupError):
+    """A center identification is not an isomorphism of the full centers."""
+
+
+@dataclass(frozen=True)
+class CentralProduct:
+    group: fg.FiniteGroup
+    embed_left: fg.GroupMap
+    embed_right: fg.GroupMap
+    projection: fg.GroupMap
+
+
+def center_identification(G, H, zg=None, zh=None):
+    """The isomorphism ZG -> ZH matching chosen cyclic generators zg -> zh."""
+    ZG, ZH = fg.center(G), fg.center(H)
+    if ZG.order != ZH.order:
+        raise CenterMismatch(f"centers have orders {ZG.order} != {ZH.order}")
+    if zg is None:
+        zg = min(x for x in ZG.elements if G.element_order(x) == ZG.order)
+    if zh is None:
+        zh = min(x for x in ZH.elements if H.element_order(x) == ZH.order)
+    if G.element_order(zg) != ZG.order or not G.center_mask[zg]:
+        raise CenterMismatch(f"{zg} does not generate the center of G")
+    if H.element_order(zh) != ZH.order or not H.center_mask[zh]:
+        raise CenterMismatch(f"{zh} does not generate the center of H")
+    phi = {}
+    x, y = 0, 0
+    for _ in range(ZG.order):
+        phi[x] = y
+        x, y = G.mul(x, zg), H.mul(y, zh)
+    return phi
+
+
+def central_product(G, H, phi):
+    """(G x H) / {(g, phi(g)^-1)} for an isomorphism phi of the full centers."""
+    ZG, ZH = fg.center(G), fg.center(H)
+    # set equalities; sorted distinct indices also rule out negative ones
+    if not np.array_equal(np.unique(list(phi)), ZG.elements):
+        raise CenterMismatch("phi is not defined exactly on the center of G")
+    if not np.array_equal(np.unique(list(phi.values())), ZH.elements):
+        raise CenterMismatch("phi is not onto the center of H")
+    for x in ZG.elements:
+        for y in ZG.elements:
+            if phi[G.mul(x, y)] != H.mul(phi[x], phi[y]):
+                raise CenterMismatch(f"phi is not multiplicative at ({x},{y})")
+    P = fg.direct_product(G, H)
+    nelems = sorted(g * H.order + H.inv(phi[g]) for g in ZG.elements)
+    N = fg.Subgroup(P, tuple(nelems))
+    Q, proj = fg.quotient(P, N)
+    embed_left = fg.GroupMap(G, Q, proj.images[np.arange(G.order) * H.order])
+    embed_right = fg.GroupMap(H, Q, proj.images[np.arange(H.order)])
+    if (np.unique(embed_left.images).size != G.order
+            or np.unique(embed_right.images).size != H.order):
+        raise RuntimeError("central product embeddings must be injective")
+    return CentralProduct(group=Q, embed_left=embed_left,
+                          embed_right=embed_right, projection=proj)

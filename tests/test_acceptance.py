@@ -35,11 +35,11 @@ def test_acceptance_1_minimum_order_reproduction():
 def test_acceptance_2_unconditional_minimality_below_16():
     t0 = time.monotonic()
     groups = []
-    for k in range(1, 9):
+    for k in range(1, oracle.EXHAUSTIVE_MAX_ORDER + 1):
         groups += [G for G in oracle.enumerate_groups_exhaustive(k)
                    if not G.is_abelian]
     groups += [e.group for e in oracle.nonabelian_catalog_upto().entries
-               if e.order > 8]
+               if e.order > oracle.EXHAUSTIVE_MAX_ORDER]
     assert {G.order for G in groups} == {6, 8, 10, 12, 14}
     for G in groups:
         assert braid.find_witness(G, 6, 1) is None, G.label

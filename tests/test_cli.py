@@ -1,19 +1,23 @@
 import ast
 import contextlib
+import hashlib
 import io
 import os
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import braidquot
 from braidquot import braid, cli, fingroup as fg, oracle
-from braidquot.errors import CenterMismatch, NotCentral, SizeLimit
+from braidquot.errors import NotCentral, NotNormal, SizeLimit
 from braidquot.jn2 import Jn2Spec, materialize, parse_spec
+from references import first_assoc_violation
 
 
 def run(capsys, *argv):
@@ -332,7 +336,7 @@ def test_out_of_range_arguments_exit_fast(capsys, argv, code):
 
 
 @pytest.mark.parametrize("exc", [RuntimeError("boom"), AssertionError("broken invariant"),
-                                 CenterMismatch("centers do not match"),
+                                 NotNormal("subgroup is not normal"),
                                  NotCentral("element 3 is not central")])
 def test_unexpected_exceptions_exit_four(monkeypatch, capsys, exc):
     def raiser(args):
@@ -358,9 +362,48 @@ def test_no_assert_guards_a_result():
     assert found == []
 
 
+def _names_used(node) -> Counter:
+    """How often each name is read under ``node``, as a variable or as an
+    attribute."""
+    return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr
+                   for sub in ast.walk(node)
+                   if isinstance(sub, (ast.Name, ast.Attribute)))
+
+
+def test_every_definition_in_src_is_reached_or_exported():
+    """Each top-level def and class of ``src/braidquot``, and each method of
+    a top-level class, is referenced by name in ``src/`` outside its own
+    definition, or exported in ``braidquot.__all__``.  Code that only tests
+    reach belongs in ``tests/references.py``.  Dunder methods are exempt."""
+    src = os.path.dirname(cli.__file__)
+    trees = {}
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                trees[name] = ast.parse(fh.read(), filename=name)
+    used = sum((_names_used(tree) for tree in trees.values()), Counter())
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    unreached = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (*funcs, ast.ClassDef)):
+                continue
+            defs = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{node.name}.{sub.name}", sub) for sub in node.body
+                         if isinstance(sub, funcs)
+                         and not (sub.name.startswith("__") and sub.name.endswith("__"))]
+            for label, d in defs:
+                if d is node and d.name in braidquot.__all__:
+                    continue
+                if used[d.name] == _names_used(d)[d.name]:
+                    unreached.append(f"{name}:{label}")
+    assert unreached == []
+
+
 def _is_group_text(text: str) -> bool:
     """Reference verdict on a .grp text: it parses to a square table with
-    entries in range, identity 0 and two-sided inverses, and the oracle's
+    entries in range, identity 0 and two-sided inverses, and the reference
     n^3 sweep finds no associativity failure."""
     lines = text.splitlines()
     if lines and lines[0].startswith("#"):
@@ -377,7 +420,7 @@ def _is_group_text(text: str) -> bool:
         return False
     if not ((t == 0) & (t.T == 0)).any(axis=1).all():
         return False
-    return oracle.first_assoc_violation(t) is None
+    return first_assoc_violation(t) is None
 
 
 FUZZ_GROUPS = [fg.cyclic(6), fg.symmetric(3), fg.dihedral(8), fg.dicyclic(8),
@@ -577,6 +620,45 @@ def test_enumerate_counts_and_export(tmp_path, capsys):
     # every exported file is re-readable
     reread = fg.read_cayley(outdir / "order8_4.grp")
     assert reread.order == 8
+
+
+# sha256 of what ``enumerate --bound 15`` prints and of each file its
+# --out writes; stdout is taken from a run without --out, which names the
+# directory
+ENUMERATE_B15_STDOUT_SHA256 = "eb7710fa13023c3aedcb8896a0540abe68a9cfdc6446f9b4f5dcd39117c17be2"
+ENUMERATE_B15_FILES_SHA256 = {
+    "index.txt": "455cfe17e0ef1fe9b223f3a787048091aba257dbbcc5d6d3bdae87472032a626",
+    "order1_0.grp": "ab3e59c19f52b55126f213d1a1a2052929445730b64e06aad8e9cc3426c83c06",
+    "order2_0.grp": "c9a2bdc394bdd44d571052278d7b2a3a9f59f29ccbef6f22a439e47d9e89c0bb",
+    "order3_0.grp": "cb598352d4e177d9697a66b539de915a4c215c32bc67b6648dee7cbc1310d440",
+    "order4_0.grp": "9b994154771377534c4d25272e4ce3fe296ae0d6570752b21f4e76ae023acf2a",
+    "order4_1.grp": "1a83222dacab5a253351b3b6505ea219b14dd96ae2da5935ef32db771c095f62",
+    "order5_0.grp": "bd6cadefb5888f4d6a69df0e5be627b93465d6b509e8a22ace30c8b1d73d2b89",
+    "order6_0.grp": "52de2f9c418eef0c5f54720f281499c0f389d0aadc07c53e18b90a195bba1755",
+    "order6_1.grp": "59374e5e33611be47a720a2f0bfd97b6776fea5668904dc30224c2fadf4e046f",
+    "order7_0.grp": "125a6cecf35613f39809f35d23653e16c7dd93edce48965ca0340b2a072580ae",
+    "order8_0.grp": "9e7c9f8982bfad0eab7994d40e05d4ebbe9b4e34de9fcd9c7abc4018d4bf8a0c",
+    "order8_1.grp": "c12c3f41e065aef2bb245bc215c1dd2ab9380a547a109aade1242a6382aa4f3e",
+    "order8_2.grp": "a8c0163717d8e8e2100148be7592c757ad4168f191efa542082f3ca5d4d34f1b",
+    "order8_3.grp": "4917b69aa542ec3b3a28a637b83fa31f5306580bfd202b7c22a1d113b0338ec9",
+    "order8_4.grp": "c8c7038e91b4207dedfc1616684e39a704aea9b17b480dfc9a84a92294e2eba3",
+    "order10_0.grp": "bd165e01786ffdada2f68e0e7b5c3691e6b57239c8e82226f3ba87836abed452",
+    "order12_0.grp": "9bbe507d40bcf411723eb37a39a6ef707d1c832cc1d53100b5dc94687dac9725",
+    "order12_1.grp": "9c674e39dec6553b2d6a16c3083a279600f0287e471782d24dc30137c5d1f28b",
+    "order12_2.grp": "18a6cf510c22957c2c239fb28db9f4e8b452d3da33e5252b80e33480ba4db8ca",
+    "order14_0.grp": "51f53e44b14fc27c645e7b040172a88d81fb055059727bf3f66f2826ad857deb",
+}
+
+
+def test_enumerate_output_pinned(tmp_path, capsys):
+    code, out = run(capsys, "enumerate", "--bound", "15")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_B15_STDOUT_SHA256
+    outdir = tmp_path / "cat"
+    assert run(capsys, "enumerate", "--bound", "15", "--out", str(outdir))[0] == 0
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in outdir.iterdir()}
+    assert written == ENUMERATE_B15_FILES_SHA256
 
 
 def test_determinism_byte_identical(capsys):

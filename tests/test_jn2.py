@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidquot import fingroup as fg
-from braidquot import jn2, oracle
-from braidquot.errors import CenterMismatch, NotCentral, NotGenerator, NotJn2, SizeLimit
+from braidquot import jn2
+from braidquot.errors import NotCentral, NotGenerator, NotJn2, SizeLimit
 from braidquot.jn2 import Jn2Spec, materialize, parse_spec
-from braidquot.oracle import Jn2Element
-from references import classify_per_rep
+from references import (CenterMismatch, Jn2Element, center_identification, central_product,
+                        classify_per_rep, jn2_encode, jn2_identity, jn2_multiply)
 
 
 # ---------------------------------------------------------------------------
@@ -60,10 +60,10 @@ def test_spec_order():
 
 def test_multiply_identity_neutral():
     spec = Jn2Spec(3, 2, 2, "II")
-    e = oracle.jn2_identity(spec)
+    e = jn2_identity(spec)
     x = Jn2Element(5, (2, 1), (0, 2))
-    assert oracle.jn2_multiply(spec, e, x) == x
-    assert oracle.jn2_multiply(spec, x, e) == x
+    assert jn2_multiply(spec, e, x) == x
+    assert jn2_multiply(spec, x, e) == x
 
 
 def test_multiply_commutator_is_z():
@@ -71,8 +71,8 @@ def test_multiply_commutator_is_z():
     spec = Jn2Spec(3, 1, 1, "I")
     a = Jn2Element(0, (1,), (0,))
     b = Jn2Element(0, (0,), (1,))
-    ab = oracle.jn2_multiply(spec, a, b)
-    ba = oracle.jn2_multiply(spec, b, a)
+    ab = jn2_multiply(spec, a, b)
+    ba = jn2_multiply(spec, b, a)
     assert ab == Jn2Element(0, (1,), (1,))
     assert ba == Jn2Element(2, (1,), (1,))  # differs by z^-1
 
@@ -81,7 +81,7 @@ def test_multiply_variant_two_square():
     # II(2^2, 1): a^2 = z
     spec = Jn2Spec(2, 2, 1, "II")
     a = Jn2Element(0, (1,), (0,))
-    assert oracle.jn2_multiply(spec, a, a) == Jn2Element(1, (0,), (0,))
+    assert jn2_multiply(spec, a, a) == Jn2Element(1, (0,), (0,))
 
 
 @settings(max_examples=60, deadline=None)
@@ -97,8 +97,8 @@ def test_multiply_matches_materialized_table(data):
     y = data.draw(st.integers(min_value=0, max_value=n - 1))
     ex = Jn2Element(*jn2._decode(spec, x))
     ey = Jn2Element(*jn2._decode(spec, y))
-    prod = oracle.jn2_multiply(spec, ex, ey)
-    assert oracle._encode(spec, prod) == std.group.mul(x, y)
+    prod = jn2_multiply(spec, ex, ey)
+    assert jn2_encode(spec, prod) == std.group.mul(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +169,14 @@ def test_materialize_size_limit():
 
 def test_central_product_cyclic2():
     C2 = fg.cyclic(2)
-    cp = oracle.central_product(C2, C2, {0: 0, 1: 1})
+    cp = central_product(C2, C2, {0: 0, 1: 1})
     assert cp.group.order == 2
 
 
 def test_central_product_m3_m3():
     M3 = materialize(Jn2Spec(3, 1, 1, "I")).group
-    phi = oracle.center_identification(M3, M3)
-    cp = oracle.central_product(M3, M3, phi)
+    phi = center_identification(M3, M3)
+    cp = central_product(M3, M3, phi)
     assert jn2.is_jn2(cp.group) == (3, 1, 2)  # class arithmetic adds ranks
     target = materialize(Jn2Spec(3, 1, 2, "I")).group
     assert fg.is_isomorphic(cp.group, target) is not None
@@ -192,10 +192,10 @@ def test_materialize_agrees_with_central_product_route(p, j, m):
     N = materialize(Jn2Spec(p, j, 1, "II")).group
     built_I, built_II = M, N
     for _ in range(m - 1):
-        built_I = oracle.central_product(
-            built_I, M, oracle.center_identification(built_I, M)).group
-        built_II = oracle.central_product(
-            built_II, M, oracle.center_identification(built_II, M)).group
+        built_I = central_product(
+            built_I, M, center_identification(built_I, M)).group
+        built_II = central_product(
+            built_II, M, center_identification(built_II, M)).group
     assert fg.is_isomorphic(built_I, materialize(Jn2Spec(p, j, m, "I")).group) is not None
     assert fg.is_isomorphic(built_II, materialize(Jn2Spec(p, j, m, "II")).group) is not None
 
@@ -225,41 +225,41 @@ def test_central_product_choice_of_phi_is_inessential():
     # both identifications z -> z and z -> z^2 give isomorphic products
     M3 = materialize(Jn2Spec(3, 1, 1, "I")).group
     N3 = materialize(Jn2Spec(3, 1, 1, "II")).group
-    phi1 = oracle.center_identification(M3, N3)
+    phi1 = center_identification(M3, N3)
     z_m = min(x for x in fg.center(M3).elements if M3.element_order(x) == 3)
     z_n = min(x for x in fg.center(N3).elements if N3.element_order(x) == 3)
-    phi2 = oracle.center_identification(M3, N3, z_m, N3.mul(z_n, z_n))
-    a = oracle.central_product(M3, N3, phi1).group
-    b = oracle.central_product(M3, N3, phi2).group
+    phi2 = center_identification(M3, N3, z_m, N3.mul(z_n, z_n))
+    a = central_product(M3, N3, phi1).group
+    b = central_product(M3, N3, phi2).group
     assert fg.is_isomorphic(a, b) is not None
 
 
 def test_central_product_rejects_bad_phi():
     M3 = materialize(Jn2Spec(3, 1, 1, "I")).group
     with pytest.raises(CenterMismatch):
-        oracle.central_product(M3, M3, {0: 0})  # not defined on the whole center
+        central_product(M3, M3, {0: 0})  # not defined on the whole center
     # on a center of order 9, swapping z and z^2 is not multiplicative
     M9 = materialize(Jn2Spec(3, 2, 1, "I")).group
-    phi = oracle.center_identification(M9, M9)
+    phi = center_identification(M9, M9)
     z = min(x for x in fg.center(M9).elements if M9.element_order(x) == 9)
     z2 = M9.mul(z, z)
     broken = dict(phi)
     broken[z], broken[z2] = broken[z2], broken[z]
     with pytest.raises(CenterMismatch):
-        oracle.central_product(M9, M9, broken)
+        central_product(M9, M9, broken)
 
 
 def test_central_product_rejects_negative_indices():
     C2 = fg.cyclic(2)
     with pytest.raises(CenterMismatch):
-        oracle.central_product(C2, C2, {0: 0, -1: 1})
+        central_product(C2, C2, {0: 0, -1: 1})
     with pytest.raises(CenterMismatch):
-        oracle.central_product(C2, C2, {0: 0, 1: -1})
+        central_product(C2, C2, {0: 0, 1: -1})
 
 
 def test_center_identification_rejects_mismatched_centers():
     with pytest.raises(CenterMismatch):
-        oracle.center_identification(fg.cyclic(2), fg.cyclic(3))
+        center_identification(fg.cyclic(2), fg.cyclic(3))
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +526,7 @@ def test_classify_roundtrip_relabeled():
 def test_classify_mixed_central_product():
     M3 = materialize(Jn2Spec(3, 1, 1, "I")).group
     N3 = materialize(Jn2Spec(3, 1, 1, "II")).group
-    cp = oracle.central_product(M3, N3, oracle.center_identification(M3, N3))
+    cp = central_product(M3, N3, center_identification(M3, N3))
     spec, iso = jn2.classify(cp.group)
     assert spec == Jn2Spec(3, 1, 2, "II")
     # the II variant is the one with an element of order p^(j+1) = 9
@@ -572,9 +572,9 @@ def _classify_by_order_profile(G: fg.FiniteGroup):
 
 def _central_order_two_groups() -> list[fg.FiniteGroup]:
     """Every spec with p^j = 2 up to order 512, and D8, Q8 and central
-    products of them built by the oracle."""
+    products of them built by ``references.central_product``."""
     def cp(G, H):
-        return oracle.central_product(G, H, oracle.center_identification(G, H)).group
+        return central_product(G, H, center_identification(G, H)).group
     D8, Q8 = fg.dihedral(8), fg.dicyclic(8)
     specs = [s for s in jn2.enumerate_specs(512) if s.center_order == 2]
     assert len(specs) == 8

@@ -173,8 +173,10 @@ def test_catalog_matches_exhaustive_at_8(catalog, exhaustive_tiers):
 
 def _bad_tiers():
     d8, q8 = fg.dihedral(8), fg.dicyclic(8)
+    d8_relabelled = fg.relabel(d8, [0, *range(7, 0, -1)])[0]
     return {"order 8 without Q8": (8, [d8]),
-            "order 8 with D8 twice": (8, [d8, fg.relabel(d8, [0, *range(7, 0, -1)])[0], q8]),
+            "order 8 with D8 twice": (8, [d8, d8_relabelled, q8]),
+            "order 8 with D8 again after Q8": (8, [d8, q8, d8_relabelled]),
             "order 6 with an extra group": (6, [fg.symmetric(3), fg.cyclic(6)])}
 
 
@@ -188,6 +190,21 @@ def test_check_tier_rejects_bad_tiers(name):
     k, tier = _bad_tiers()[name]
     with pytest.raises(RuntimeError):
         oracle._check_tier(k, tier)
+
+
+def test_catalog_compares_pairwise_only_the_tiers_check_tier_skips(monkeypatch):
+    """The tiers through EXHAUSTIVE_MAX_ORDER are left to ``_check_tier``,
+    which rejects two isomorphic groups in one tier; of the rest only
+    order 12 holds more than one group, so its 3 pairs are compared."""
+    pairs = []
+
+    def counting(G, H):
+        pairs.append((G.label, H.label))
+        return fg.is_isomorphic(G, H)
+    monkeypatch.setattr(oracle, "_check_tier", lambda k, tier: None)
+    monkeypatch.setattr(oracle, "is_isomorphic", counting)
+    oracle.nonabelian_catalog_upto.__wrapped__()
+    assert pairs == [("D12", "A4"), ("D12", "Dic12"), ("A4", "Dic12")]
 
 
 def test_check_tier_rejects_under_python_O():
