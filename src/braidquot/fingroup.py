@@ -368,6 +368,27 @@ def cyclic(n: int) -> FiniteGroup:
     return from_table(n, (idx[:, None] + idx[None, :]) % n, label=f"C{n}")
 
 
+def digit_sum_table(p: int, k: int) -> np.ndarray:
+    """The p^k x p^k int32 table of x (+) y, the digitwise sum mod p of the
+    base-p digit strings of x and y (the group law of (Z/p)^k).
+
+    Built one leading digit at a time: with q = p^e, the pair (d, v), (d', v')
+    of a leading digit and e lower digits adds to ((d + d') mod p)·q + v (+) v',
+    written through a (p, q, p, q) view of the next table in one broadcast
+    add.  Each step reads a table 1/p^2 the size of the one it writes, so the
+    whole build costs about one pass over the result."""
+    d = np.arange(p, dtype=np.int32)
+    lead = (d[:, None] + d) % p
+    table = np.zeros((1, 1), dtype=np.int32)
+    for e in range(k):
+        q = p ** e
+        nxt = np.empty((p * q, p * q), dtype=np.int32)
+        np.add((lead * q)[:, None, :, None], table[None, :, None, :],
+               out=nxt.reshape(p, q, p, q))
+        table = nxt
+    return table
+
+
 @lru_cache(maxsize=None)
 def elementary_abelian(p: int, k: int) -> FiniteGroup:
     if p < 2 or least_prime_factor(p) != p:
@@ -376,25 +397,33 @@ def elementary_abelian(p: int, k: int) -> FiniteGroup:
         raise ValueError("k must be positive")
     n = p ** k
     _check_order(n)
-    idx = np.arange(n)
-    digits = np.stack([(idx // p ** i) % p for i in range(k)], axis=1)
-    sums = (digits[:, None, :] + digits[None, :, :]) % p
-    table = sum(sums[:, :, i] * p ** i for i in range(k))
-    return from_table(n, table, label=f"E{p}^{k}")
+    return from_table(n, digit_sum_table(p, k), label=f"E{p}^{k}")
 
 
 def _perm_group(perms: list[tuple[int, ...]], label: str,
                 names: Optional[dict[str, int]] = None) -> FiniteGroup:
+    """The permutations in lexicographic order under p_i * p_j = p_i o p_j.
+    A permutation's index is read off a dense rank array over its big-endian
+    key sum_t p[t]·npts^(npts-1-t), whose numeric order is the lexicographic
+    order of the tuples (npts^npts <= 7^7 entries under the table cap).  The
+    keys of a row block of compositions are summed one point t at a time,
+    from P[i, P[j, t]]; a key outside the set reads -1, which ``from_table``
+    refuses."""
     perms = sorted(perms)
     m = len(perms)
     npts = len(perms[0])
-    P = np.array(perms, dtype=np.int64)
-    pows = npts ** np.arange(npts - 1, -1, -1, dtype=np.int64)
-    keys = P @ pows  # lex order of tuples == numeric order of big-endian keys
+    P = np.array(perms, dtype=np.int32)
+    pows = [npts ** (npts - 1 - t) for t in range(npts)]
+    rank = np.full(npts ** npts, -1, dtype=np.int32)
+    rank[sum(pw * P[:, t] for t, pw in enumerate(pows))] = np.arange(m, dtype=np.int32)
     table = np.empty((m, m), dtype=np.int32)
-    for i in range(m):
-        comp = P[i][P]           # (m, npts): (p_i o p_j)[t] = p_i[p_j[t]]
-        table[i] = np.searchsorted(keys, comp @ pows)
+    rows = max(1, _LIGHT_BLOCK // m)
+    for lo in range(0, m, rows):
+        block = P[lo:lo + rows]
+        key = np.zeros((len(block), m), dtype=np.int32)
+        for t, pw in enumerate(pows):
+            key += pw * block.take(P[:, t], axis=1)  # [i, j] = P[lo+i, P[j, t]]
+        rank.take(key, out=table[lo:lo + rows])
     return from_table(m, table, label=label, names=names)
 
 
@@ -441,14 +470,8 @@ def dihedral(order: int) -> FiniteGroup:
     _check_order(order)
     n = order // 2
     # element f*n + i  ~  s^f r^i;  s^f1 r^i1 * s^f2 r^i2 = s^(f1+f2) r^((-1)^f2 i1 + i2)
-    table = np.empty((order, order), dtype=np.int32)
-    for f1 in (0, 1):
-        for i1 in range(n):
-            x = f1 * n + i1
-            for f2 in (0, 1):
-                sign = -1 if f2 else 1
-                for i2 in range(n):
-                    table[x, f2 * n + i2] = ((f1 + f2) % 2) * n + (sign * i1 + i2) % n
+    f, i = np.divmod(np.arange(order, dtype=np.int32), n)
+    table = (f[:, None] ^ f) * n + (i[:, None] * (1 - 2 * f) + i) % n
     return from_table(order, table, label=f"D{order}")
 
 
@@ -460,18 +483,11 @@ def dicyclic(order: int) -> FiniteGroup:
     _check_order(order)
     n = order // 4
     m = 2 * n
-    # element f*m + i  ~  x^i y^f
-    table = np.empty((order, order), dtype=np.int32)
-    for f1 in (0, 1):
-        for i1 in range(m):
-            x = f1 * m + i1
-            for f2 in (0, 1):
-                for i2 in range(m):
-                    i = (i1 + (i2 if not f1 else -i2)) % m
-                    f = f1 + f2
-                    if f == 2:
-                        i, f = (i + n) % m, 0
-                    table[x, f2 * m + i2] = f * m + i
+    # element f*m + i  ~  x^i y^f;  x^i1 y^f1 * x^i2 y^f2 = x^(i1 + (-1)^f1 i2) y^(f1+f2),
+    # and y^2 = x^n
+    f, i = np.divmod(np.arange(order, dtype=np.int32), m)
+    table = ((f[:, None] ^ f) * m
+             + (i[:, None] + (1 - 2 * f[:, None]) * i + n * (f[:, None] & f)) % m)
     label = "Q8" if order == 8 else f"Dic{order}"
     return from_table(order, table, label=label)
 

@@ -112,45 +112,51 @@ def materialize(spec: Jn2Spec) -> StandardJn2:
     """Cayley table of the standard group, enumerated from normal forms in
     lexicographic (k, alpha, beta) order so the identity is element 0.  An
     index is the base-p digit string (k, alpha, beta), hence
-    a_i = p^(2m-1-i), b_i = p^(m-1-i) and z = p^(2m) (i counted from 0)."""
+    a_i = p^(2m-1-i), b_i = p^(m-1-i) and z = p^(2m) (i counted from 0).
+
+    The table is built from its block structure.  With q = p^(2m), an index
+    is x = k*q + v, where v = a*p^m + b holds the digits alpha (in a) and
+    beta (in b) of V = (Z/p)^(2m), and
+
+        (k, v) * (k', v') = ((k + k' + c(v, v')) mod p^j, v (+) v'),
+
+    where (+) is digitwise addition mod p (``fingroup.digit_sum_table``) and
+    c(v, v') = -p^(j-1) * sum_i beta_i(v) * alpha_i(v'); variant II adds the
+    carries floor((alpha_1 + alpha_1')/p) + floor((beta_1 + beta_1')/p).  So
+    only the q x q table cq = c*q + v (+) v', of n^2/p^(2j) cells, is built
+    from digits, through its (p^m, p^m, p^m, p^m) view over (a, b, a', b').  The
+    n x n table is (k*q + k'*q + cq) mod n, one broadcast add through its
+    (p^j, q, p^j, q) view and one remainder, and is handed to ``from_table``
+    as the array that owns it, so it is taken over without a copy."""
     p, j, m = spec.p, spec.j, spec.m
     # p >= 2: the exponent alone shows most over-cap orders, without the power
     if (2 * m + j >= fingroup.TABLE_CAP.bit_length()
             or spec.order > fingroup.TABLE_CAP):
         raise SizeLimit(f"{spec} has order over table cap {fingroup.TABLE_CAP}")
     order = spec.order
-    pj = p ** j
-    K, alpha, beta = _decode(spec, np.arange(order, dtype=np.int32))
-    A = np.stack(alpha, axis=1)
-    B = np.stack(beta, axis=1)
-
-    # built in place in int32: two order x order arrays at any time
-    k = np.add.outer(K, K)
-    tmp = np.empty_like(k)
-    for i in range(m):  # k -= p^(j-1) * sum_i beta_x[i] * alpha_y[i]
-        np.multiply.outer(B[:, i], A[:, i], out=tmp)
-        tmp *= p ** (j - 1)
-        k -= tmp
+    pj, pm = p ** j, p ** m
+    q = pm * pm
+    # digits[a] = (alpha_1..alpha_m) of a, most significant first (beta of b alike)
+    digits = np.arange(pm)[:, None] // p ** np.arange(m - 1, -1, -1) % p
+    cq = fingroup.digit_sum_table(p, 2 * m)
+    c4 = cq.reshape(pm, pm, pm, pm)
+    pairing = -(digits @ digits.T) % p * p ** (j - 1)  # [b, a']
+    c4 += (pairing * q).astype(np.int32)[None, :, :, None]
     if spec.variant == "II":
-        for D in (A, B):
-            np.add.outer(D[:, 0], D[:, 0], out=tmp)
-            tmp //= p
-            k += tmp
-    k %= pj
-    table = k
-    for D in (A, B):
-        for i in range(m):
-            table *= p
-            np.add.outer(D[:, i], D[:, i], out=tmp)
-            tmp %= p
-            table += tmp
-    del tmp
+        carry = ((digits[:, 0, None] + digits[:, 0]) // p * q).astype(np.int32)
+        c4 += carry[:, None, :, None]   # [a, a']
+        c4 += carry[None, :, None, :]   # [b, b']
+    kq = np.arange(pj, dtype=np.int32) * q
+    table = np.empty((order, order), dtype=np.int32)
+    np.add(np.add.outer(kq, kq)[:, None, :, None], cq[None, :, None, :],
+           out=table.reshape(pj, q, pj, q))
+    del cq, c4  # freed before validation, which then holds the table and its own blocks
+    np.remainder(table, order, out=table)
 
-    z = p ** (2 * m)
     a_idx = tuple(p ** (2 * m - 1 - i) for i in range(m))
     b_idx = tuple(p ** (m - 1 - i) for i in range(m))
     group = from_table(order, table, label=str(spec))
-    return StandardJn2(spec=spec, group=group, z=z, a=a_idx, b=b_idx)
+    return StandardJn2(spec=spec, group=group, z=q, a=a_idx, b=b_idx)
 
 
 # ---------------------------------------------------------------------------

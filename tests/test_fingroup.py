@@ -1,7 +1,9 @@
 import collections
+import itertools
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -475,6 +477,61 @@ def test_groupmap_rejects_non_homomorphism():
 
 # ---------------------------------------------------------------------------
 # nilpotency and element orders
+
+
+# ---------------------------------------------------------------------------
+# standard constructors against cell-by-cell formulas
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 4), (3, 1), (3, 3), (5, 2), (7, 2)])
+def test_elementary_abelian_matches_digit_formula(p, k):
+    n = p ** k
+    idx = np.arange(n)
+    digits = np.stack([(idx // p ** i) % p for i in range(k)], axis=1)
+    sums = (digits[:, None, :] + digits[None, :, :]) % p
+    table = sum(sums[:, :, i] * p ** i for i in range(k))
+    assert np.array_equal(fg.elementary_abelian(p, k).table, table)
+
+
+def test_elementary_abelian_peak_memory_near_its_table():
+    """E_2^10's table is built without an n x n x k array: validation
+    included, the traced peak stays within twice the table's bytes."""
+    tracemalloc.start()
+    try:
+        G = fg.elementary_abelian.__wrapped__(2, 10)  # bypass the cache
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * G.table.nbytes, peak / G.table.nbytes
+
+
+def test_dihedral_and_dicyclic_match_cell_formulas():
+    for order in range(2, 130, 2):
+        n = order // 2  # f*n + i ~ s^f r^i
+        table = [[((f1 + f2) % 2) * n + ((-1) ** f2 * i1 + i2) % n
+                  for f2 in (0, 1) for i2 in range(n)]
+                 for f1 in (0, 1) for i1 in range(n)]
+        assert fg.dihedral(order).table.tolist() == table, order
+    for order in range(4, 132, 4):
+        n, m = order // 4, order // 2  # f*m + i ~ x^i y^f, y^2 = x^n
+        table = [[(f1 ^ f2) * m + (i1 + (-1) ** f1 * i2 + n * (f1 & f2)) % m
+                  for f2 in (0, 1) for i2 in range(m)]
+                 for f1 in (0, 1) for i1 in range(m)]
+        assert fg.dicyclic(order).table.tolist() == table, order
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_permutation_groups_match_composition(n):
+    """p_i * p_j is p_i o p_j, elements in lexicographic order."""
+    perms = sorted(itertools.permutations(range(n)))
+    rank = {p: i for i, p in enumerate(perms)}
+    even = [p for p in perms if fg._parity(p) == 0]
+    for G, elems in ((fg.symmetric(n), perms), (fg.alternating(n), even)):
+        index = {p: i for i, p in enumerate(elems)}
+        table = [[index[tuple(a[t] for t in b)] for b in elems] for a in elems]
+        assert G.table.tolist() == table, G.label
+    tr = [tuple(range(i - 1)) + (i, i - 1) + tuple(range(i + 1, n)) for i in range(1, n)]
+    assert fg.symmetric(n).names == {f"s{i}": rank[t] for i, t in enumerate(tr, 1)}
 
 
 def test_s3_not_nilpotent():
