@@ -300,15 +300,22 @@ def from_table(order: int,
 
     # element 0 is the identity, so the span walk's closures only grow
     gens = []
-    rows = max(1, _LIGHT_BLOCK // order)
+    rows = min(max(1, _LIGHT_BLOCK // order), order)
+    # one set of block buffers per call; every index is in range, so
+    # "clip" never clips, and unlike "raise" it writes into ``out`` directly
+    left = np.empty((rows, order), dtype=np.int32)
+    right = np.empty_like(left)
+    bad = np.empty((rows, order), dtype=bool)
     for a in span_walk(t, range(1, order)):
         ta = t[a]
         for lo in range(0, order, rows):
             block = t[lo:lo + rows]
+            h = block.shape[0]
             # (x*a)*y != x*(a*y), indexed [x - lo, y]
-            bad = t.take(block[:, a], axis=0) != block.take(ta, axis=1)
-            if bad.any():
-                x, y = np.argwhere(bad)[0]
+            t.take(block[:, a], axis=0, out=left[:h], mode="clip")
+            block.take(ta, axis=1, out=right[:h], mode="clip")
+            if np.not_equal(left[:h], right[:h], out=bad[:h]).any():
+                x, y = np.argwhere(bad[:h])[0]
                 raise NotAGroup(f"associativity fails at ({lo + int(x)},{a},{int(y)})")
         gens.append(a)
 
@@ -732,28 +739,7 @@ def nilpotency_class(G: FiniteGroup) -> Optional[int]:
 
 
 # ---------------------------------------------------------------------------
-# linear algebra over F_p; the Frattini quotient of a p-group
-
-
-def row_reduce(mat: np.ndarray, p: int) -> tuple[np.ndarray, int]:
-    """Reduced row echelon form of mat over F_p, and its rank."""
-    a = np.array(mat % p, dtype=np.int64)
-    rows, cols = a.shape
-    rank = 0
-    for col in range(cols):
-        nonzero = np.flatnonzero(a[rank:, col])
-        if nonzero.size == 0:
-            continue
-        piv = rank + int(nonzero[0])
-        a[[rank, piv]] = a[[piv, rank]]
-        a[rank] = (a[rank] * pow(int(a[rank, col]), p - 2, p)) % p
-        factors = a[:, col].copy()
-        factors[rank] = 0
-        a = (a - factors[:, None] * a[rank]) % p
-        rank += 1
-        if rank == rows:
-            break
-    return a, rank
+# the Frattini quotient of a p-group
 
 
 @dataclass(frozen=True, eq=False)
@@ -807,22 +793,21 @@ def _signatures(G: FiniteGroup) -> np.ndarray:
                      G.element_orders[sq]], axis=1)
 
 
-def span_walk(table: np.ndarray, candidates: Iterable[int],
-              base: Sequence[int] = ()) -> Iterator[int]:
+def span_walk(table: np.ndarray, candidates: Iterable[int]) -> Iterator[int]:
     """Greedy span walk: yield each candidate, in order, that lies outside
-    the closure H of ``base`` and the candidates yielded so far under
-    multiplication; stop once H is the whole table.  Each pick is yielded
-    before H is extended by it.
+    the closure H of the candidates yielded so far under multiplication;
+    stop once H is the whole table.  Each pick is yielded before H is
+    extended by it.
 
     H is extended by right cosets, as in Dimino's algorithm (G. Butler,
     *Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991).  After
     a pick x the queue starts at 0, the representative of H itself; for
-    each queued r and each generator g (a base element or a pick, x
-    included), if y = r*g is unmarked, mark the coset H*y and queue y.  A
-    new coset costs one gather of |H| cells.  In a group, with H a
-    subgroup, the marked set K is a union of cosets H*r with every r*g
-    marked, so K*g lies in K for each generator; K holds 0, so it holds
-    every product of generators, and it is <H, x>, the closure.
+    each queued r and each pick g (x included), if y = r*g is unmarked,
+    mark the coset H*y and queue y.  A new coset costs one gather of |H|
+    cells.  In a group, with H a subgroup, the marked set K is a union of
+    cosets H*r with every r*g marked, so K*g lies in K for each pick; K
+    holds 0, so it holds every product of picks, and it is <H, x>, the
+    closure.
 
     ``from_table`` walks a table that is not yet known to be associative,
     and there the picks are the same as well.  It has already checked that
@@ -838,9 +823,9 @@ def span_walk(table: np.ndarray, candidates: Iterable[int],
     """
     n = table.shape[0]
     inside = np.zeros(n, dtype=bool)
-    H = closure_indices(table, base)
-    inside[H] = True
-    gens = np.asarray(base, dtype=np.intp)
+    inside[0] = True
+    H = np.zeros(1, dtype=np.intp)
+    gens = np.zeros(0, dtype=np.intp)
     for x in candidates:
         if H.size == n:
             break

@@ -13,8 +13,9 @@ JN2 groups per class, the central products
 
 where M has relations a^p = b^p = 1 and N has a^p = b^p = z.  This module
 recognizes JN2 groups, builds the standard models from exact normal forms,
-normalizes symplectic bases, and decides which standard model an arbitrary
-JN2 group is, with an explicit verified isomorphism.
+picks a normalized symplectic basis by a walk in the group itself, and
+decides which standard model an arbitrary JN2 group is, with an explicit
+verified isomorphism.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .fingroup import (
     least_prime_factor,
     power_map,
     powers,
-    row_reduce,
 )
 
 
@@ -214,20 +214,22 @@ def _jn2_params(G: FiniteGroup) -> Optional[tuple[int, int, int, np.ndarray]]:
 
 @dataclass(frozen=True)
 class SymplecticData:
-    """V = G/ZG with its commutator pairing and p-th power functional.
+    """A JN2 group G with a generator z of its center and, once normalized,
+    a symplectic basis of V = G/ZG.
 
-    ``reps`` are lifted representatives whose cosets form the recorded basis
-    of V, listed pairwise (a_1, b_1, ..., a_m, b_m) once normalized.  The
-    Gram matrix stores pairing values as exponents of z^(p^(j-1)); ``nu``
-    stores x -> x^p mod (ZG)^p as exponents of z.  ``basis_type`` is None
-    before normalization and "I" or "II" after.
+    ``reps`` are representatives of that basis in G, listed pairwise
+    (a_1, b_1, ..., a_m, b_m): [a_i, b_i] = z^(p^(j-1)), distinct pairs
+    commute, and a_i^p = b_i^p = 1 exactly, except a_1^p = b_1^p = z in
+    type II.  Before normalization ``reps`` is empty and ``basis_type`` is
+    None; after it ``basis_type`` is "I" or "II".
 
     Three invariants of G are carried, read-only, from ``symplectic_data``,
     where they are first computed, so that later steps do not recompute
     them: ``xp`` is x^p for every element x (from ``is_jn2``'s exponent
     check), ``zpow`` is z^0, ..., z^(p^j - 1), and ``log`` is the discrete
     log table of ``log_table(G, z)``.  ``normalize_basis`` uses them to
-    adjust its representatives, but checks its postcondition without them.
+    pick and adjust its representatives, but checks its postcondition
+    without them.
     """
 
     group: FiniteGroup
@@ -236,8 +238,6 @@ class SymplecticData:
     m: int
     z: int
     reps: tuple[int, ...]
-    gram: np.ndarray
-    nu: tuple[int, ...]
     xp: np.ndarray
     zpow: np.ndarray
     log: np.ndarray
@@ -260,22 +260,9 @@ def _logs(order: int, zpow: np.ndarray) -> np.ndarray:
     return log
 
 
-def _gram(G: FiniteGroup, log: np.ndarray, p: int, j: int, reps) -> np.ndarray:
-    """Pairing values [r_u, r_v] of the representatives, as exponents of
-    c = z^(p^(j-1)), the generator of the derived subgroup."""
-    e = log[G.commutators_of(reps, reps)]
-    q = p ** (j - 1)
-    if (e < 0).any() or (e % q).any():
-        raise NotJn2("commutator fell outside the derived subgroup")
-    return e // q
-
-
 def symplectic_data(G: FiniteGroup, z: int) -> SymplecticData:
-    """Compute a basis of V = G/ZG, the commutator Gram matrix and nu.
-
-    The pairing is nondegenerate: once ``is_jn2`` holds, G' <= ZG, so an x
-    that pairs trivially with every representative commutes with
-    G = <ZG, reps> and lies in ZG."""
+    """Recognize G as JN2 with z generating its center, and carry x^p, the
+    powers of z and their logs for ``normalize_basis``."""
     params = _jn2_params(G)
     if params is None:
         raise NotJn2("group fails the JN2 characterization")
@@ -288,166 +275,96 @@ def symplectic_data(G: FiniteGroup, z: int) -> SymplecticData:
     if not zpow[1:].all():
         raise NotGenerator(f"element {z} does not generate the center")
     log = _logs(G.order, zpow)
-
-    # greedy coset basis: smallest-index representatives independent mod
-    # ZG; V is elementary abelian, so the walk ends after exactly 2m picks
-    reps = list(fingroup.span_walk(G.table, range(G.order), base=[z]))
-    if len(reps) != 2 * m:
-        raise RuntimeError(f"coset basis has {len(reps)} elements, expected {2 * m}")
-    gram = _gram(G, log, p, j, reps)
-    if (np.diagonal(gram) != 0).any() or ((gram + gram.T) % p).any():
-        raise RuntimeError("commutator pairing must be alternating")
-
-    # is_jn2 puts every x^p in ZG = <z>, so each log is defined
-    nu = tuple((log[xp[reps]] % p).tolist())
     for a in (xp, zpow, log):
         a.flags.writeable = False
-    return SymplecticData(group=G, p=p, j=j, m=m, z=z, reps=tuple(reps),
-                          gram=gram, nu=nu, xp=xp, zpow=zpow, log=log,
-                          basis_type=None)
+    return SymplecticData(group=G, p=p, j=j, m=m, z=z, reps=(),
+                          xp=xp, zpow=zpow, log=log, basis_type=None)
 
 
-def _symplectic_pairs(gram: np.ndarray, p: int,
-                      vectors: list[np.ndarray]) -> list[np.ndarray]:
-    """Greedy hyperbolic-pair extraction from a spanning set of coordinate
-    vectors; returns (e1, f1, e2, f2, ...) with the standard Gram matrix.
+def _symplectic_walk(data: SymplecticData) -> tuple[list[int], str]:
+    """Representatives (a_1, b_1, ..., a_m, b_m) of a symplectic basis of
+    V = G/ZG, picked in G, on which nu(x) = log_z(x^p) mod p vanishes
+    (type I) or is 1 on a_1, b_1 and 0 on the rest (type II); and the type.
 
-    Each round takes the first row u of the working list U, and for f1 the
-    first row w with <u, w> != 0, scaled so <u, f> = 1 (<u, u> = 0, since
-    the form is alternating).  It then projects every row onto the
-    symplectic complement of (u, f), v -> v - <v, f> u + <v, u> f, and drops
-    the rows that become zero.
+    A mask C, all of G at first, is the centralizer of the pairs so far,
+    the preimage of their complement W in V.  Each round takes a, the first
+    noncentral element of C, and b, the first element of C with
+    [a, b] = c = z^(p^(j-1)) (W is nondegenerate, so some b' in C has
+    [a, b'] = c^k, k != 0, and b'^(1/k mod p) is such a b), and shrinks C
+    by the rows [a, .] = 1 and [b, .] = 1.
 
-    Dependent rows are kept, and this gives the same pairs as keeping only
-    the greedy independent subsequence F of U (each row kept when it is
-    outside the span of the rows kept before it).  The first row of U is in
-    F.  The first row w with <u, w> != 0 is in F too: a row outside F is a
-    combination of earlier rows of F, and one of those would pair nonzero
-    with u.  Projection is linear, so it maps each row of U outside F into
-    the span of the projected earlier rows of F; hence the greedy
-    independent subsequence of the projected U is that of the projected F,
-    and by induction both lists pick the same pair in every round.
+    When p^j != 2, nu is linear on V, as (xy)^p = x^p y^p [y, x]^(p(p-1)/2)
+    and that last factor has log divisible by p.  If nu != 0, then
+    nu(x) = <x, u>, where [x, u] = c^<x, u>, for u the first element that
+    satisfies it on the generators of G, which span V.  The first pair is
+    (a, a*u) with nu(a) = 1: <a, a*u> = <a, u> = 1, nu(a*u) = 1 + <u, u>
+    = 1, and the pair's complement is the kernel of nu, so every later
+    pick has nu = 0.
+
+    When p^j = 2, q(x) = log_z(x^2) is a quadratic form with
+    q(xy) = q(x) + q(y) + <x, y>.  While C holds a noncentral x with
+    q(x) = 0, a and b are taken among such x: q(b*a) = q(b) + 1, so one of
+    b, b*a is one.  A form of dimension at least 3 over F_2 has such an x,
+    so what is left is 0 or a plane with q = 1 off 0.  That pair goes
+    first and makes the group type II: the Arf invariant of q (Aschbacher,
+    *Finite Group Theory*, section 23).
+
+    A pick from an empty mask is element 0 (``argmax`` of all False), which
+    no standard pair holds; so on wrong carried data the walk runs on, and
+    ``normalize_basis``'s postcondition refuses its result.
     """
-    out: list[np.ndarray] = []
-    work = np.array(vectors, dtype=np.int64) % p
-    work = work[work.any(axis=1)]
-    while work.size:
-        u = work[0]
-        vals = (work @ gram.T @ u) % p  # <u, w> for each row w
-        hits = np.flatnonzero(vals)
-        if not hits.size:
-            raise RuntimeError("restricted pairing must stay nondegenerate")
-        f = (work[hits[0]] * pow(int(vals[hits[0]]), p - 2, p)) % p
-        out += [u, f]
-        work = (work - np.outer(work @ gram @ f, u)
-                + np.outer(work @ gram @ u, f)) % p
-        work = work[work.any(axis=1)]
-    return out
+    G, p, j = data.group, data.p, data.j
+    everything = np.arange(G.order)
+    c = data.zpow[p ** (j - 1)]
+    nu = data.log[data.xp] % p
+    noncentral = ~G.center_mask
+    C = np.ones(G.order, dtype=bool)
+    allowed = nu == 0 if p ** j == 2 else np.ones_like(C)
+    pairs, basis_type = [], "I"
 
+    def take(a: int, b: int) -> None:
+        nonlocal C
+        pairs.append((a, b))
+        C = C & (G.commutators_of([a, b], everything) == 0).all(axis=0)
 
-def _arf_pairs(gram: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, str]:
-    """Symplectic basis for the quadratic form q of a JN2 group with
-    p^j = 2, and its type: q vanishes on the basis (type I), or is 1 on the
-    first pair and 0 on the rest (type II).
-
-    q(c) = c.nu + c^T triu(gram, 1) c mod 2 is log_z(x^2) for
-    x = prod_t r_t^c_t, since (xy)^2 = x^2 y^2 [y, x] in class 2, so
-    q(c + d) = q(c) + q(d) + <c, d>.  In each pair (e, f) of
-    ``_symplectic_pairs``, e and f swap if q(e) = 1 and q(f) = 0
-    (<f, e> = <e, f> over F_2); then if q(e) = 0, f + q(f) e has q = 0.
-    Otherwise q(e) = q(f) = 1: the pair is anisotropic.  Two anisotropic
-    pairs (e1, f1), (e2, f2) span the same space as (e1 + e2, f1 + e2) and
-    (h, h + e2), h = e1 + f1 + f2.  Expanding by the rule above, with the
-    two pairs orthogonal: q is 0 on all four; <e1 + e2, f1 + e2> = <e1, f1>
-    and <h, h + e2> = <f2, e2> are 1; <e1 + e2, h> and <f1 + e2, h> are
-    1 + 1 = 0, and so are their pairings with e2, so the new pairs are
-    orthogonal.  At most one anisotropic pair is left, and it goes first.
-    (The parity of their number is the Arf invariant of q; Aschbacher,
-    *Finite Group Theory*, section 23.)
-    """
-    triu = np.triu(gram, 1)
-
-    def q(c: np.ndarray) -> int:
-        return int(c @ nu + c @ triu @ c) % 2
-
-    hyperbolic: list[np.ndarray] = []
-    anisotropic: list[tuple[np.ndarray, np.ndarray]] = []
-    pairs = _symplectic_pairs(gram, 2, list(np.eye(len(nu), dtype=np.int64)))
-    for e, f in zip(pairs[0::2], pairs[1::2]):
-        if q(e) and not q(f):
-            e, f = f, e
-        if q(e):
-            anisotropic.append((e, f))
-        else:
-            hyperbolic += [e, (f + q(f) * e) % 2]
-    while len(anisotropic) > 1:
-        (e1, f1), (e2, f2) = anisotropic.pop(), anisotropic.pop()
-        h = (e1 + f1 + f2) % 2
-        hyperbolic += [(e1 + e2) % 2, (f1 + e2) % 2, h, (h + e2) % 2]
-    if anisotropic:
-        return np.array(list(anisotropic[0]) + hyperbolic), "II"
-    return np.array(hyperbolic), "I"
-
-
-def _normalized_coords(data: SymplecticData) -> tuple[np.ndarray, str]:
-    """Coordinates on ``data.reps`` (one row per new basis vector) of the
-    symplectic basis ``normalize_basis`` lifts, and its type "I" or "II".
-
-    For p^j = 2, nu is the quadratic form of ``_arf_pairs``.
-    """
-    p, j, dim = data.p, data.j, 2 * data.m
-    gram = data.gram % p
-    nu_vec = np.array(data.nu, dtype=np.int64) % p
-    units = list(np.eye(dim, dtype=np.int64))
-
-    if p ** j == 2:
-        coords, basis_type = _arf_pairs(gram, nu_vec)
-    elif not nu_vec.any():
-        basis_type = "I"
-        coords = np.array(_symplectic_pairs(gram, p, units))
-    else:
+    if p ** j != 2 and nu.any():
+        gens = np.asarray(G.generators, dtype=np.intp)
+        exps = data.log[G.commutators_of(gens, everything)] // p ** (j - 1)
+        u = int(np.argmax((exps == nu[gens, None]).all(axis=0)))
+        a = int(np.argmax(nu == 1))
+        take(a, int(G.table[a, u]))
         basis_type = "II"
-        # dual vector u with nu(x) = <x, u>; then any first pair (e1, u + e1)
-        # with <e1, u> = 1 confines nu to the first pair: the symplectic
-        # complement of the pair is exactly the kernel of nu.  gram is
-        # invertible, so the reduced [gram | nu] ends in u.
-        u = row_reduce(np.column_stack([gram, nu_vec]), p)[0][:, dim]
-        vals = (gram @ u) % p
-        t = int(np.flatnonzero(vals)[0])
-        e1 = (units[t] * pow(int(vals[t]), p - 2, p)) % p
-        # <e1, f1> = 1, so the extraction keeps (e1, f1) as its first pair
-        coords = np.array(_symplectic_pairs(gram, p, [e1, (u + e1) % p] + units))
-    if coords.shape != (dim, dim):
-        raise RuntimeError(f"symplectic basis has shape {coords.shape}, "
-                           f"expected {(dim, dim)}")
-    return coords, basis_type
+    while len(pairs) < data.m:
+        plane = not (C & noncentral & allowed).any()   # p^j = 2: q = 1 on C/Z
+        if plane:
+            allowed[:], basis_type = True, "II"
+        a = int(np.argmax(C & noncentral & allowed))
+        ca = G.commutators_of([a], everything)[0]
+        take(a, int(np.argmax(C & allowed & (ca == c))))
+        if plane:
+            pairs.insert(0, pairs.pop())
+    return [x for pair in pairs for x in pair], basis_type
 
 
 def normalize_basis(data: SymplecticData) -> SymplecticData:
-    """Symplectic basis on which nu is identically zero (type I) or
-    (1, 1, 0, ..., 0) (type II), with representatives adjusted by central
-    elements so that a_i^p = b_i^p = 1 exactly, except a_1^p = b_1^p = z in
-    type II.  The postcondition is re-verified by direct group computation.
+    """The symplectic basis of ``_symplectic_walk``, its representatives
+    adjusted by central elements so that a_i^p = b_i^p = 1 exactly, except
+    a_1^p = b_1^p = z in type II.  The postcondition is re-verified by
+    direct group computation.
     """
     G, p, j, dim = data.group, data.p, data.j, 2 * data.m
     T = G.table
-    coords, basis_type = _normalized_coords(data)
+    reps, basis_type = _symplectic_walk(data)
 
-    # lift coordinate vectors to group elements, prod_t reps[t]^coords[:, t],
-    # from one power ladder: ladder[k, t] = reps[t]^k
-    ladder = powers(T, np.asarray(data.reps), p)
-    new_reps = np.zeros(dim, dtype=np.int64)
-    for t in range(dim):
-        new_reps = T[new_reps, ladder[coords[:, t], t]]
-
-    # adjust each representative by a central element so p-th powers are exact
+    # adjust each representative by a central element so p-th powers are
+    # exact: r^p = z^(t - delta) with p | delta, as nu(r) = t mod p; a
+    # delta off that pattern (wrong carried data) leaves a p-th power
+    # that the check below refuses
     targets = np.zeros(dim, dtype=np.int64)
     if basis_type == "II":
         targets[:2] = 1
-    delta = (targets - data.log[data.xp[new_reps]]) % p ** j
-    if (delta % p).any():
-        raise RuntimeError("nu value must match the normalized pattern")
-    adjusted = T[new_reps, data.zpow[delta // p]]
+    delta = (targets - data.log[data.xp[reps]]) % p ** j
+    adjusted = T[reps, data.zpow[delta // p]]
     std = np.zeros((dim, dim), dtype=np.int64)
     i = np.arange(0, dim, 2)
     std[i, i + 1], std[i + 1, i] = 1, p - 1
@@ -458,9 +375,7 @@ def normalize_basis(data: SymplecticData) -> SymplecticData:
         raise RuntimeError("normalized Gram must be standard")
     if not np.array_equal(powers(T, adjusted, p + 1)[p], np.where(targets, data.z, 0)):
         raise RuntimeError("p-th power must be exact")
-    # x^p = z^t exactly, so nu(x) = t
-    return replace(data, reps=tuple(adjusted.tolist()), gram=std,
-                   nu=tuple(targets.tolist()), basis_type=basis_type)
+    return replace(data, reps=tuple(adjusted.tolist()), basis_type=basis_type)
 
 
 # ---------------------------------------------------------------------------

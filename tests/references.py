@@ -3,16 +3,19 @@
 Each function here is an earlier, plainer form of a kernel in ``src/``,
 kept so that tests can require the kernel to give the same answer:
 - ``span_walk_from_scratch``: ``fingroup.span_walk`` with the closure
-  recomputed from the base and every pick after each pick;
+  recomputed from every pick after each pick;
 - ``find_witness_scalar``: ``oracle.find_witness_naive`` one tuple at a
   time, with one table lookup per Python call;
 - ``first_witness_unpruned``: ``braid.find_witness`` at any genus, without
   the count cut, the sigma gate or the Frattini skip;
 - ``closed_on_all_products``: ``fingroup.Subgroup``'s closure check on all
   |S|^2 products, without the generator law;
+- ``normalize_basis_by_rows``: ``jn2.normalize_basis``'s symplectic walk
+  and central adjustment, one element at a time on lists of table rows,
+  with no masks and no carried invariants;
 - ``classify_per_rep``: ``jn2.classify`` with the center taken as a
-  ``Subgroup``, each representative lifted by its own powers, and x^p, the
-  log table and the powers of z recomputed where they are used;
+  ``Subgroup``, the basis of ``normalize_basis_by_rows``, and the normal
+  form evaluated with each representative's own powers;
 - ``enumerate_tables_rules_1_to_3``: ``oracle._enumerate_tables`` without
   the breadth-first word-order rule and its prune, and
   ``follows_word_order``, that rule read off a complete table;
@@ -40,12 +43,12 @@ from braidquot import jn2, oracle
 from braidquot.errors import GroupError, SearchBudgetExceeded
 
 
-def span_walk_from_scratch(table, candidates, base=()):
-    """Yield each candidate, in order, that lies outside the closure of
-    ``base`` and the candidates yielded so far; stop once that closure is
-    the whole table.  Each pick is yielded before its closure is taken."""
+def span_walk_from_scratch(table, candidates):
+    """Yield each candidate, in order, that lies outside the closure of the
+    candidates yielded so far; stop once that closure is the whole table.
+    Each pick is yielded before its closure is taken."""
     inside = np.zeros(table.shape[0], dtype=bool)
-    inside[fg.closure_indices(table, base)] = True
+    inside[0] = True
     picks = []
     for x in candidates:
         if inside.all():
@@ -53,7 +56,7 @@ def span_walk_from_scratch(table, candidates, base=()):
         if not inside[x]:
             picks.append(int(x))
             yield int(x)
-            inside[fg.closure_indices(table, [*base, *picks])] = True
+            inside[fg.closure_indices(table, picks)] = True
 
 
 def find_witness_scalar(G, n, g):
@@ -136,29 +139,67 @@ def closed_on_all_products(G, elements):
     return bool(inside[G.table[np.ix_(els, els)]].all())
 
 
-def normalize_basis_per_rep(data):
-    """(reps, basis type) of ``jn2.normalize_basis(data)``: the same
-    coordinates, lifted with one ``powers`` call per representative, and
-    the central adjustment and postconditions recomputed from the table."""
-    G, p, j, m = data.group, data.p, data.j, data.m
-    T = G.table
-    coords, basis_type = jn2._normalized_coords(data)
-    new_reps = np.zeros(2 * m, dtype=np.int64)
-    for t, r in enumerate(data.reps):
-        new_reps = T[new_reps, fg.powers(T, r, p)[coords[:, t]]]
-    xp = fg.power_map(T, p)
-    log = jn2.log_table(G, data.z)
-    zpow = fg.powers(T, data.z, p ** j)
-    targets = np.zeros(2 * m, dtype=np.int64)
-    if basis_type == "II":
-        targets[:2] = 1
-    delta = (targets - log[xp[new_reps]]) % p ** j
-    assert not (delta % p).any()
-    adjusted = T[new_reps, zpow[delta // p]]
-    std = np.kron(np.eye(m, dtype=np.int64), [[0, 1], [p - 1, 0]])
-    assert np.array_equal(jn2._gram(G, log, p, j, adjusted) % p, std)
-    assert np.array_equal(xp[adjusted], zpow[targets])
-    return tuple(adjusted.tolist()), basis_type
+def normalize_basis_by_rows(G, z):
+    """(reps, basis type) of ``jn2.normalize_basis(jn2.symplectic_data(G,
+    z))``, with each element tested one at a time on Python lists of table
+    rows: no masks, and x^p, the logs to base z, the commutators, the
+    center and the centralizer of the pairs recomputed where they are used.
+
+    The same walk: each round takes a, the first noncentral element that
+    commutes with every pick so far, and b, the first such element with
+    [a, b] = c = z^(p^(j-1)).  If p^j != 2 and nu(x) = log_z(x^p) mod p is
+    not zero, the first pair is (a, a*u), with a the first element with
+    nu(a) = 1 and u the first element with [x, u] = c^nu(x) for every x.
+    If p^j = 2, a and b are taken among the x with x^2 = 1 while one is
+    left, and the last pair, when it has none, goes first.  Then each
+    representative r becomes r*z^k for the first k with (r*z^k)^p = z or
+    1 as the type prescribes."""
+    rows = G.table.tolist()
+    n = G.order
+    inv = [row.index(0) for row in rows]
+
+    def comm(x, y):
+        return rows[rows[rows[x][y]][inv[x]]][inv[y]]
+
+    def pth(x, p):
+        acc = 0
+        for _ in range(p):
+            acc = rows[acc][x]
+        return acc
+
+    p, j, m = jn2.is_jn2(G)
+    pj = p ** j
+    zpow = [0]
+    while rows[zpow[-1]][z] != 0:
+        zpow.append(rows[zpow[-1]][z])
+    log = {x: t for t, x in enumerate(zpow)}
+    c = zpow[pj // p]
+    central = [all(comm(x, y) == 0 for y in range(n)) for x in range(n)]
+    nu = [log[pth(x, p)] % p for x in range(n)]
+    pairs, basis_type = [], "I"
+    if pj != 2 and any(nu):
+        u = next(u for u in range(n)
+                 if all(comm(x, u) == zpow[nu[x] * pj // p] for x in range(n)))
+        a = nu.index(1)
+        pairs.append((a, rows[a][u]))
+        basis_type = "II"
+
+    def free(x, singular):
+        return (all(comm(x, r) == 0 for pair in pairs for r in pair)
+                and (not singular or nu[x] == 0))
+
+    singular = pj == 2
+    while len(pairs) < m:
+        plane = singular and not any(free(x, True) and not central[x] for x in range(n))
+        if plane:
+            singular, basis_type = False, "II"
+        a = next(x for x in range(n) if free(x, singular) and not central[x])
+        b = next(x for x in range(n) if free(x, singular) and comm(a, x) == c)
+        pairs.insert(0 if plane else len(pairs), (a, b))
+    targets = [1 if basis_type == "II" and t < 2 else 0 for t in range(2 * m)]
+    reps = [next(rows[r][zk] for zk in zpow if pth(rows[r][zk], p) == zpow[t])
+            for r, t in zip((r for pair in pairs for r in pair), targets)]
+    return tuple(reps), basis_type
 
 
 def classify_per_rep(G):
@@ -167,9 +208,8 @@ def classify_per_rep(G):
     a_i^alpha_i b_i^beta_i evaluated one representative at a time."""
     Z = fg.center(G)
     z = min(x for x in Z.elements if G.element_order(x) == Z.order)
-    data = jn2.symplectic_data(G, z)
-    reps, basis_type = normalize_basis_per_rep(data)
-    spec = jn2.Jn2Spec(p=data.p, j=data.j, m=data.m, variant=basis_type)
+    reps, basis_type = normalize_basis_by_rows(G, z)
+    spec = jn2.Jn2Spec(*jn2.is_jn2(G), variant=basis_type)
     T = G.table
     k, alpha, beta = jn2._decode(spec, np.arange(spec.order, dtype=np.int64))
     images = fg.powers(T, z, spec.center_order)[k]

@@ -12,7 +12,8 @@ from braidquot import jn2
 from braidquot.errors import NotCentral, NotGenerator, NotJn2, SizeLimit
 from braidquot.jn2 import Jn2Spec, materialize, parse_spec
 from references import (CenterMismatch, Jn2Element, center_identification, central_product,
-                        classify_per_rep, jn2_encode, jn2_identity, jn2_multiply)
+                        classify_per_rep, jn2_encode, jn2_identity, jn2_multiply,
+                        normalize_basis_by_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -309,60 +310,68 @@ def test_is_jn2_derived_not_central_none():
 
 
 def test_symplectic_m3():
+    """symplectic_data carries x^p, the powers of z and their logs and no
+    basis yet; the normalized basis of M(3) is one pair with [a, b] = z and
+    a^3 = b^3 = 1."""
     std = materialize(Jn2Spec(3, 1, 1, "I"))
-    data = jn2.symplectic_data(std.group, std.z)
-    assert data.gram.tolist() == [[0, 2], [1, 0]]  # [[0,-1],[1,0]] mod 3
-    assert data.nu == (0, 0)
+    G, z = std.group, std.z
+    data = jn2.symplectic_data(G, z)
+    assert data.reps == () and data.basis_type is None
+    assert data.xp.tolist() == [G.power(x, 3) for x in range(G.order)]
+    assert data.zpow.tolist() == [0, z, G.mul(z, z)]
+    assert np.array_equal(data.log, jn2.log_table(G, z))
+    a, b = jn2.normalize_basis(data).reps
+    assert G.commutator(a, b) == z
+    assert G.power(a, 3) == G.power(b, 3) == 0
 
 
 def test_symplectic_n3_nu_nonzero():
+    """nu(x) = log_z(x^3) mod 3 is not zero on N(3), and both elements of
+    the normalized pair have nu = 1: a^3 = b^3 = z."""
     std = materialize(Jn2Spec(3, 1, 1, "II"))
-    data = jn2.symplectic_data(std.group, std.z)
-    assert all(v != 0 for v in data.nu)
+    G, z = std.group, std.z
+    data = jn2.symplectic_data(G, z)
+    nu = data.log[data.xp] % 3
+    assert nu.any()
+    a, b = jn2.normalize_basis(data).reps
+    assert nu[a] == nu[b] == 1
+    assert G.commutator(a, b) == z
+    assert G.power(a, 3) == G.power(b, 3) == z
 
 
 def test_coset_basis_walk_stops_at_2m(specs_243):
-    """The span walk, stopped when the span is the whole group, picks the
-    same representatives as a walk stopped after 2m picks."""
+    """The symplectic walk stops after m pairs: each of its 2m
+    representatives lies outside the subgroup that z and the earlier ones
+    generate, and with z they generate G."""
     rng = random.Random(1)
     for spec in specs_243:
         G, _ = fg.random_relabeling(materialize(spec).group, rng)
         z = min(x for x in fg.center(G).elements
                 if G.element_order(x) == spec.center_order)
-        span, counted = set(fg.center(G).elements), []
-        for x in range(G.order):
-            if len(counted) == 2 * spec.m:
-                break
-            if x not in span:
-                counted.append(x)
-                span = set(fg.subgroup_generated(G, [z] + counted).elements)
-        assert list(fg.span_walk(G.table, range(G.order), base=[z])) == counted, spec
-
-
-def test_row_reduce_rank_and_solve():
-    rng = random.Random(0)
-    for p in (2, 3, 5):
-        for _ in range(50):
-            mat = np.array([[rng.randrange(p) for _ in range(4)] for _ in range(3)])
-            # rank = log_p of the size of the row space
-            space = {tuple((np.array(c) @ mat) % p)
-                     for c in np.ndindex(*(p,) * 3)}
-            rank = fg.row_reduce(mat, p)[1]
-            assert p ** rank == len(space)
-            square = mat[:, :3]
-            if fg.row_reduce(square, p)[1] == 3:
-                rhs = mat[:, 3]
-                x = fg.row_reduce(np.column_stack([square, rhs]), p)[0][:, 3]
-                assert ((square @ x - rhs) % p == 0).all()
+        reps = jn2.normalize_basis(jn2.symplectic_data(G, z)).reps
+        assert len(reps) == 2 * spec.m, spec
+        span = [z]
+        for r in reps:
+            assert r not in fg.closure_indices(G.table, span), spec
+            span.append(r)
+        assert fg.closure_indices(G.table, span).size == G.order, spec
 
 
 def test_symplectic_diagonal_zero(specs_243):
+    """The commutator exponents of the normalized representatives, read
+    through the log table, form the standard alternating matrix: zero
+    diagonal, [a_i, b_i] = z^(p^(j-1)), and every other pair commuting."""
     for spec in specs_243:
         if spec.order > 64:
             continue
         std = materialize(spec)
-        data = jn2.symplectic_data(std.group, std.z)
-        assert (np.diagonal(data.gram) == 0).all()
+        data = jn2.normalize_basis(jn2.symplectic_data(std.group, std.z))
+        e = jn2.log_table(std.group, std.z)[std.group.commutators_of(data.reps, data.reps)]
+        q = spec.p ** (spec.j - 1)
+        assert (e >= 0).all() and (e % q == 0).all(), str(spec)
+        assert (np.diagonal(e) == 0).all(), str(spec)
+        standard = np.kron(np.eye(spec.m, dtype=np.int64), [[0, 1], [spec.p - 1, 0]])
+        assert np.array_equal(e // q, standard), str(spec)
 
 
 def test_symplectic_bad_z():
@@ -408,109 +417,93 @@ def test_normalize_type_invariant_under_relabeling():
     assert data.basis_type == "I"
 
 
-def _rank_filtered_pairs(gram, p, vectors):
-    """The pair extraction with a rank filter: after each pair, a projected
-    row is kept only when it raises the rank of the rows kept so far."""
-    def pairing(u, v):
-        return int(u @ gram @ v) % p
+def _mixed_central_products() -> list[fg.FiniteGroup]:
+    """Central products of M(p^j) and N(p^j) with p^j != 2, built by
+    ``references.central_product``: M(3)N(3), N(3)N(3), M(4)N(4), N(4)N(4),
+    N(4)M(4)N(4) and M(8)N(8)."""
+    def cp(G, H):
+        return central_product(G, H, center_identification(G, H)).group
 
-    out = []
-    work = [v % p for v in vectors if (v % p).any()]
-    while work:
-        u = work[0]
-        partner = None
-        for w in work[1:]:
-            val = pairing(u, w)
-            if val:
-                partner = (w * pow(val, p - 2, p)) % p
-                break
-        assert partner is not None
-        out += [u, partner]
-        projected = []
-        for v in work:
-            vv = (v - pairing(v, partner) * u + pairing(v, u) * partner) % p
-            known = np.stack(projected + out)
-            if fg.row_reduce(np.vstack([known, vv]), p)[1] > fg.row_reduce(known, p)[1]:
-                projected.append(vv)
-        work = projected
-    return out
+    def M(pj):
+        return materialize(parse_spec(f"I({pj},1)")).group
+
+    def N(pj):
+        return materialize(parse_spec(f"II({pj},1)")).group
+    return [cp(M(3), N(3)), cp(N(3), N(3)), cp(M("2^2"), N("2^2")),
+            cp(N("2^2"), N("2^2")), cp(cp(N("2^2"), M("2^2")), N("2^2")),
+            cp(M("2^3"), N("2^3"))]
 
 
-def _random_invertible(rng, p, dim):
-    while True:
-        a = np.array([[rng.randrange(p) for _ in range(dim)] for _ in range(dim)])
-        if fg.row_reduce(a, p)[1] == dim:
-            return a
+def test_normalize_basis_matches_row_loop_reference(specs_243):
+    """The walk's representatives and type equal those of the reference
+    that tests one element at a time on lists of table rows, on every spec
+    up to order 243, the order-512 ones with a center of order 2, and
+    mixed central products, each relabelled."""
+    rng = random.Random(11)
+    groups = ([materialize(s).group for s in specs_243] + _mixed_central_products()
+              + _central_order_two_groups())
+    for G0 in groups:
+        G, _ = fg.random_relabeling(G0, rng)
+        Z = fg.center(G)
+        z = min(x for x in Z.elements if G.element_order(x) == Z.order)
+        data = jn2.normalize_basis(jn2.symplectic_data(G, z))
+        assert (data.reps, data.basis_type) == normalize_basis_by_rows(G, z), G0.label
 
 
-@settings(max_examples=300, deadline=None)
-@given(p=st.sampled_from([2, 3, 5, 7]), m=st.integers(1, 4),
-       seed=st.integers(min_value=0, max_value=2 ** 32))
-def test_rank_free_pairs_match_rank_filtered(p, m, seed):
-    """Random nondegenerate alternating forms, and spanning lists padded with
-    zero, duplicate, dependent and random rows, some entries off by
-    multiples of p."""
-    rng = random.Random(seed)
-    dim = 2 * m
-    A = _random_invertible(rng, p, dim)
-    gram = (A.T @ np.kron(np.eye(m, dtype=np.int64), [[0, 1], [-1, 0]]) @ A) % p
-    basis = list(_random_invertible(rng, p, dim))
-    vectors = list(basis)
-    for _ in range(rng.randrange(2 * dim)):
-        kind = rng.randrange(4)
-        if kind == 0:
-            v = np.zeros(dim, dtype=np.int64)
-        elif kind == 1:
-            v = basis[rng.randrange(dim)].copy()
-        elif kind == 2:
-            v = sum(rng.randrange(p) * b for b in rng.sample(basis, rng.randrange(1, dim + 1)))
-        else:
-            v = np.array([rng.randrange(p) for _ in range(dim)])
-        vectors.append(v + p * np.array([rng.randrange(-1, 2) for _ in range(dim)]))
-    rng.shuffle(vectors)
-    got = jn2._symplectic_pairs(gram, p, vectors)
-    ref = _rank_filtered_pairs(gram, p, vectors)
-    assert len(got) == len(ref) == dim
-    assert all(np.array_equal(g, r) for g, r in zip(got, ref))
-    pairs = np.array(got)
-    std = np.kron(np.eye(m, dtype=np.int64), [[0, 1], [p - 1, 0]])
-    assert np.array_equal((pairs @ gram @ pairs.T) % p, std)
+def test_variant_is_read_off_the_exponent_when_pj_is_not_2(specs_243):
+    """For p^j != 2, I(p^j, m) has exponent p^j and II(p^j, m) has a_1 of
+    order p^(j+1).  So classify names type II exactly when the exponent
+    exceeds p^j, an invariant the walk does not use; on every such spec up
+    to order 243 and the mixed central products, relabelled."""
+    rng = random.Random(3)
+    groups = ([materialize(s).group for s in specs_243 if s.center_order != 2]
+              + _mixed_central_products())
+    for G0 in groups:
+        H, _ = fg.random_relabeling(G0, rng)
+        spec, iso = jn2.classify(H)
+        exponent = int(H.element_orders.max())
+        assert spec.variant == ("II" if exponent > spec.center_order else "I"), G0.label
+        assert iso.is_bijective, G0.label
 
 
-# normalize_basis(symplectic_data(G, z)).reps for each standard model with
-# p^j != 2 up to order 243, then for its relabelling by
+# normalize_basis(symplectic_data(G, z)).reps for each standard model up
+# to order 243, then for its relabelling by
 # fg.random_relabeling(G, random.Random(str(spec))), z moved along
 NORMALIZED_REPS = {
+    "I(2,1)": ((1, 2), (2, 5)),
+    "II(2,1)": ((1, 2), (1, 3)),
     "I(2^2,1)": ((1, 2), (1, 2)),
     "II(2^2,1)": ((1, 2), (1, 8)),
     "I(3,1)": ((1, 6), (1, 2)),
-    "II(3,1)": ((1, 26), (1, 12)),
+    "II(3,1)": ((1, 17), (1, 16)),
+    "I(2,2)": ((1, 4, 2, 8), (1, 2, 5, 13)),
     "I(2^3,1)": ((1, 2), (20, 22)),
+    "II(2,2)": ((2, 8, 1, 4), (2, 4, 6, 9)),
     "II(2^3,1)": ((1, 2), (2, 18)),
-    "I(2^2,2)": ((1, 4, 2, 8), (1, 14, 13, 29)),
+    "I(2^2,2)": ((1, 4, 2, 8), (1, 14, 13, 20)),
     "I(2^4,1)": ((1, 2), (49, 19)),
-    "II(2^2,2)": ((2, 8, 1, 4), (2, 9, 1, 27)),
+    "II(2^2,2)": ((2, 8, 1, 4), (2, 9, 1, 57)),
     "II(2^4,1)": ((1, 2), (2, 60)),
-    "I(3^2,1)": ((1, 6), (1, 42)),
-    "II(3^2,1)": ((1, 80), (48, 5)),
+    "I(3^2,1)": ((1, 6), (1, 79)),
+    "II(3^2,1)": ((1, 53), (5, 7)),
     "I(5,1)": ((1, 20), (1, 2)),
-    "II(5,1)": ((1, 72), (71, 58)),
-    "I(2^3,2)": ((1, 4, 2, 8), (25, 7, 102, 20)),
+    "II(5,1)": ((1, 47), (8, 71)),
+    "I(2,3)": ((1, 8, 2, 16, 4, 32), (1, 9, 4, 10, 14, 25)),
+    "I(2^3,2)": ((1, 4, 2, 8), (25, 7, 10, 20)),
     "I(2^5,1)": ((1, 2), (64, 92)),
-    "II(2^3,2)": ((2, 8, 1, 4), (4, 116, 82, 86)),
-    "II(2^5,1)": ((1, 2), (102, 51)),
-    "I(3,2)": ((1, 18, 3, 54), (1, 231, 234, 47)),
-    "I(3^3,1)": ((1, 6), (112, 114)),
-    "II(3,2)": ((3, 222, 1, 18), (1, 213, 135, 187)),
-    "II(3^3,1)": ((1, 242), (133, 227)),
+    "II(2,3)": ((4, 32, 1, 8, 2, 16), (18, 51, 1, 11, 13, 30)),
+    "II(2^3,2)": ((2, 8, 1, 4), (4, 116, 82, 9)),
+    "II(2^5,1)": ((1, 2), (102, 91)),
+    "I(3,2)": ((1, 18, 3, 54), (1, 4, 21, 22)),
+    "I(3^3,1)": ((1, 6), (112, 44)),
+    "II(3,2)": ((3, 141, 1, 18), (1, 27, 15, 22)),
+    "II(3^3,1)": ((1, 161), (133, 69)),
 }
 
 
 def test_normalized_reps_are_pinned(specs_243):
     got = {}
     for spec in specs_243:
-        if spec.center_order == 2:
-            continue
         std = materialize(spec)
         H, iso = fg.random_relabeling(std.group, random.Random(str(spec)))
         got[str(spec)] = tuple(jn2.normalize_basis(jn2.symplectic_data(G, z)).reps
@@ -675,25 +668,26 @@ def test_classify_matches_per_rep_reference_at_order_512():
 
 
 def test_normalize_gram_check_catches_planted_representative():
-    """r_0 replaced by r_1 after the Gram matrix was taken: the coordinates
-    come from the stale matrix, the representatives no longer span G/ZG, so
-    no basis lifted from them pairs to the standard matrix, and the
-    pairing recomputed in the group refuses it (I(3,2) has exponent 3, so
-    nu is zero and its check passes)."""
-    std = materialize(Jn2Spec(3, 1, 2, "I"))
-    data = jn2.symplectic_data(std.group, std.z)
-    jn2.normalize_basis(data)
-    r = list(data.reps)
-    r[0] = r[1]
-    with pytest.raises(RuntimeError, match="normalized Gram must be standard"):
-        jn2.normalize_basis(replace(data, reps=tuple(r)))
+    """A carried log table doubled mod p^j: nu and the commutator exponents
+    double alike, so u is unchanged, but the walk takes for a an element
+    with nu(a) = 2, and its pair (a, a*u) pairs to c^2.  The pairing
+    recomputed in the group refuses it."""
+    for name in ("II(3,1)", "II(3^2,1)", "II(5,1)"):
+        std = materialize(parse_spec(name))
+        data = jn2.symplectic_data(std.group, std.z)
+        jn2.normalize_basis(data)
+        wrong = np.where(data.log >= 0, 2 * data.log % len(data.zpow), -1)
+        with pytest.raises(RuntimeError, match="normalized Gram must be standard"):
+            jn2.normalize_basis(replace(data, log=wrong))
 
 
 def test_normalize_power_check_ignores_carried_invariants():
-    """A carried x^p table off by z^p everywhere moves every central
-    adjustment by z^-1, so each adjusted representative is wrong: nu mod p
-    and the pairing cannot see it, and the p-th powers recomputed from the
-    table refuse it."""
+    """Wrong carried x^p or log tables that leave the pairs standard: the
+    p-th powers recomputed from the table refuse each.
+    - x^p off by z^p everywhere moves every central adjustment by z^-1;
+      nu mod p and the pairing cannot see it.
+    - x^p = 1 everywhere, or a log table with log z = 0, makes nu vanish,
+      so the walk picks a type I basis of a type II group."""
     for name in ("I(3^2,1)", "II(3^2,1)"):
         std = materialize(parse_spec(name))
         G = std.group
@@ -702,6 +696,14 @@ def test_normalize_power_check_ignores_carried_invariants():
         wrong = G.table[data.xp, G.power(std.z, 3)]
         with pytest.raises(RuntimeError, match="p-th power must be exact"):
             jn2.normalize_basis(replace(data, xp=wrong))
+    for name in ("II(3,1)", "II(2^2,1)", "II(2,2)"):
+        std = materialize(parse_spec(name))
+        data = jn2.symplectic_data(std.group, std.z)
+        jn2.normalize_basis(data)
+        for fault in ({"xp": np.zeros_like(data.xp)},
+                      {"log": np.where(data.log >= 0, 0, -1)}):
+            with pytest.raises(RuntimeError, match="p-th power must be exact"):
+                jn2.normalize_basis(replace(data, **fault))
 
 
 # ---------------------------------------------------------------------------
