@@ -17,14 +17,11 @@ from .fingroup import (
     GroupMap,
     Subgroup,
     alternating,
-    center,
     cyclic,
     derived_subgroup,
     dicyclic,
     dihedral,
     direct_product,
-    elementary_abelian,
-    from_cayley_text,
     from_table,
     is_isomorphic,
     nilpotency_class,

@@ -533,11 +533,12 @@ def witness_to_text(w: Witness, group_ref: str) -> str:
 _WITNESS_KEYS = ("n", "g", "group", "sigma", "a", "b")
 
 
-def witness_from_text(text: str, *, base_dir=None) -> Witness:
+def witness_from_text(text: str, *, base_dir: str) -> Witness:
     """Parse the text form: each of the six keys exactly once, one per
     line; a repeated, unknown or empty key raises ValueError.  g outside
     1..MAX_G raises ParamRange before the group is built, since both
-    relator sets grow as g^2."""
+    relator sets grow as g^2.  A ``group`` in spec syntax is built as a
+    spec; any other is a ``.grp`` path relative to ``base_dir``."""
     fields: dict[str, str] = {}
     for line in text.splitlines():
         if not line.strip():
@@ -557,11 +558,10 @@ def witness_from_text(text: str, *, base_dir=None) -> Witness:
     if not 1 <= g <= MAX_G:
         raise ParamRange(f"witness file needs 1 <= g <= {MAX_G}, got g={g}")
     ref = fields["group"]
-    try:
+    if jn2._SPEC_RE.match(ref.replace(" ", "")):
         group = materialize(parse_spec(ref)).group
-    except ValueError:
-        path = ref if base_dir is None else os.path.join(base_dir, ref)
-        group = fingroup.read_cayley(path)
+    else:
+        group = fingroup.read_cayley(os.path.join(base_dir, ref))
     return Witness(group=group, n=int(fields["n"]), g=g,
                    sigma=int(fields["sigma"]),
                    a=tuple(int(x) for x in fields["a"].split()),

@@ -21,14 +21,6 @@ class NotJn2(GroupError):
     """The group fails the just-2-step-nilpotent characterization."""
 
 
-class NotCentral(GroupError):
-    """An element expected to be central is not."""
-
-
-class NotGenerator(GroupError):
-    """An element does not generate the subgroup it is supposed to."""
-
-
 class ParamRange(GroupError):
     """Parameters outside the operation's admissible range."""
 

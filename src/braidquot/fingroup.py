@@ -117,9 +117,6 @@ class FiniteGroup:
     label: Optional[str] = None
     names: Mapping[str, int] = field(default_factory=dict, repr=False)
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def mul(self, x: int, y: int) -> int:
         return int(self.table[x, y])
 
@@ -396,17 +393,6 @@ def digit_sum_table(p: int, k: int) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=None)
-def elementary_abelian(p: int, k: int) -> FiniteGroup:
-    if p < 2 or least_prime_factor(p) != p:
-        raise ValueError(f"p must be prime, got {p}")
-    if k < 1:
-        raise ValueError("k must be positive")
-    n = p ** k
-    _check_order(n)
-    return from_table(n, digit_sum_table(p, k), label=f"E{p}^{k}")
-
-
 def _perm_group(perms: list[tuple[int, ...]], label: str,
                 names: Optional[dict[str, int]] = None) -> FiniteGroup:
     """The permutations in lexicographic order under p_i * p_j = p_i o p_j.
@@ -614,10 +600,6 @@ class Subgroup:
 
 def subgroup_generated(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     return Subgroup(G, closure_indices(G.table, gens))
-
-
-def center(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, np.flatnonzero(G.center_mask))
 
 
 def normal_closure(G: FiniteGroup, seeds) -> Subgroup:
@@ -1060,6 +1042,9 @@ def _parse_rows(a: np.ndarray, breaks: np.ndarray, row0: int, order: int,
 
 
 def _parse_cayley(data: bytes) -> FiniteGroup:
+    """Parse the text form.  The order is range-checked before any row is
+    read; the table must be exactly ``order`` rows of exactly ``order``
+    entries ``[+-]?[0-9]+`` separated by ASCII whitespace."""
     label, order, start = _read_header(data)
     size = len(data)
     buf = np.frombuffer(data, dtype=np.uint8)
@@ -1089,13 +1074,6 @@ def _parse_cayley(data: bytes) -> FiniteGroup:
                     flat[r * order:nxt * order])
         r = nxt
     return from_table(order, table, label=label)
-
-
-def from_cayley_text(text: str) -> FiniteGroup:
-    """Parse the text form.  The order is range-checked before any row is
-    read; the table must be exactly ``order`` rows of exactly ``order``
-    entries ``[+-]?[0-9]+`` separated by ASCII whitespace."""
-    return _parse_cayley(text.encode())
 
 
 def write_cayley(G: FiniteGroup, path) -> None:

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import fingroup
-from .errors import NotCentral, NotGenerator, NotJn2, SizeLimit
+from .errors import NotJn2, SizeLimit
 from .fingroup import (
     FiniteGroup,
     GroupMap,
@@ -174,10 +174,10 @@ def is_jn2(G: FiniteGroup) -> Optional[tuple[int, int, int]]:
     return None if params is None else params[:3]
 
 
-def _jn2_params(G: FiniteGroup) -> Optional[tuple[int, int, int, np.ndarray]]:
-    """``is_jn2``'s (p, j, m), with x^p for every element x, or None.  The
-    center is read off ``G.center_mask``, and its cyclicity from powers of
-    its elements alone."""
+def _jn2_params(G: FiniteGroup) -> Optional[tuple[int, int, int, int, np.ndarray]]:
+    """``is_jn2``'s (p, j, m), the center's first generator z and x^p for
+    every element x, or None.  The center is read off ``G.center_mask``,
+    and its cyclicity from powers of its elements alone."""
     D = derived_subgroup(G)
     if D.order < 2 or least_prime_factor(D.order) != D.order:
         return None
@@ -191,7 +191,9 @@ def _jn2_params(G: FiniteGroup) -> Optional[tuple[int, int, int, np.ndarray]]:
     if zorder != 1 or j < 1:
         return None
     # Z has order p^j, so z generates it exactly when z^(p^(j-1)) != 1
-    if not power_map(G.table, p ** (j - 1), np.flatnonzero(in_z)).any():
+    zs = np.flatnonzero(in_z)
+    zgens = zs[power_map(G.table, p ** (j - 1), zs) != 0]
+    if not zgens.size:
         return None  # center not cyclic
     if not in_z[D.indices].all():
         return None  # central quotient not abelian
@@ -205,7 +207,7 @@ def _jn2_params(G: FiniteGroup) -> Optional[tuple[int, int, int, np.ndarray]]:
         e += 1
     if e % 2:
         raise RuntimeError("commutator pairing forces even dimension")
-    return (p, j, e // 2, xp)
+    return (p, j, e // 2, int(zgens[0]), xp)
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +216,8 @@ def _jn2_params(G: FiniteGroup) -> Optional[tuple[int, int, int, np.ndarray]]:
 
 @dataclass(frozen=True)
 class SymplecticData:
-    """A JN2 group G with a generator z of its center and, once normalized,
-    a symplectic basis of V = G/ZG.
+    """A JN2 group G with z, the generator of its center of least index,
+    and, once normalized, a symplectic basis of V = G/ZG.
 
     ``reps`` are representatives of that basis in G, listed pairwise
     (a_1, b_1, ..., a_m, b_m): [a_i, b_i] = z^(p^(j-1)), distinct pairs
@@ -260,20 +262,14 @@ def _logs(order: int, zpow: np.ndarray) -> np.ndarray:
     return log
 
 
-def symplectic_data(G: FiniteGroup, z: int) -> SymplecticData:
-    """Recognize G as JN2 with z generating its center, and carry x^p, the
-    powers of z and their logs for ``normalize_basis``."""
+def symplectic_data(G: FiniteGroup) -> SymplecticData:
+    """Recognize G as JN2 with z its center's first generator, and carry
+    x^p, the powers of z and their logs for ``normalize_basis``."""
     params = _jn2_params(G)
     if params is None:
         raise NotJn2("group fails the JN2 characterization")
-    p, j, m, xp = params
-    if not G.center_mask[z]:
-        raise NotCentral(f"element {z} is not central")
+    p, j, m, z, xp = params
     zpow = powers(G.table, z, p ** j)
-    # z is in Z, so ord(z) divides p^j, and is p^j when no z^e with
-    # 0 < e < p^j is 1
-    if not zpow[1:].all():
-        raise NotGenerator(f"element {z} does not generate the center")
     log = _logs(G.order, zpow)
     for a in (xp, zpow, log):
         a.flags.writeable = False
@@ -388,13 +384,7 @@ def classify(G: FiniteGroup) -> tuple[Jn2Spec, GroupMap]:
     The variant is read off a normalized symplectic basis, and the
     isomorphism maps the lifted representatives to the standard generators.
     """
-    zs = np.flatnonzero(G.center_mask)
-    # symplectic_data accepts only a cyclic center of prime-power order
-    # q^j, whose generators are the z with z^(q^(j-1)) != 1
-    zs = zs[power_map(G.table, zs.size // least_prime_factor(zs.size), zs) != 0]
-    if not zs.size:
-        raise NotJn2("center is not a nontrivial cyclic group")
-    data = normalize_basis(symplectic_data(G, int(zs[0])))  # recognises JN2
+    data = normalize_basis(symplectic_data(G))  # recognises JN2
     spec = Jn2Spec(p=data.p, j=data.j, m=data.m, variant=data.basis_type)
     S = materialize(spec).group
     T = G.table

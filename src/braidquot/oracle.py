@@ -93,7 +93,7 @@ def _row1_candidates(k: int) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _enumerate_tables(k: int, budget: int = _ENUM_BUDGET) -> list[list[tuple[int, ...]]]:
+def _enumerate_tables(k: int) -> list[list[tuple[int, ...]]]:
     """All group tables with identity 0 under four canonical labeling rules:
 
     1. element 1 has the largest element order d in the table;
@@ -167,9 +167,9 @@ def _enumerate_tables(k: int, budget: int = _ENUM_BUDGET) -> list[list[tuple[int
     def bump():
         nonlocal nodes
         nodes += 1
-        if nodes > budget:
+        if nodes > _ENUM_BUDGET:
             raise SearchBudgetExceeded(
-                f"table enumeration exceeded {budget} nodes", explored=nodes)
+                f"table enumeration exceeded {_ENUM_BUDGET} nodes", explored=nodes)
 
     def propagate(rows: dict[int, tuple[int, ...]], cols: list[int], x: int,
                   d: int) -> Optional[tuple[dict[int, tuple[int, ...]], list[int]]]:
@@ -291,7 +291,7 @@ def _enumerate_tables(k: int, budget: int = _ENUM_BUDGET) -> list[list[tuple[int
 
 
 @lru_cache(maxsize=None)
-def enumerate_groups_exhaustive(k: int, budget: int = _ENUM_BUDGET) -> tuple[FiniteGroup, ...]:
+def enumerate_groups_exhaustive(k: int) -> tuple[FiniteGroup, ...]:
     """Every isomorphism class of order k, by backtracking over Cayley
     tables with identity 0 under the canonical labeling rules of
     ``_enumerate_tables``: element 1 has maximal order d, its powers are
@@ -307,8 +307,7 @@ def enumerate_groups_exhaustive(k: int, budget: int = _ENUM_BUDGET) -> tuple[Fin
     if k < 1:
         raise ValueError("k must be positive")
     reps: list[FiniteGroup] = []
-    # budget by keyword, as in _check_tier, so both share one cache entry
-    for idx, rows in enumerate(_enumerate_tables(k, budget=budget)):
+    for idx, rows in enumerate(_enumerate_tables(k)):
         G = from_table(k, rows, label=f"order{k}#{idx}")
         if all(is_isomorphic(G, R) is None for R in reps):
             reps.append(G)
@@ -342,7 +341,7 @@ def _check_tier(k: int, tier: Sequence[FiniteGroup]) -> None:
     tier group is a nonabelian group of order k.  Two isomorphic tier
     groups match the same tables, so the later one is never matched."""
     matched = [False] * len(tier)
-    for rows in _enumerate_tables(k, budget=_ENUM_BUDGET):
+    for rows in _enumerate_tables(k):
         if list(zip(*rows)) == rows:
             continue  # abelian: the table is symmetric
         G = from_table(k, rows)

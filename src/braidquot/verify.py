@@ -17,7 +17,6 @@ from .braid import (
     SearchReport,
     Witness,
     check_full_quotient,
-    check_reduced_witness,
     minimal_braid_reduced_search,
     predicted_minimum,
     standard_sigma_exponent,
@@ -155,7 +154,6 @@ def build_row(n: int, g: int, bound: Optional[int] = None,
     std_ok = True
     for spec in standard_witness_specs(n, g):
         w = standard_witness(spec, n, g)
-        std_ok = std_ok and check_reduced_witness(w).ok
         std_ok = std_ok and check_full_quotient(w.group, n, g, w.full_images()).ok
         std_ok = std_ok and witness_dichotomies_ok(w)
 

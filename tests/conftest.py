@@ -9,7 +9,8 @@ def small_corpus():
     """A mixed bag of small groups used by property tests."""
     groups = [
         fg.cyclic(1), fg.cyclic(2), fg.cyclic(6), fg.cyclic(8),
-        fg.elementary_abelian(2, 3), fg.elementary_abelian(3, 2),
+        fg.from_table(8, fg.digit_sum_table(2, 3), label="E2^3"),
+        fg.from_table(9, fg.digit_sum_table(3, 2), label="E3^2"),
         fg.symmetric(3), fg.symmetric(4), fg.alternating(4),
         fg.dihedral(8), fg.dihedral(12), fg.dicyclic(8), fg.dicyclic(12),
         fg.direct_product(fg.cyclic(2), fg.cyclic(4)),

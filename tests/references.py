@@ -206,8 +206,8 @@ def classify_per_rep(G):
     """(spec, images of the isomorphism G -> standard model) as
     ``jn2.classify`` gives them, with the normal form z^k prod_i
     a_i^alpha_i b_i^beta_i evaluated one representative at a time."""
-    Z = fg.center(G)
-    z = min(x for x in Z.elements if G.element_order(x) == Z.order)
+    Z = np.flatnonzero(G.center_mask)
+    z = min(x for x in Z.tolist() if G.element_order(x) == Z.size)
     reps, basis_type = normalize_basis_by_rows(G, z)
     spec = jn2.Jn2Spec(*jn2.is_jn2(G), variant=basis_type)
     T = G.table
@@ -433,20 +433,20 @@ class CentralProduct:
 
 def center_identification(G, H, zg=None, zh=None):
     """The isomorphism ZG -> ZH matching chosen cyclic generators zg -> zh."""
-    ZG, ZH = fg.center(G), fg.center(H)
-    if ZG.order != ZH.order:
-        raise CenterMismatch(f"centers have orders {ZG.order} != {ZH.order}")
+    ZG, ZH = np.flatnonzero(G.center_mask).tolist(), np.flatnonzero(H.center_mask).tolist()
+    if len(ZG) != len(ZH):
+        raise CenterMismatch(f"centers have orders {len(ZG)} != {len(ZH)}")
     if zg is None:
-        zg = min(x for x in ZG.elements if G.element_order(x) == ZG.order)
+        zg = min(x for x in ZG if G.element_order(x) == len(ZG))
     if zh is None:
-        zh = min(x for x in ZH.elements if H.element_order(x) == ZH.order)
-    if G.element_order(zg) != ZG.order or not G.center_mask[zg]:
+        zh = min(x for x in ZH if H.element_order(x) == len(ZH))
+    if G.element_order(zg) != len(ZG) or not G.center_mask[zg]:
         raise CenterMismatch(f"{zg} does not generate the center of G")
-    if H.element_order(zh) != ZH.order or not H.center_mask[zh]:
+    if H.element_order(zh) != len(ZH) or not H.center_mask[zh]:
         raise CenterMismatch(f"{zh} does not generate the center of H")
     phi = {}
     x, y = 0, 0
-    for _ in range(ZG.order):
+    for _ in range(len(ZG)):
         phi[x] = y
         x, y = G.mul(x, zg), H.mul(y, zh)
     return phi
@@ -454,18 +454,18 @@ def center_identification(G, H, zg=None, zh=None):
 
 def central_product(G, H, phi):
     """(G x H) / {(g, phi(g)^-1)} for an isomorphism phi of the full centers."""
-    ZG, ZH = fg.center(G), fg.center(H)
+    ZG, ZH = np.flatnonzero(G.center_mask).tolist(), np.flatnonzero(H.center_mask).tolist()
     # set equalities; sorted distinct indices also rule out negative ones
-    if not np.array_equal(np.unique(list(phi)), ZG.elements):
+    if not np.array_equal(np.unique(list(phi)), ZG):
         raise CenterMismatch("phi is not defined exactly on the center of G")
-    if not np.array_equal(np.unique(list(phi.values())), ZH.elements):
+    if not np.array_equal(np.unique(list(phi.values())), ZH):
         raise CenterMismatch("phi is not onto the center of H")
-    for x in ZG.elements:
-        for y in ZG.elements:
+    for x in ZG:
+        for y in ZG:
             if phi[G.mul(x, y)] != H.mul(phi[x], phi[y]):
                 raise CenterMismatch(f"phi is not multiplicative at ({x},{y})")
     P = fg.direct_product(G, H)
-    nelems = sorted(g * H.order + H.inv(phi[g]) for g in ZG.elements)
+    nelems = sorted(g * H.order + H.inv(phi[g]) for g in ZG)
     N = fg.Subgroup(P, tuple(nelems))
     Q, proj = fg.quotient(P, N)
     embed_left = fg.GroupMap(G, Q, proj.images[np.arange(G.order) * H.order])

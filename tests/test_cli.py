@@ -2,6 +2,7 @@ import ast
 import contextlib
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -15,8 +16,9 @@ from hypothesis import strategies as st
 
 import braidquot
 from braidquot import braid, cli, fingroup as fg, oracle
-from braidquot.errors import NotCentral, NotNormal, SizeLimit
+from braidquot.errors import NotJn2, NotNormal, SizeLimit
 from braidquot.jn2 import Jn2Spec, materialize, parse_spec
+import reach
 from references import first_assoc_violation
 
 
@@ -153,6 +155,37 @@ def test_check_witness_failure_is_exit_one(tmp_path, capsys):
     code, out = run(capsys, "check-witness", "--witness", str(wpath))
     assert code == 1
     assert machine_block(out)["ok"] == "false"
+
+
+@pytest.mark.parametrize("verb", ["check-witness", "check-full"])
+@pytest.mark.parametrize("group,message", [("I(4,1)", "p must be prime, got 4"),
+                                           ("II(3,0)", "j and m must be positive")])
+def test_witness_group_in_spec_syntax_reports_the_spec_error(tmp_path, capsys, verb,
+                                                             group, message):
+    # each was read as a path: "[Errno 2] No such file or directory"
+    wpath = tmp_path / "w.txt"
+    wpath.write_text(f"n 6\ng 1\ngroup {group}\nsigma 0\na 1\nb 2\n")
+    assert cli.main([verb, "--witness", str(wpath)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {message}\n"
+
+
+def test_witness_group_as_grp_path(tmp_path, capsys):
+    # a file name that starts like a spec is still a path
+    wpath = tmp_path / "w.txt"
+    assert cli.main(["search-min", "--n", "6", "--g", "1", "--bound", "16",
+                     "--witness", str(wpath)]) == 0
+    text = wpath.read_text()
+    assert "group I(2^2,1)\n" in text
+    assert cli.main(["construct", "--spec", "I(2^2,1)", "--out",
+                     str(tmp_path / "I(2^2,1).grp")]) == 0
+    wpath.write_text(text.replace("group I(2^2,1)", "group I(2^2,1).grp"))
+    capsys.readouterr()
+    for verb in ("check-witness", "check-full"):
+        code, out = run(capsys, verb, "--witness", str(wpath))
+        assert code == 0 and machine_block(out)["ok"] == "true", verb
+        assert machine_block(out)["order"] == "16", verb
 
 
 def test_witness_file_with_repeated_or_unknown_keys_exit_two(tmp_path, capsys):
@@ -337,7 +370,7 @@ def test_out_of_range_arguments_exit_fast(capsys, argv, code):
 
 @pytest.mark.parametrize("exc", [RuntimeError("boom"), AssertionError("broken invariant"),
                                  NotNormal("subgroup is not normal"),
-                                 NotCentral("element 3 is not central")])
+                                 NotJn2("group fails the JN2 characterization")])
 def test_unexpected_exceptions_exit_four(monkeypatch, capsys, exc):
     def raiser(args):
         raise exc
@@ -370,11 +403,12 @@ def _names_used(node) -> Counter:
                    if isinstance(sub, (ast.Name, ast.Attribute)))
 
 
-def test_every_definition_in_src_is_reached_or_exported():
-    """Each top-level def and class of ``src/braidquot``, and each method of
-    a top-level class, is referenced by name in ``src/`` outside its own
-    definition, or exported in ``braidquot.__all__``.  Code that only tests
-    reach belongs in ``tests/references.py``.  Dunder methods are exempt."""
+def test_every_class_in_src_is_referenced_or_exported():
+    """Each top-level class of ``src/braidquot`` is referenced by name in
+    ``src/`` outside its own definition, or exported in
+    ``braidquot.__all__``.  Code that only tests reach belongs in
+    ``tests/references.py``; functions and methods are held to the
+    stronger rule of ``test_every_function_in_src_runs_under_a_verb``."""
     src = os.path.dirname(cli.__file__)
     trees = {}
     for name in sorted(os.listdir(src)):
@@ -382,23 +416,60 @@ def test_every_definition_in_src_is_reached_or_exported():
             with open(os.path.join(src, name), encoding="utf-8") as fh:
                 trees[name] = ast.parse(fh.read(), filename=name)
     used = sum((_names_used(tree) for tree in trees.values()), Counter())
-    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
-    unreached = []
-    for name, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (*funcs, ast.ClassDef)):
-                continue
-            defs = [(node.name, node)]
-            if isinstance(node, ast.ClassDef):
-                defs += [(f"{node.name}.{sub.name}", sub) for sub in node.body
-                         if isinstance(sub, funcs)
-                         and not (sub.name.startswith("__") and sub.name.endswith("__"))]
-            for label, d in defs:
-                if d is node and d.name in braidquot.__all__:
-                    continue
-                if used[d.name] == _names_used(d)[d.name]:
-                    unreached.append(f"{name}:{label}")
+    unreached = [f"{name}:{node.name}" for name, tree in trees.items()
+                 for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name not in braidquot.__all__
+                 and used[node.name] == _names_used(node)[node.name]]
     assert unreached == []
+
+
+# Functions of src/ that no invocation of ``reach.CORPUS`` calls, each with
+# the reason it stays.
+REACH_EXCEPTIONS = {
+    "fingroup.cyclic": "perfbench/workloads.py builds classify-files inputs with it",
+    "fingroup.direct_product": "perfbench/workloads.py builds classify-files inputs with it",
+    "oracle.normal_subgroups": "perfbench/tracer.py traces it",
+}
+
+
+def _reach_problems(defined, unreached, declared) -> list[str]:
+    """Why the traced ``unreached`` set differs from the ``declared``
+    exceptions, one line per name; empty when they agree."""
+    defined, unreached = set(defined), set(unreached)
+    return ([f"{name}: no verb calls it" for name in sorted(unreached - set(declared))]
+            + [f"{name}: declared unreached, but a verb calls it"
+               for name in sorted(set(declared) & (defined - unreached))]
+            + [f"{name}: declared, but not defined in src/"
+               for name in sorted(set(declared) - defined)])
+
+
+def test_every_function_in_src_runs_under_a_verb():
+    """Each top-level function of ``src/braidquot`` and each non-dunder
+    method of a top-level class is called by the verb corpus of
+    ``tests/reach.py``, run in a fresh process under ``sys.setprofile``,
+    or is a declared exception.  Every invocation must end as expected."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    script = os.path.join(os.path.dirname(__file__), "reach.py")
+    proc = subprocess.run([sys.executable, script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["exits"] == [code for _, code in reach.CORPUS]
+    problems = _reach_problems(got["defined"], got["unreached"], REACH_EXCEPTIONS)
+    assert problems == [], "\n".join(problems)
+
+
+def test_reach_check_refuses_a_planted_table():
+    defined = ["fingroup.from_table", "fingroup.cyclic", "oracle.normal_subgroups"]
+    unreached = ["fingroup.cyclic", "oracle.normal_subgroups"]
+    declared = {"fingroup.cyclic": "", "oracle.normal_subgroups": ""}
+    assert _reach_problems(defined, unreached, declared) == []
+    assert _reach_problems(defined, unreached, {**declared, "fingroup.from_table": ""}) == [
+        "fingroup.from_table: declared unreached, but a verb calls it"]
+    assert _reach_problems(defined, unreached, {**declared, "fingroup.gone": ""}) == [
+        "fingroup.gone: declared, but not defined in src/"]
+    assert _reach_problems(defined, unreached, {"fingroup.cyclic": ""}) == [
+        "oracle.normal_subgroups: no verb calls it"]
 
 
 def _is_group_text(text: str) -> bool:

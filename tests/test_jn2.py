@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from braidquot import fingroup as fg
 from braidquot import jn2
-from braidquot.errors import NotCentral, NotGenerator, NotJn2, SizeLimit
+from braidquot.errors import NotJn2, SizeLimit
 from braidquot.jn2 import Jn2Spec, materialize, parse_spec
 from references import (CenterMismatch, Jn2Element, center_identification, central_product,
                         classify_per_rep, jn2_encode, jn2_identity, jn2_multiply,
@@ -120,9 +120,8 @@ def test_n2_is_quaternion():
 def test_m5_order_and_center():
     std = materialize(Jn2Spec(5, 1, 1, "I"))
     assert std.group.order == 125
-    assert fg.center(std.group).order == 5
-    assert fg.center(std.group).elements == tuple(
-        sorted(std.group.power(std.z, t) for t in range(5)))
+    assert np.flatnonzero(std.group.center_mask).tolist() == sorted(
+        std.group.power(std.z, t) for t in range(5))
 
 
 def test_materialize_recognized(specs_243):
@@ -241,8 +240,8 @@ def test_central_product_choice_of_phi_is_inessential():
     M3 = materialize(Jn2Spec(3, 1, 1, "I")).group
     N3 = materialize(Jn2Spec(3, 1, 1, "II")).group
     phi1 = center_identification(M3, N3)
-    z_m = min(x for x in fg.center(M3).elements if M3.element_order(x) == 3)
-    z_n = min(x for x in fg.center(N3).elements if N3.element_order(x) == 3)
+    z_m = min(x for x in np.flatnonzero(M3.center_mask) if M3.element_order(x) == 3)
+    z_n = min(x for x in np.flatnonzero(N3.center_mask) if N3.element_order(x) == 3)
     phi2 = center_identification(M3, N3, z_m, N3.mul(z_n, z_n))
     a = central_product(M3, N3, phi1).group
     b = central_product(M3, N3, phi2).group
@@ -256,7 +255,7 @@ def test_central_product_rejects_bad_phi():
     # on a center of order 9, swapping z and z^2 is not multiplicative
     M9 = materialize(Jn2Spec(3, 2, 1, "I")).group
     phi = center_identification(M9, M9)
-    z = min(x for x in fg.center(M9).elements if M9.element_order(x) == 9)
+    z = min(x for x in np.flatnonzero(M9.center_mask) if M9.element_order(x) == 9)
     z2 = M9.mul(z, z)
     broken = dict(phi)
     broken[z], broken[z2] = broken[z2], broken[z]
@@ -283,7 +282,7 @@ def test_center_identification_rejects_mismatched_centers():
 
 def test_is_jn2_abelian_none():
     assert jn2.is_jn2(fg.cyclic(9)) is None
-    assert jn2.is_jn2(fg.elementary_abelian(2, 3)) is None
+    assert jn2.is_jn2(fg.from_table(8, fg.digit_sum_table(2, 3))) is None
 
 
 def test_is_jn2_d8():
@@ -298,7 +297,7 @@ def test_is_jn2_derived_not_central_none():
     # C3 x S3 passes every test before the last two: G' = A3 has prime
     # order 3 and Z = C3 x 1 is cyclic of order 3; but G' is not central
     G = fg.direct_product(fg.cyclic(3), fg.symmetric(3))
-    D, Z = fg.derived_subgroup(G), fg.center(G)
+    D, Z = fg.derived_subgroup(G), fg.Subgroup(G, np.flatnonzero(G.center_mask))
     assert (G.order, D.order, Z.order) == (18, 3, 3)
     assert G.element_orders[Z.mask].max() == 3
     assert not Z.mask[D.mask].all()
@@ -315,7 +314,7 @@ def test_symplectic_m3():
     a^3 = b^3 = 1."""
     std = materialize(Jn2Spec(3, 1, 1, "I"))
     G, z = std.group, std.z
-    data = jn2.symplectic_data(G, z)
+    data = jn2.symplectic_data(G)
     assert data.reps == () and data.basis_type is None
     assert data.xp.tolist() == [G.power(x, 3) for x in range(G.order)]
     assert data.zpow.tolist() == [0, z, G.mul(z, z)]
@@ -330,7 +329,7 @@ def test_symplectic_n3_nu_nonzero():
     the normalized pair have nu = 1: a^3 = b^3 = z."""
     std = materialize(Jn2Spec(3, 1, 1, "II"))
     G, z = std.group, std.z
-    data = jn2.symplectic_data(G, z)
+    data = jn2.symplectic_data(G)
     nu = data.log[data.xp] % 3
     assert nu.any()
     a, b = jn2.normalize_basis(data).reps
@@ -346,11 +345,10 @@ def test_coset_basis_walk_stops_at_2m(specs_243):
     rng = random.Random(1)
     for spec in specs_243:
         G, _ = fg.random_relabeling(materialize(spec).group, rng)
-        z = min(x for x in fg.center(G).elements
-                if G.element_order(x) == spec.center_order)
-        reps = jn2.normalize_basis(jn2.symplectic_data(G, z)).reps
+        data = jn2.normalize_basis(jn2.symplectic_data(G))
+        reps = data.reps
         assert len(reps) == 2 * spec.m, spec
-        span = [z]
+        span = [data.z]
         for r in reps:
             assert r not in fg.closure_indices(G.table, span), spec
             span.append(r)
@@ -365,7 +363,7 @@ def test_symplectic_diagonal_zero(specs_243):
         if spec.order > 64:
             continue
         std = materialize(spec)
-        data = jn2.normalize_basis(jn2.symplectic_data(std.group, std.z))
+        data = jn2.normalize_basis(jn2.symplectic_data(std.group))
         e = jn2.log_table(std.group, std.z)[std.group.commutators_of(data.reps, data.reps)]
         q = spec.p ** (spec.j - 1)
         assert (e >= 0).all() and (e % q == 0).all(), str(spec)
@@ -374,18 +372,24 @@ def test_symplectic_diagonal_zero(specs_243):
         assert np.array_equal(e // q, standard), str(spec)
 
 
-def test_symplectic_bad_z():
-    std = materialize(Jn2Spec(3, 1, 1, "I"))
-    noncentral = next(x for x in range(27) if not std.group.center_mask[x])
-    with pytest.raises(NotCentral):
-        jn2.symplectic_data(std.group, noncentral)
-    with pytest.raises(NotGenerator):
-        jn2.symplectic_data(std.group, 0)
-
-
 def test_symplectic_requires_jn2():
     with pytest.raises(NotJn2):
-        jn2.symplectic_data(fg.cyclic(8), 1)
+        jn2.symplectic_data(fg.cyclic(8))
+
+
+def test_symplectic_z_is_the_center_generator_of_smallest_index(specs_243):
+    """symplectic_data takes the z that classify chose before symplectic_data
+    lost its z parameter: with Z the rows of the table equal to their
+    columns and q the least prime factor of |Z|, the first z in Z with
+    z^(|Z|/q) != 1.  On relabelled specs up to order 243 and the mixed
+    central products."""
+    rng = random.Random(13)
+    for G0 in [materialize(s).group for s in specs_243] + _mixed_central_products():
+        G, _ = fg.random_relabeling(G0, rng)
+        Z = np.flatnonzero((G.table == G.table.T).all(axis=1)).tolist()
+        q = next(d for d in range(2, len(Z) + 1) if len(Z) % d == 0)
+        old_rule = next(z for z in Z if G.power(z, len(Z) // q) != 0)
+        assert jn2.symplectic_data(G).z == old_rule, G0.label
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +398,7 @@ def test_symplectic_requires_jn2():
 
 def test_normalize_m3_type_one():
     std = materialize(Jn2Spec(3, 1, 1, "I"))
-    data = jn2.normalize_basis(jn2.symplectic_data(std.group, std.z))
+    data = jn2.normalize_basis(jn2.symplectic_data(std.group))
     assert data.basis_type == "I"
     for rep in data.reps:
         assert std.group.element_order(rep) in (1, 3)
@@ -402,7 +406,7 @@ def test_normalize_m3_type_one():
 
 def test_normalize_n9_type_two():
     std = materialize(Jn2Spec(3, 2, 1, "II"))
-    data = jn2.normalize_basis(jn2.symplectic_data(std.group, std.z))
+    data = jn2.normalize_basis(jn2.symplectic_data(std.group))
     assert data.basis_type == "II"
     assert std.group.power(data.reps[0], 3) == std.z
     assert std.group.power(data.reps[1], 3) == std.z
@@ -412,8 +416,7 @@ def test_normalize_type_invariant_under_relabeling():
     std = materialize(Jn2Spec(3, 1, 2, "I"))
     rng = random.Random(7)
     H, _ = fg.random_relabeling(std.group, rng)
-    z = min(x for x in fg.center(H).elements if H.element_order(x) == 3)
-    data = jn2.normalize_basis(jn2.symplectic_data(H, z))
+    data = jn2.normalize_basis(jn2.symplectic_data(H))
     assert data.basis_type == "I"
 
 
@@ -444,9 +447,9 @@ def test_normalize_basis_matches_row_loop_reference(specs_243):
               + _central_order_two_groups())
     for G0 in groups:
         G, _ = fg.random_relabeling(G0, rng)
-        Z = fg.center(G)
-        z = min(x for x in Z.elements if G.element_order(x) == Z.order)
-        data = jn2.normalize_basis(jn2.symplectic_data(G, z))
+        Z = np.flatnonzero(G.center_mask)
+        z = min(x for x in Z.tolist() if G.element_order(x) == Z.size)
+        data = jn2.normalize_basis(jn2.symplectic_data(G))
         assert (data.reps, data.basis_type) == normalize_basis_by_rows(G, z), G0.label
 
 
@@ -466,38 +469,39 @@ def test_variant_is_read_off_the_exponent_when_pj_is_not_2(specs_243):
         assert iso.is_bijective, G0.label
 
 
-# normalize_basis(symplectic_data(G, z)).reps for each standard model up
-# to order 243, then for its relabelling by
-# fg.random_relabeling(G, random.Random(str(spec))), z moved along
+# normalize_basis(symplectic_data(G)).reps for each standard model up to
+# order 243, then for its relabelling by
+# fg.random_relabeling(G, random.Random(str(spec))); symplectic_data takes
+# the generator of the center of smallest index in each
 NORMALIZED_REPS = {
     "I(2,1)": ((1, 2), (2, 5)),
     "II(2,1)": ((1, 2), (1, 3)),
     "I(2^2,1)": ((1, 2), (1, 2)),
-    "II(2^2,1)": ((1, 2), (1, 8)),
+    "II(2^2,1)": ((1, 2), (7, 13)),
     "I(3,1)": ((1, 6), (1, 2)),
     "II(3,1)": ((1, 17), (1, 16)),
     "I(2,2)": ((1, 4, 2, 8), (1, 2, 5, 13)),
-    "I(2^3,1)": ((1, 2), (20, 22)),
+    "I(2^3,1)": ((1, 2), (7, 22)),
     "II(2,2)": ((2, 8, 1, 4), (2, 4, 6, 9)),
-    "II(2^3,1)": ((1, 2), (2, 18)),
-    "I(2^2,2)": ((1, 4, 2, 8), (1, 14, 13, 20)),
-    "I(2^4,1)": ((1, 2), (49, 19)),
+    "II(2^3,1)": ((1, 2), (11, 10)),
+    "I(2^2,2)": ((1, 4, 2, 8), (1, 53, 13, 20)),
+    "I(2^4,1)": ((1, 2), (22, 24)),
     "II(2^2,2)": ((2, 8, 1, 4), (2, 9, 1, 57)),
-    "II(2^4,1)": ((1, 2), (2, 60)),
-    "I(3^2,1)": ((1, 6), (1, 79)),
+    "II(2^4,1)": ((1, 2), (21, 19)),
+    "I(3^2,1)": ((1, 6), (1, 51)),
     "II(3^2,1)": ((1, 53), (5, 7)),
-    "I(5,1)": ((1, 20), (1, 2)),
-    "II(5,1)": ((1, 47), (8, 71)),
+    "I(5,1)": ((1, 20), (1, 13)),
+    "II(5,1)": ((1, 47), (1, 72)),
     "I(2,3)": ((1, 8, 2, 16, 4, 32), (1, 9, 4, 10, 14, 25)),
-    "I(2^3,2)": ((1, 4, 2, 8), (25, 7, 10, 20)),
+    "I(2^3,2)": ((1, 4, 2, 8), (25, 122, 10, 20)),
     "I(2^5,1)": ((1, 2), (64, 92)),
     "II(2,3)": ((4, 32, 1, 8, 2, 16), (18, 51, 1, 11, 13, 30)),
-    "II(2^3,2)": ((2, 8, 1, 4), (4, 116, 82, 9)),
+    "II(2^3,2)": ((2, 8, 1, 4), (88, 77, 82, 56)),
     "II(2^5,1)": ((1, 2), (102, 91)),
     "I(3,2)": ((1, 18, 3, 54), (1, 4, 21, 22)),
-    "I(3^3,1)": ((1, 6), (112, 44)),
-    "II(3,2)": ((3, 141, 1, 18), (1, 27, 15, 22)),
-    "II(3^3,1)": ((1, 161), (133, 69)),
+    "I(3^3,1)": ((1, 6), (112, 162)),
+    "II(3,2)": ((3, 141, 1, 18), (2, 70, 15, 34)),
+    "II(3^3,1)": ((1, 161), (44, 200)),
 }
 
 
@@ -505,9 +509,9 @@ def test_normalized_reps_are_pinned(specs_243):
     got = {}
     for spec in specs_243:
         std = materialize(spec)
-        H, iso = fg.random_relabeling(std.group, random.Random(str(spec)))
-        got[str(spec)] = tuple(jn2.normalize_basis(jn2.symplectic_data(G, z)).reps
-                               for G, z in ((std.group, std.z), (H, iso(std.z))))
+        H, _ = fg.random_relabeling(std.group, random.Random(str(spec)))
+        got[str(spec)] = tuple(jn2.normalize_basis(jn2.symplectic_data(G)).reps
+                               for G in (std.group, H))
     assert got == NORMALIZED_REPS
 
 
@@ -631,9 +635,7 @@ def test_classify_map_matches_normal_forms_by_index(specs_243, seed):
         H, _ = fg.random_relabeling(materialize(spec).group, rng)
         got, iso = jn2.classify(H)
         assert got == spec
-        Z = fg.center(H)
-        z = min(x for x in Z.elements if H.element_order(x) == Z.order)
-        data = jn2.normalize_basis(jn2.symplectic_data(H, z))
+        data = jn2.normalize_basis(jn2.symplectic_data(H))
         ref = fg.GroupMap(materialize(spec).group, H,
                           _normal_form_map_by_index(H, spec, data))
         assert np.array_equal(iso.images, np.argsort(ref.images)), str(spec)
@@ -674,7 +676,7 @@ def test_normalize_gram_check_catches_planted_representative():
     recomputed in the group refuses it."""
     for name in ("II(3,1)", "II(3^2,1)", "II(5,1)"):
         std = materialize(parse_spec(name))
-        data = jn2.symplectic_data(std.group, std.z)
+        data = jn2.symplectic_data(std.group)
         jn2.normalize_basis(data)
         wrong = np.where(data.log >= 0, 2 * data.log % len(data.zpow), -1)
         with pytest.raises(RuntimeError, match="normalized Gram must be standard"):
@@ -691,14 +693,14 @@ def test_normalize_power_check_ignores_carried_invariants():
     for name in ("I(3^2,1)", "II(3^2,1)"):
         std = materialize(parse_spec(name))
         G = std.group
-        data = jn2.symplectic_data(G, std.z)
+        data = jn2.symplectic_data(G)
         jn2.normalize_basis(data)
         wrong = G.table[data.xp, G.power(std.z, 3)]
         with pytest.raises(RuntimeError, match="p-th power must be exact"):
             jn2.normalize_basis(replace(data, xp=wrong))
     for name in ("II(3,1)", "II(2^2,1)", "II(2,2)"):
         std = materialize(parse_spec(name))
-        data = jn2.symplectic_data(std.group, std.z)
+        data = jn2.symplectic_data(std.group)
         jn2.normalize_basis(data)
         for fault in ({"xp": np.zeros_like(data.xp)},
                       {"log": np.where(data.log >= 0, 0, -1)}):
@@ -713,7 +715,7 @@ def test_normalize_power_check_ignores_carried_invariants():
 def test_nu_scales_like_power():
     std = materialize(Jn2Spec(5, 1, 1, "II"))
     G, z = std.group, std.z
-    data = jn2.symplectic_data(G, z)
+    data = jn2.symplectic_data(G)
     log = jn2.log_table(G, z)
     assert (log >= 0).sum() == 5 and log[z] == 1
     rng = random.Random(0)
@@ -732,8 +734,7 @@ def test_derived_inside_center_pth_powers_when_j_at_least_two(specs_243):
             continue
         std = materialize(spec)
         G = std.group
-        pth_powers = {G.power(z, spec.p)
-                      for z in fg.center(G).elements}
+        pth_powers = {G.power(int(z), spec.p) for z in np.flatnonzero(G.center_mask)}
         derived = set(fg.derived_subgroup(G).elements)
         assert derived <= pth_powers, str(spec)
 

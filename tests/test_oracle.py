@@ -31,7 +31,7 @@ def test_class_counts(exhaustive_tiers):
 def test_order4_classes(exhaustive_tiers):
     tier = exhaustive_tiers[4]
     assert any(fg.is_isomorphic(G, fg.cyclic(4)) is not None for G in tier)
-    assert any(fg.is_isomorphic(G, fg.elementary_abelian(2, 2)) is not None
+    assert any(fg.is_isomorphic(G, fg.from_table(4, fg.digit_sum_table(2, 2))) is not None
                for G in tier)
 
 
@@ -96,14 +96,21 @@ RULES_1_TO_3_DIGESTS = {
 }
 
 
+def _enumerate_with_budget(monkeypatch, k, nodes):
+    """``_enumerate_tables(k)`` run afresh under a budget of ``nodes``."""
+    monkeypatch.setattr(oracle, "_ENUM_BUDGET", nodes)
+    oracle._enumerate_tables.cache_clear()
+    return oracle._enumerate_tables(k)
+
+
 @pytest.mark.parametrize("k", sorted(TABLE_DIGESTS))
-def test_enumerated_tables_and_nodes_pinned(k):
+def test_enumerated_tables_and_nodes_pinned(monkeypatch, k):
     digest, nodes = TABLE_DIGESTS[k]
-    tables = oracle._enumerate_tables(k, budget=nodes)
+    tables = _enumerate_with_budget(monkeypatch, k, nodes)
     assert hashlib.sha256(repr(tables).encode()).hexdigest() == digest
     if nodes:
         with pytest.raises(SearchBudgetExceeded):
-            oracle._enumerate_tables(k, budget=nodes - 1)
+            _enumerate_with_budget(monkeypatch, k, nodes - 1)
 
 
 @pytest.mark.parametrize("k", sorted(TABLE_DIGESTS))
@@ -136,18 +143,21 @@ def _match_one_to_one(tier, standard):
 def test_order8_representatives_are_the_five_classes(exhaustive_tiers):
     c2 = fg.cyclic(2)
     _match_one_to_one(exhaustive_tiers[8], [
-        fg.cyclic(8), fg.direct_product(fg.cyclic(4), c2), fg.elementary_abelian(2, 3),
-        fg.dihedral(8), fg.dicyclic(8)])
+        fg.cyclic(8), fg.direct_product(fg.cyclic(4), c2),
+        fg.from_table(8, fg.digit_sum_table(2, 3)), fg.dihedral(8), fg.dicyclic(8)])
 
 
 def test_order9_classes():
     _match_one_to_one(oracle.enumerate_groups_exhaustive(9),
-                      [fg.cyclic(9), fg.elementary_abelian(3, 2)])
+                      [fg.cyclic(9), fg.from_table(9, fg.digit_sum_table(3, 2))])
 
 
-def test_enumeration_budget():
+def test_enumeration_budget(monkeypatch):
+    monkeypatch.setattr(oracle, "_ENUM_BUDGET", 10)
+    oracle._enumerate_tables.cache_clear()
+    oracle.enumerate_groups_exhaustive.cache_clear()
     with pytest.raises(SearchBudgetExceeded):
-        oracle.enumerate_groups_exhaustive(12, budget=10)
+        oracle.enumerate_groups_exhaustive(12)
 
 
 # ---------------------------------------------------------------------------
