@@ -18,6 +18,7 @@ group as a braid-reduced quotient.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -533,12 +534,19 @@ def witness_to_text(w: Witness, group_ref: str) -> str:
 _WITNESS_KEYS = ("n", "g", "group", "sigma", "a", "b")
 
 
+def _ascii_int(key: str, token: str) -> int:
+    if not re.fullmatch(r"[+-]?[0-9]+", token):
+        raise ValueError(f"witness field {key!r} has {token!r}, not an ASCII integer")
+    return int(token)
+
+
 def witness_from_text(text: str, *, base_dir: str) -> Witness:
     """Parse the text form: each of the six keys exactly once, one per
-    line; a repeated, unknown or empty key raises ValueError.  g outside
-    1..MAX_G raises ParamRange before the group is built, since both
-    relator sets grow as g^2.  A ``group`` in spec syntax is built as a
-    spec; any other is a ``.grp`` path relative to ``base_dir``."""
+    line; a repeated, unknown or empty key, or a number that is not ASCII
+    ``[+-]?[0-9]+``, raises ValueError.  g outside 1..MAX_G raises
+    ParamRange before the group is built, since both relator sets grow as
+    g^2.  A ``group`` in spec syntax is built as a spec; any other is a
+    ``.grp`` path relative to ``base_dir``."""
     fields: dict[str, str] = {}
     for line in text.splitlines():
         if not line.strip():
@@ -554,7 +562,7 @@ def witness_from_text(text: str, *, base_dir: str) -> Witness:
     for key in _WITNESS_KEYS:
         if key not in fields:
             raise ValueError(f"witness file missing field {key!r}")
-    g = int(fields["g"])
+    g = _ascii_int("g", fields["g"])
     if not 1 <= g <= MAX_G:
         raise ParamRange(f"witness file needs 1 <= g <= {MAX_G}, got g={g}")
     ref = fields["group"]
@@ -562,7 +570,7 @@ def witness_from_text(text: str, *, base_dir: str) -> Witness:
         group = materialize(parse_spec(ref)).group
     else:
         group = fingroup.read_cayley(os.path.join(base_dir, ref))
-    return Witness(group=group, n=int(fields["n"]), g=g,
-                   sigma=int(fields["sigma"]),
-                   a=tuple(int(x) for x in fields["a"].split()),
-                   b=tuple(int(x) for x in fields["b"].split()))
+    return Witness(group=group, n=_ascii_int("n", fields["n"]), g=g,
+                   sigma=_ascii_int("sigma", fields["sigma"]),
+                   a=tuple(_ascii_int("a", x) for x in fields["a"].split()),
+                   b=tuple(_ascii_int("b", x) for x in fields["b"].split()))

@@ -82,22 +82,69 @@ def powers(table: np.ndarray, x, count: int) -> np.ndarray:
     return out
 
 
-def closure_indices(table: np.ndarray, seeds: Iterable[int]) -> np.ndarray:
-    """Sorted indices of the subgroup generated by ``seeds``, identity
-    included: the set S = seeds + {0} is replaced by all products S*S until
-    it stops growing or holds every element.  Products are marked in a
-    membership mask, so each round reads the next sorted set off the mask
-    with no sort or hash, and gathers S*S with two ``take``s."""
-    inside = np.zeros(table.shape[0], dtype=bool)
+def _coset_walk(table: np.ndarray, candidates: Iterable[int], inside: np.ndarray) -> Iterator[int]:
+    """Yield each candidate, in order, outside the subgroup H marked in
+    ``inside`` (False on entry), then extend H by it; stop once H is whole.
+
+    H is extended by cosets, as in Dimino's algorithm (G. Butler,
+    *Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991), here
+    left ones.  After a pick x the queue starts at 0, the representative of
+    H itself; for each queued r and each pick g (x included), if y = g*r is
+    unmarked, mark the coset y*H and queue y.  A new coset costs one gather
+    of |H| cells from row y.  In a group, with H a subgroup, the marked set
+    K is a union of cosets r*H with every g*r marked, so g*K lies in K for
+    each pick; K holds 0, so it holds every product of picks, and it is
+    <H, x>, the closure.  No step holds more than |G| cells.
+    """
     inside[0] = True
-    inside[np.fromiter(seeds, dtype=np.int64, count=-1)] = True
-    cur = inside.nonzero()[0]
-    while True:
-        inside[table.take(cur, axis=0).take(cur, axis=1)] = True
-        nxt = inside.nonzero()[0]
-        if nxt.size == cur.size or nxt.size == table.shape[0]:
-            return nxt
-        cur = nxt
+    H = np.zeros(1, dtype=np.intp)
+    gens = []
+    for x in candidates:
+        if H.size == inside.size:
+            break
+        if inside[x]:
+            continue
+        yield int(x)
+        gens.append(int(x))
+        cosets, queue = [H], [0]
+        while queue:
+            r = queue.pop()
+            for g in gens:
+                y = table[g, r]
+                if not inside[y]:
+                    cosets.append(table[y].take(H).astype(np.intp))
+                    inside[cosets[-1]] = True
+                    queue.append(y)
+        H = np.concatenate(cosets)
+
+
+def closure_indices(table: np.ndarray, seeds: Iterable[int]) -> np.ndarray:
+    """Sorted indices of the subgroup of the group ``table`` generated by
+    ``seeds``, identity included: the coset walk over the seeds, read off
+    its membership mask, which is sorted with no sort or hash."""
+    inside = np.zeros(table.shape[0], dtype=bool)
+    list(_coset_walk(table, seeds, inside))
+    return inside.nonzero()[0]
+
+
+def span_walk(table: np.ndarray, candidates: Iterable[int]) -> Iterator[int]:
+    """Greedy span walk: yield each candidate, in order, that lies outside
+    the closure H of the candidates yielded so far, then extend H by it
+    (see ``_coset_walk``); stop once H is the whole table.
+
+    ``from_table`` walks a table that is not yet known to be associative,
+    and there the picks are the same as well.  It has already checked that
+    0 is the identity and that each a has a two-sided inverse a', and it
+    resumes the walk only after the pick passed Light's test.  The elements
+    that pass that test form a set A closed under products, and for a in A,
+    a'*(a*y) = (a'*a)*y = y and (y*a)*a' = y*(a*a') = y, so multiplying by a
+    on either side is one-to-one.  The closure M of the tested picks lies in
+    A, so M is associative, cancellative, finite and holds 0: a group, with
+    H a subgroup of it at every step.  So the coset walk marks the closure
+    there too, every pick is the one the closure would give, and the first
+    failing pick, and the message naming it, are unchanged.
+    """
+    return _coset_walk(table, candidates, np.zeros(table.shape[0], dtype=bool))
 
 
 @dataclass(frozen=True, eq=False)
@@ -773,56 +820,6 @@ def _signatures(G: FiniteGroup) -> np.ndarray:
     return np.stack([G.element_orders,
                      G.centralizer_sizes,
                      G.element_orders[sq]], axis=1)
-
-
-def span_walk(table: np.ndarray, candidates: Iterable[int]) -> Iterator[int]:
-    """Greedy span walk: yield each candidate, in order, that lies outside
-    the closure H of the candidates yielded so far under multiplication;
-    stop once H is the whole table.  Each pick is yielded before H is
-    extended by it.
-
-    H is extended by right cosets, as in Dimino's algorithm (G. Butler,
-    *Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991).  After
-    a pick x the queue starts at 0, the representative of H itself; for
-    each queued r and each pick g (x included), if y = r*g is unmarked,
-    mark the coset H*y and queue y.  A new coset costs one gather of |H|
-    cells.  In a group, with H a subgroup, the marked set K is a union of
-    cosets H*r with every r*g marked, so K*g lies in K for each pick; K
-    holds 0, so it holds every product of picks, and it is <H, x>, the
-    closure.
-
-    ``from_table`` walks a table that is not yet known to be associative,
-    and there the picks are the same as well.  It has already checked that
-    0 is the identity and that each a has a two-sided inverse a', and it
-    resumes the walk only after the pick passed Light's test.  The elements
-    that pass that test form a set A closed under products, and for a in A,
-    a'*(a*y) = (a'*a)*y = y and (y*a)*a' = y*(a*a') = y, so multiplying by a
-    on either side is one-to-one.  The closure M of the tested picks lies in
-    A, so M is associative, cancellative, finite and holds 0: a group, with
-    H a subgroup of it at every step.  So the coset walk marks the closure
-    there too, every pick is the one the closure would give, and the first
-    failing pick, and the message naming it, are unchanged.
-    """
-    n = table.shape[0]
-    inside = np.zeros(n, dtype=bool)
-    inside[0] = True
-    H = np.zeros(1, dtype=np.intp)
-    gens = np.zeros(0, dtype=np.intp)
-    for x in candidates:
-        if H.size == n:
-            break
-        if inside[x]:
-            continue
-        yield int(x)
-        gens = np.append(gens, x)
-        cosets, queue = [H], [0]
-        while queue:
-            for y in table[queue.pop()].take(gens).tolist():
-                if not inside[y]:
-                    cosets.append(table[:, y].take(H).astype(np.intp))
-                    inside[cosets[-1]] = True
-                    queue.append(y)
-        H = np.concatenate(cosets)
 
 
 def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupMap]:

@@ -2,12 +2,17 @@
 
 Each function here is an earlier, plainer form of a kernel in ``src/``,
 kept so that tests can require the kernel to give the same answer:
+- ``closure_by_squaring``: ``fingroup.closure_indices`` as the product
+  closure, the set replaced by all its products until it stops growing,
+  with no coset walk;
 - ``span_walk_from_scratch``: ``fingroup.span_walk`` with the closure
-  recomputed from every pick after each pick;
+  recomputed from every pick after each pick, by ``closure_by_squaring``;
 - ``find_witness_scalar``: ``oracle.find_witness_naive`` one tuple at a
-  time, with one table lookup per Python call;
+  time, with one table lookup per Python call and generation tested by
+  ``closure_by_squaring``;
 - ``first_witness_unpruned``: ``braid.find_witness`` at any genus, without
-  the count cut, the sigma gate or the Frattini skip;
+  the count cut, the sigma gate or the Frattini skip, generation tested by
+  ``closure_by_squaring``;
 - ``closed_on_all_products``: ``fingroup.Subgroup``'s closure check on all
   |S|^2 products, without the generator law;
 - ``normalize_basis_by_rows``: ``jn2.normalize_basis``'s symplectic walk
@@ -43,6 +48,19 @@ from braidquot import jn2, oracle
 from braidquot.errors import GroupError, SearchBudgetExceeded
 
 
+def closure_by_squaring(table, seeds):
+    """Sorted indices of the closure of ``seeds`` and 0 under products: the
+    set S is replaced by the distinct products S*S until it stops growing.
+    Any table, associative or not."""
+    cur = np.unique(np.concatenate([np.asarray(list(seeds), dtype=np.int64),
+                                    np.zeros(1, dtype=np.int64)]))
+    while True:
+        nxt = np.unique(table[np.ix_(cur, cur)])
+        if nxt.size == cur.size:
+            return cur
+        cur = nxt
+
+
 def span_walk_from_scratch(table, candidates):
     """Yield each candidate, in order, that lies outside the closure of the
     candidates yielded so far; stop once that closure is the whole table.
@@ -56,7 +74,7 @@ def span_walk_from_scratch(table, candidates):
         if not inside[x]:
             picks.append(int(x))
             yield int(x)
-            inside[fg.closure_indices(table, picks)] = True
+            inside[closure_by_squaring(table, picks)] = True
 
 
 def find_witness_scalar(G, n, g):
@@ -91,7 +109,7 @@ def find_witness_scalar(G, n, g):
                     ok = False
         if not ok:
             continue
-        if fg.closure_indices(T, tup).size == N:
+        if closure_by_squaring(T, tup).size == N:
             return (sigma, tuple(a), tuple(b))
     return None
 
@@ -109,9 +127,9 @@ def first_witness_unpruned(G, n, g):
 
     def extend(sigma, s2, placed, mask):
         if len(placed) == 2 * g:
-            whole = fg.closure_indices(T, [sigma, *placed]).size == N
+            whole = closure_by_squaring(T, [sigma, *placed]).size == N
             return placed if whole else None
-        if fg.closure_indices(T, [sigma, *placed, *np.flatnonzero(mask)]).size < N:
+        if closure_by_squaring(T, [sigma, *placed, *np.flatnonzero(mask)]).size < N:
             return None
         for a in np.flatnonzero(mask):
             for b in np.flatnonzero(mask & (comm[a] == s2)):

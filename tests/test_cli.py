@@ -309,6 +309,24 @@ def test_witness_indices_outside_group_exit_two(tmp_path, capsys, verb, indices)
     assert "outside the group of order 16" in captured.err
 
 
+@pytest.mark.parametrize("verb", ["check-witness", "check-full"])
+def test_witness_integers_are_ascii_digits_only(tmp_path, capsys, verb):
+    # int() reads "1_2" as 12 and the Arabic-Indic "١" as 1, so this file
+    # used to pass as the I(2^2,1) witness sigma = 12, a = 1, b = 2
+    wpath = tmp_path / "w.txt"
+    wpath.write_text("n 6\ng 1\ngroup I(2^2,1)\nsigma 1_2\na ١\nb 2\n", encoding="utf-8")
+    assert cli.main([verb, "--witness", str(wpath)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("usage error: witness field 'sigma' has '1_2', "
+                            "not an ASCII integer\n")
+    wpath.write_text("n 6\ng 1\ngroup I(2^2,1)\nsigma 12\na ١\nb 2\n", encoding="utf-8")
+    assert cli.main([verb, "--witness", str(wpath)]) == 2
+    assert "witness field 'a' has '١', not an ASCII integer" in capsys.readouterr().err
+    wpath.write_text("n 6\ng 1\ngroup I(2^2,1)\nsigma 12\na 1\nb 2\n")
+    assert cli.main([verb, "--witness", str(wpath)]) == 0
+
+
 @pytest.mark.parametrize("text,code", [
     ("3\n0 1 2\n1 2 0\n", 2),                    # truncated
     ("3\n0 1 2\n1 2 0 1\n2 0 1\n", 2),          # a row with an extra column

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from braidquot import fingroup as fg
 from braidquot import jn2, oracle
 from braidquot.errors import NotAGroup, NotNormal, SizeLimit
-from references import compose, first_assoc_violation
+from references import closure_by_squaring, compose, first_assoc_violation
 
 
 # ---------------------------------------------------------------------------
@@ -859,29 +859,33 @@ def test_order_profile_and_exponent_pinned():
     assert fg.dicyclic(12).exponent == 12
 
 
-def _closure_by_unique(table: np.ndarray, seeds) -> np.ndarray:
-    """Reference for ``closure_indices``: the same doubling loop, with the
-    next set taken by ``np.unique``."""
-    cur = np.unique(np.concatenate([np.asarray(list(seeds), dtype=np.int64),
-                                    np.zeros(1, dtype=np.int64)]))
-    while True:
-        nxt = np.unique(table[np.ix_(cur, cur)])
-        if nxt.size == cur.size:
-            return cur
-        cur = nxt
-
-
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_closure_indices_matches_unique_reference(small_corpus, data):
-    G = data.draw(st.sampled_from([None] + small_corpus))
-    t = LOOP6 if G is None else G.table
-    # seeds that close to the whole table end the loop a round early
-    whole = list(range(len(t))) if G is None else list(G.generators)
+    G = data.draw(st.sampled_from(small_corpus))
+    t = G.table
+    # seeds that close to the whole group end the walk before the last seed
+    whole = list(G.generators) + list(range(G.order))
     seeds = data.draw(st.lists(st.integers(0, len(t) - 1), max_size=5) | st.just(whole))
     got = fg.closure_indices(t, seeds)
-    assert np.array_equal(got, _closure_by_unique(t, seeds))
+    assert np.array_equal(got, closure_by_squaring(t, seeds))
     assert list(fg.closure_indices(t, np.asarray(seeds, dtype=np.int64))) == list(got)
+
+
+def test_closure_memory_is_linear_in_the_order():
+    """Closing I(2,5)'s generators, order 2,048, allocates O(|G|) bytes:
+    each coset gathers at most |G| cells.  A closure that squares the set
+    each round gathers a |G| x |G| block in its last round, a 31.5 MB
+    traced peak here."""
+    G = jn2.materialize(jn2.parse_spec("I(2,5)")).group
+    tracemalloc.start()
+    try:
+        got = fg.closure_indices(G.table, G.generators)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.size == G.order
+    assert peak < 1 << 20, peak
 
 
 # ---------------------------------------------------------------------------
