@@ -28,7 +28,6 @@ from .fingroup import (
     quotient,
     read_cayley,
     relabel,
-    random_relabeling,
     subgroup_generated,
     symmetric,
     to_cayley_text,

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -42,9 +41,13 @@ TABLE_CAP = 10_000
 # Isomorphism backtracking refuses beyond this many elements.
 ISO_SIZE_LIMIT = 2_000
 
-# Table entries per row block of Light's test and of ``relabel``; bounds
-# their temporaries.
+# Table entries per row block of Light's test; bounds its temporaries.
 _LIGHT_BLOCK = 1 << 16
+
+# Table entries per block of ``relabel``'s column permutation: its one
+# buffer (32 KB) stays below glibc's 128 KiB mmap threshold, so it is not
+# mapped and zero-filled afresh on each call.
+_RELABEL_BLOCK = 1 << 13
 
 
 def least_prime_factor(n: int) -> int:
@@ -248,9 +251,10 @@ class FiniteGroup:
         for x in range(n):
             if seen[x]:
                 continue
-            cls = np.unique(t[t[ys, x], inv[ys]])
-            seen[cls] = True
-            classes.append(tuple(int(c) for c in cls))
+            in_cls = np.zeros(n, dtype=bool)
+            in_cls[t[t[ys, x], inv[ys]]] = True
+            seen |= in_cls
+            classes.append(tuple(np.flatnonzero(in_cls).tolist()))
         return tuple(classes)
 
     @cached_property
@@ -324,10 +328,10 @@ def from_table(order: int,
         t = t.astype(np.int32, order="C")
 
     idx = np.arange(order, dtype=np.int32)
-    if not np.array_equal(t[0], idx):
+    if (t[0] != idx).any():
         x = int(np.argwhere(t[0] != idx)[0][0])
         raise NotAGroup(f"identity law fails: 0*{x} = {int(t[0, x])}")
-    if not np.array_equal(t[:, 0], idx):
+    if (t[:, 0] != idx).any():
         x = int(np.argwhere(t[:, 0] != idx)[0][0])
         raise NotAGroup(f"identity law fails: {x}*0 = {int(t[x, 0])}")
 
@@ -378,8 +382,10 @@ def relabel(G: FiniteGroup, perm: Sequence[int]) -> tuple[FiniteGroup, "GroupMap
 
     ``perm`` is range-checked, then scattered into its inverse q; it is a
     permutation exactly when that fills every slot.  H's table is
-    p[G.table[q[u], q[v]]], gathered in row blocks of about ``_LIGHT_BLOCK``
-    cells straight into the new table, so the only n x n array is H's."""
+    p[G.table[q[u], q[v]]]: the rows q[u] are gathered straight into the
+    new table, and each block of about ``_RELABEL_BLOCK`` cells has its
+    columns permuted into one buffer and its values mapped back in place,
+    so the only n x n array is H's."""
     n = G.order
     p = np.asarray(perm, dtype=np.int32)
     bad = ValueError("perm must be a permutation of 0..order-1 fixing 0")
@@ -389,21 +395,18 @@ def relabel(G: FiniteGroup, perm: Sequence[int]) -> tuple[FiniteGroup, "GroupMap
     q[p] = np.arange(n, dtype=np.int32)
     if (q < 0).any():
         raise bad
-    t2 = np.empty_like(G.table)
-    rows = max(1, _LIGHT_BLOCK // n)
+    # every index is in range, so "clip" never clips; unlike "raise" it
+    # writes into ``out`` without a buffer
+    t2 = G.table.take(q, axis=0, out=np.empty_like(G.table), mode="clip")
+    rows = max(1, _RELABEL_BLOCK // n)
+    buf = np.empty((min(rows, n), n), dtype=np.int32)
     for lo in range(0, n, rows):
-        # every index is in range, so "clip" never clips; unlike "raise" it
-        # writes into ``out`` without a buffer
-        p.take(G.table.take(q[lo:lo + rows], axis=0).take(q, axis=1),
-               out=t2[lo:lo + rows], mode="clip")
+        block = t2[lo:lo + rows]
+        h = block.shape[0]
+        block.take(q, axis=1, out=buf[:h], mode="clip")
+        p.take(buf[:h], out=block, mode="clip")
     H = from_table(n, t2, label=G.label)
     return H, GroupMap(G, H, p)
-
-
-def random_relabeling(G: FiniteGroup, rng: random.Random) -> tuple[FiniteGroup, "GroupMap"]:
-    rest = list(range(1, G.order))
-    rng.shuffle(rest)
-    return relabel(G, [0] + rest)
 
 
 # ---------------------------------------------------------------------------
@@ -710,9 +713,8 @@ class GroupMap:
             raise ValueError("images must list one target index per source element")
         if img.dtype.kind not in "iu":
             raise ValueError(f"images must be integers, got dtype {img.dtype}")
-        bad = (img < 0) | (img >= self.target.order)
-        if bad.any():
-            x = int(np.argmax(bad))
+        if img.min() < 0 or img.max() >= self.target.order:
+            x = int(np.argmax((img < 0) | (img >= self.target.order)))
             raise ValueError(f"image {int(img[x])} of {x} is outside "
                              f"0..{self.target.order - 1}")
         img = img.astype(np.int32)
@@ -723,7 +725,7 @@ class GroupMap:
         gens = np.asarray(self.source.generators, dtype=np.intp)
         lhs = img.take(self.source.table.take(gens, axis=0))
         rhs = self.target.table.take(img.take(gens), axis=0).take(img, axis=1)
-        if not np.array_equal(lhs, rhs):
+        if (lhs != rhs).any():
             i, y = np.argwhere(lhs != rhs)[0]
             raise ValueError(f"not a homomorphism at ({int(gens[i])},{int(y)})")
 
@@ -736,7 +738,9 @@ class GroupMap:
 
     @cached_property
     def is_surjective(self) -> bool:
-        return np.unique(self.images).size == self.target.order
+        hit = np.zeros(self.target.order, dtype=bool)
+        hit[self.images] = True
+        return bool(hit.all())
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ verified isomorphism.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -72,7 +72,7 @@ class Jn2Spec:
         return f"{self.variant}({pj},{self.m})"
 
 
-_SPEC_RE = re.compile(r"^(I|II)\((\d+)(?:\^(\d+))?,(\d+)\)$")
+_SPEC_RE = re.compile(r"^(I|II)\(([0-9]+)(?:\^([0-9]+))?,([0-9]+)\)\Z")
 
 
 def parse_spec(text: str) -> Jn2Spec:
@@ -367,11 +367,13 @@ def normalize_basis(data: SymplecticData) -> SymplecticData:
     # verify the postcondition directly in the group, without the carried
     # invariants: [r_u, r_v] = c^std[u, v] for c = z^(p^(j-1)), r_u^p = z^t_u
     c = G.power(data.z, p ** (j - 1))
-    if not np.array_equal(G.commutators_of(adjusted, adjusted), powers(T, c, p)[std]):
+    if (G.commutators_of(adjusted, adjusted) != powers(T, c, p)[std]).any():
         raise RuntimeError("normalized Gram must be standard")
-    if not np.array_equal(powers(T, adjusted, p + 1)[p], np.where(targets, data.z, 0)):
+    if (powers(T, adjusted, p + 1)[p] != np.where(targets, data.z, 0)).any():
         raise RuntimeError("p-th power must be exact")
-    return replace(data, reps=tuple(adjusted.tolist()), basis_type=basis_type)
+    return SymplecticData(group=G, p=p, j=j, m=data.m, z=data.z,
+                          reps=tuple(adjusted.tolist()), xp=data.xp,
+                          zpow=data.zpow, log=data.log, basis_type=basis_type)
 
 
 # ---------------------------------------------------------------------------

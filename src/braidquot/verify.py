@@ -28,7 +28,7 @@ from .fingroup import (
     derived_subgroup,
     is_isomorphic,
     nilpotency_class,
-    random_relabeling,
+    relabel,
     symmetric,
 )
 from .jn2 import Jn2Spec, classify, enumerate_specs, is_jn2, materialize
@@ -211,8 +211,8 @@ def check_classify_roundtrips(seed: int = 0) -> GlobalCheck:
         if is_jn2(entry.group) is not None:
             targets.append((entry.group.label or "?", entry.group, None))
     for label, G, spec in targets:
-        for _ in range(10):
-            H, _ = random_relabeling(G, rng)
+        for perm in _permutations(rng, G.order, 10):
+            H, _ = relabel(G, perm)
             got, iso = classify(H)
             runs += 1
             if spec is not None and got != spec:
@@ -276,12 +276,28 @@ def check_exponent_dichotomy() -> GlobalCheck:
                        detail=f"failures: {bad}")
 
 
-def _draws(rng: random.Random, bounds: Sequence[int], count: int) -> np.ndarray:
-    """``count`` rows of ``rng.randrange(b)`` for b in ``bounds``, drawn row
-    by row, so in the order a loop over the rows draws them."""
-    draw = rng.randrange
-    return np.array([draw(b) for _ in range(count) for b in bounds],
-                    dtype=np.intp).reshape(count, len(bounds))
+def _below(rng: random.Random, bound: int, count: int) -> np.ndarray:
+    """``count`` draws uniform on 0..bound-1, for 1 <= bound <= 2^32, from
+    the 32-bit words of ``rng.randbytes``: a word w is kept as w mod bound
+    when w < limit, the largest multiple of bound up to 2^32, so that every
+    residue is hit by equally many words, and is rejected otherwise."""
+    limit = (1 << 32) - (1 << 32) % bound
+    kept = np.empty(0, dtype=np.intp)
+    while kept.size < count:
+        words = np.frombuffer(rng.randbytes(4 * (count - kept.size)),
+                              dtype="<u4").astype(np.intp)
+        kept = np.concatenate((kept, words[words < limit] % bound))
+    return kept
+
+
+def _permutations(rng: random.Random, order: int, count: int) -> np.ndarray:
+    """``count`` random permutations of 0..order-1 that fix 0, as rows: the
+    rest is 1..order-1 ordered by random 64-bit keys from ``rng.randbytes``
+    (ties kept in index order, so each row is a bijection)."""
+    keys = np.frombuffer(rng.randbytes(8 * count * (order - 1)), dtype="<u8")
+    perms = np.zeros((count, order), dtype=np.intp)
+    perms[:, 1:] = keys.reshape(count, order - 1).argsort(axis=1, kind="stable") + 1
+    return perms
 
 
 def _nu_violations(G: FiniteGroup, nu: np.ndarray, p: int,
@@ -313,7 +329,7 @@ def check_nu_linearity(seed: int = 0) -> GlobalCheck:
             G = std.group
             # nu of every element, computed once per group
             nu = jn2.log_table(G, std.z)[fingroup.power_map(G.table, p)] % p
-            xs, ys = _draws(rng, (G.order, G.order), 1000).T
+            xs, ys = _below(rng, G.order, 1000), _below(rng, G.order, 1000)
             checked += xs.size
             violations += _nu_violations(G, nu, p, xs, ys)
     return GlobalCheck("nu-linearity", ok=violations == 0,
@@ -330,7 +346,8 @@ def check_pairing_representative_independence(seed: int = 0) -> GlobalCheck:
             std = materialize(Jn2Spec(p, j, 1, variant))
             G = std.group
             central = np.flatnonzero(G.center_mask)
-            xs, ys, ks = _draws(rng, (G.order, G.order, central.size), 1000).T
+            xs, ys = _below(rng, G.order, 1000), _below(rng, G.order, 1000)
+            ks = _below(rng, central.size, 1000)
             checked += xs.size
             violations += _pairing_violations(G, xs, ys, central[ks])
     return GlobalCheck("pairing-representative-independence",

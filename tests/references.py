@@ -26,7 +26,13 @@ kept so that tests can require the kernel to give the same answer:
   ``follows_word_order``, that rule read off a complete table;
 - ``first_assoc_violation``: ``fingroup.from_table``'s Light's test as a
   sweep over all n^3 triples;
-- ``compose``: the composite of two ``fingroup.GroupMap``s.
+- ``compose``: the composite of two ``fingroup.GroupMap``s;
+- ``random_relabeling``: ``fingroup.relabel`` by a permutation that
+  ``rng.shuffle`` draws, one Python call per element; the relabelled
+  groups that tests pin are drawn this way;
+- ``below_word_by_word`` and ``permutation_by_sorted_keys``: the draws of
+  ``verify._below`` and ``verify._permutations``, one ``rng.getrandbits``
+  call per 32-bit word or 64-bit key.
 
 Two more build the standard JN2 groups of ``jn2.materialize`` from the
 definition, by routes that share none of its code:
@@ -39,6 +45,7 @@ definition, by routes that share none of its code:
 """
 
 import itertools
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -390,6 +397,32 @@ def compose(f, then):
     if then.source is not f.target:
         raise ValueError("maps are not composable")
     return fg.GroupMap(f.source, then.target, then.images[f.images])
+
+
+def random_relabeling(G: fg.FiniteGroup, rng: random.Random) -> tuple[fg.FiniteGroup, fg.GroupMap]:
+    rest = list(range(1, G.order))
+    rng.shuffle(rest)
+    return fg.relabel(G, [0] + rest)
+
+
+def below_word_by_word(rng, bound, count):
+    """``count`` draws uniform on 0..bound-1: 32-bit words w are drawn one
+    at a time, and each w below the largest multiple of bound up to 2^32
+    is kept as w mod bound."""
+    limit = (1 << 32) - (1 << 32) % bound
+    out = []
+    while len(out) < count:
+        w = rng.getrandbits(32)
+        if w < limit:
+            out.append(w % bound)
+    return out
+
+
+def permutation_by_sorted_keys(rng, order):
+    """A permutation of 0..order-1 fixing 0: 1..order-1 sorted by one
+    64-bit key each, drawn one at a time, ties in index order."""
+    keys = [rng.getrandbits(64) for _ in range(order - 1)]
+    return [0] + sorted(range(1, order), key=lambda i: keys[i - 1])
 
 
 @dataclass(frozen=True)

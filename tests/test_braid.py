@@ -11,7 +11,7 @@ from braidquot import braid, fingroup as fg, jn2, oracle
 from braidquot.braid import Witness
 from braidquot.errors import HypothesisFailed, ParamRange, SearchBudgetExceeded, SizeLimit
 from braidquot.jn2 import Jn2Spec, materialize, parse_spec
-from references import find_witness_scalar, first_witness_unpruned
+from references import find_witness_scalar, first_witness_unpruned, random_relabeling
 
 
 def family_count(pres, family):
@@ -201,7 +201,7 @@ def test_find_witness_keeps_no_reference_cycle():
     """The search holds its group only while it runs: with the cyclic
     collector off, a searched group is freed with its last reference."""
     G = materialize(parse_spec("I(2^2,1)")).group
-    H = fg.random_relabeling(G, random.Random(0))[0]
+    H = random_relabeling(G, random.Random(0))[0]
     alive = weakref.ref(H)
     enabled = gc.isenabled()
     gc.disable()
@@ -248,7 +248,7 @@ def test_find_witness_agrees_with_naive_on_relabeled_tables(exhaustive_tiers,
     # the search order, and so the first witness, depends on the labels
     rng = random.Random(seed)
     for G in _naive_corpus(exhaustive_tiers, catalog):
-        H, _ = fg.random_relabeling(G, rng)
+        H, _ = random_relabeling(G, rng)
         for n, g in ((5, 1), (6, 1)):
             assert _triple(braid.find_witness(H, n, g)) == \
                 oracle.find_witness_naive(H, n, g), (G.label, seed, n, g)
@@ -261,7 +261,7 @@ def test_find_witness_agrees_with_unpruned_search_genus_two(seed):
     # two places a_2 and b_2 in C(a_1, b_1), which genus one never reaches
     rng = random.Random(seed)
     for spec in ("I(2^2,2)", "II(2^2,2)", "II(2^3,2)", "II(2^3,1)"):
-        H, _ = fg.random_relabeling(materialize(parse_spec(spec)).group, rng)
+        H, _ = random_relabeling(materialize(parse_spec(spec)).group, rng)
         assert _triple(braid.find_witness(H, 5, 2)) == \
             first_witness_unpruned(H, 5, 2), (spec, seed)
 
@@ -287,7 +287,7 @@ def test_find_witness_agrees_with_references_on_relabeled_groups(reference_corpu
     n, g = data.draw(st.sampled_from([(5, 1), (6, 1), (5, 2), (6, 2), (7, 3), (5, 4)]))
     G = data.draw(st.sampled_from([G for G in reference_corpus
                                    if (G.label, g) not in SLOW_REFERENCE]))
-    H, _ = fg.random_relabeling(G, random.Random(data.draw(st.integers(0, 2**32 - 1))))
+    H, _ = random_relabeling(G, random.Random(data.draw(st.integers(0, 2**32 - 1))))
     if g == 1 and H.order <= 14:
         ref = oracle.find_witness_naive(H, n, g)
     else:
@@ -449,7 +449,7 @@ def test_first_witnesses_unchanged_at_bound_128():
 # commutator matrix the search would build is not cached from another test.
 @pytest.mark.parametrize("spec", ["I(2^4,1)", "I(2^5,1)"])
 def test_search_counts_its_nodes(spec):
-    G, _ = fg.random_relabeling(materialize(parse_spec(spec)).group, random.Random(0))
+    G, _ = random_relabeling(materialize(parse_spec(spec)).group, random.Random(0))
     stats = braid.SearchStats()
     assert braid.find_witness(G, 5, 2, budget=0, stats=stats) is None
     assert stats.explored == 0

@@ -188,6 +188,24 @@ def test_witness_group_as_grp_path(tmp_path, capsys):
         assert machine_block(out)["order"] == "16", verb
 
 
+def test_witness_group_with_non_ascii_digits_is_a_path(tmp_path, capsys):
+    # "I(٢^٢,١)" was read as the spec I(2^2,1), so this file passed
+    wpath = tmp_path / "w.txt"
+    assert cli.main(["search-min", "--n", "6", "--g", "1", "--bound", "16",
+                     "--witness", str(wpath)]) == 0
+    wpath.write_text(wpath.read_text().replace("group I(2^2,1)", "group I(٢^٢,١)"),
+                     encoding="utf-8")
+    capsys.readouterr()
+    for verb in ("check-witness", "check-full"):
+        assert cli.main([verb, "--witness", str(wpath)]) == 2, verb
+        captured = capsys.readouterr()
+        assert captured.out == "" and "No such file or directory" in captured.err
+    fg.write_cayley(materialize(parse_spec("I(2^2,1)")).group, tmp_path / "I(٢^٢,١)")
+    for verb in ("check-witness", "check-full"):
+        code, out = run(capsys, verb, "--witness", str(wpath))
+        assert code == 0 and machine_block(out)["ok"] == "true", verb
+
+
 def test_witness_file_with_repeated_or_unknown_keys_exit_two(tmp_path, capsys):
     wpath = tmp_path / "w.txt"
     assert cli.main(["search-min", "--n", "6", "--g", "1", "--bound", "16",
@@ -229,6 +247,8 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     capsys.readouterr()
     assert cli.main(["construct", "--spec", "not-a-spec"]) == 2
     capsys.readouterr()
+    assert cli.main(["construct", "--spec", "I(٢,١)"]) == 2
+    assert capsys.readouterr().err == "usage error: cannot parse spec 'I(٢,١)'\n"
     assert cli.main(["classify", "--in", str(tmp_path / "nope.grp")]) == 2
     capsys.readouterr()
 
@@ -295,6 +315,22 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys, monkeypatch
         for argv, f in zip(argvs, fresh):
             code, out = run(capsys, *argv)
             assert (code, out) == (f.returncode, f.stdout), argv
+
+
+@pytest.mark.parametrize("argv", [["classify", "--in", "ii31.grp"],
+                                  ["verify-paper", "--seed", "0"]])
+def test_verbs_leave_numpy_ma_unimported(tmp_path, argv):
+    """A bare ``np.unique`` imports ``numpy.ma`` (9.5-15 ms on first use
+    with numpy 2.4); neither verb may reach one."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    fg.write_cayley(materialize(parse_spec("II(3,1)")).group, tmp_path / "ii31.grp")
+    code = ("import sys\n"
+            "from braidquot import cli\n"
+            f"rc = cli.main({argv!r})\n"
+            "print(rc, 'numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout.splitlines()[-1] == "0 False", proc.stdout + proc.stderr
 
 
 @pytest.mark.parametrize("verb", ["check-witness", "check-full"])

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from braidquot import fingroup as fg
 from braidquot import jn2
 from braidquot.errors import NotAGroup
-from references import closed_on_all_products, span_walk_from_scratch
+from references import closed_on_all_products, random_relabeling, span_walk_from_scratch
 from test_fingroup import LOOP6
 
 
@@ -36,10 +36,10 @@ def _constructed(exhaustive_tiers):
               fg.quotient(S4, fg.derived_subgroup(S4))[0],
               fg.quotient(D8, fg.Subgroup(D8, np.flatnonzero(D8.center_mask)))[0],
               fg.quotient(S3, fg.subgroup_generated(S3, range(6)))[0],
-              fg.random_relabeling(fg.dihedral(12), rng)[0],
+              random_relabeling(fg.dihedral(12), rng)[0],
               jn2.materialize(jn2.parse_spec("I(3,1)")).group,
               jn2.materialize(jn2.parse_spec("II(2,2)")).group]
-    relabelled, _ = fg.random_relabeling(fg.dicyclic(16), rng)
+    relabelled, _ = random_relabeling(fg.dicyclic(16), rng)
     groups.append(fg._parse_cayley(fg.to_cayley_text(relabelled).encode()))
     groups += [G for k in range(1, 9) for G in exhaustive_tiers[k]]
     return groups
@@ -71,7 +71,7 @@ def _walks_agree(table, candidates) -> list:
 def test_coset_walk_matches_closure_walk(small_corpus):
     rng = random.Random(0)
     for G0 in small_corpus:
-        for G in [G0] + [fg.random_relabeling(G0, rng)[0] for _ in range(3)]:
+        for G in [G0] + [random_relabeling(G0, rng)[0] for _ in range(3)]:
             n = G.order
             assert tuple(_walks_agree(G.table, range(1, n))) == G.generators, G.label
             # any candidate order, such as is_isomorphic's, and any first picks
@@ -83,7 +83,7 @@ def test_coset_walk_matches_closure_walk_over_the_center(specs_243):
     rng = random.Random(2)
     for spec in specs_243:
         G0 = jn2.materialize(spec).group
-        for G in (G0, fg.random_relabeling(G0, rng)[0]):
+        for G in (G0, random_relabeling(G0, rng)[0]):
             z = min(x for x in np.flatnonzero(G.center_mask)
                     if G.element_order(x) == spec.center_order)
             # z first: G/<z> is elementary abelian of rank 2m
@@ -171,7 +171,7 @@ def law_corpus(exhaustive_tiers, catalog, specs_243):
 def test_generator_laws_match_full_tables(law_corpus, data):
     G0 = data.draw(st.sampled_from(law_corpus))
     rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
-    G, iso = fg.random_relabeling(G0, rng)
+    G, iso = random_relabeling(G0, rng)
 
     assert np.array_equal(G.center_mask, _center_mask_n2(G)), G.label
     assert G.is_abelian == bool(_center_mask_n2(G).all())
@@ -211,7 +211,7 @@ def test_generator_laws_match_full_tables(law_corpus, data):
 
 def test_groupmap_keeps_a_read_only_copy():
     G = fg.dihedral(8)
-    H, iso = fg.random_relabeling(G, random.Random(1))
+    H, iso = random_relabeling(G, random.Random(1))
     images = np.array(iso.images, dtype=np.int64)
     f = fg.GroupMap(G, H, images)
     images[1], images[2] = images[2], images[1]
@@ -389,7 +389,7 @@ def _closure_agrees(G, elements) -> bool:
 def closure_corpus():
     i31 = jn2.materialize(jn2.parse_spec("I(3,1)")).group
     return [fg.symmetric(3), fg.dihedral(8), fg.dicyclic(8), fg.alternating(4),
-            fg.cyclic(12), fg.symmetric(4), fg.random_relabeling(i31, random.Random(0))[0]]
+            fg.cyclic(12), fg.symmetric(4), random_relabeling(i31, random.Random(0))[0]]
 
 
 @settings(max_examples=200, deadline=None)
@@ -414,7 +414,7 @@ def test_subgroup_closure_matches_all_products(closure_corpus, data):
 @pytest.fixture(scope="module")
 def relabelled_i24():
     G = jn2.materialize(jn2.parse_spec("I(2,4)")).group
-    return fg.random_relabeling(G, random.Random(0))[0]
+    return random_relabeling(G, random.Random(0))[0]
 
 
 @settings(max_examples=25, deadline=None)

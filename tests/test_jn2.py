@@ -13,7 +13,7 @@ from braidquot.errors import NotJn2, SizeLimit
 from braidquot.jn2 import Jn2Spec, materialize, parse_spec
 from references import (CenterMismatch, Jn2Element, center_identification, central_product,
                         classify_per_rep, jn2_encode, jn2_identity, jn2_multiply,
-                        normalize_basis_by_rows)
+                        normalize_basis_by_rows, random_relabeling)
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +36,10 @@ def test_spec_text_roundtrip():
 
 
 def test_spec_rejects_garbage():
-    for bad in ("I(4,1)", "III(3,1)", "I(3)", "I(3^0,1)", "xyzzy"):
+    # digits are ASCII (int() would read the Arabic-Indic "٢" as 2), and
+    # nothing follows the closing parenthesis, not even a newline
+    for bad in ("I(4,1)", "III(3,1)", "I(3)", "I(3^0,1)", "xyzzy",
+                "I(٢,١)", "I(2^٢,1)", "II(3,١)", "I(2,1)\n"):
         with pytest.raises(ValueError):
             parse_spec(bad)
 
@@ -344,7 +347,7 @@ def test_coset_basis_walk_stops_at_2m(specs_243):
     generate, and with z they generate G."""
     rng = random.Random(1)
     for spec in specs_243:
-        G, _ = fg.random_relabeling(materialize(spec).group, rng)
+        G, _ = random_relabeling(materialize(spec).group, rng)
         data = jn2.normalize_basis(jn2.symplectic_data(G))
         reps = data.reps
         assert len(reps) == 2 * spec.m, spec
@@ -385,7 +388,7 @@ def test_symplectic_z_is_the_center_generator_of_smallest_index(specs_243):
     central products."""
     rng = random.Random(13)
     for G0 in [materialize(s).group for s in specs_243] + _mixed_central_products():
-        G, _ = fg.random_relabeling(G0, rng)
+        G, _ = random_relabeling(G0, rng)
         Z = np.flatnonzero((G.table == G.table.T).all(axis=1)).tolist()
         q = next(d for d in range(2, len(Z) + 1) if len(Z) % d == 0)
         old_rule = next(z for z in Z if G.power(z, len(Z) // q) != 0)
@@ -415,7 +418,7 @@ def test_normalize_n9_type_two():
 def test_normalize_type_invariant_under_relabeling():
     std = materialize(Jn2Spec(3, 1, 2, "I"))
     rng = random.Random(7)
-    H, _ = fg.random_relabeling(std.group, rng)
+    H, _ = random_relabeling(std.group, rng)
     data = jn2.normalize_basis(jn2.symplectic_data(H))
     assert data.basis_type == "I"
 
@@ -446,7 +449,7 @@ def test_normalize_basis_matches_row_loop_reference(specs_243):
     groups = ([materialize(s).group for s in specs_243] + _mixed_central_products()
               + _central_order_two_groups())
     for G0 in groups:
-        G, _ = fg.random_relabeling(G0, rng)
+        G, _ = random_relabeling(G0, rng)
         Z = np.flatnonzero(G.center_mask)
         z = min(x for x in Z.tolist() if G.element_order(x) == Z.size)
         data = jn2.normalize_basis(jn2.symplectic_data(G))
@@ -462,7 +465,7 @@ def test_variant_is_read_off_the_exponent_when_pj_is_not_2(specs_243):
     groups = ([materialize(s).group for s in specs_243 if s.center_order != 2]
               + _mixed_central_products())
     for G0 in groups:
-        H, _ = fg.random_relabeling(G0, rng)
+        H, _ = random_relabeling(G0, rng)
         spec, iso = jn2.classify(H)
         exponent = int(H.element_orders.max())
         assert spec.variant == ("II" if exponent > spec.center_order else "I"), G0.label
@@ -471,7 +474,7 @@ def test_variant_is_read_off_the_exponent_when_pj_is_not_2(specs_243):
 
 # normalize_basis(symplectic_data(G)).reps for each standard model up to
 # order 243, then for its relabelling by
-# fg.random_relabeling(G, random.Random(str(spec))); symplectic_data takes
+# random_relabeling(G, random.Random(str(spec))); symplectic_data takes
 # the generator of the center of smallest index in each
 NORMALIZED_REPS = {
     "I(2,1)": ((1, 2), (2, 5)),
@@ -509,7 +512,7 @@ def test_normalized_reps_are_pinned(specs_243):
     got = {}
     for spec in specs_243:
         std = materialize(spec)
-        H, _ = fg.random_relabeling(std.group, random.Random(str(spec)))
+        H, _ = random_relabeling(std.group, random.Random(str(spec)))
         got[str(spec)] = tuple(jn2.normalize_basis(jn2.symplectic_data(G)).reps
                                for G in (std.group, H))
     assert got == NORMALIZED_REPS
@@ -528,7 +531,7 @@ def test_classify_d8():
 
 def test_classify_roundtrip_relabeled():
     std = materialize(Jn2Spec(3, 1, 2, "II"))
-    H, _ = fg.random_relabeling(std.group, random.Random(3))
+    H, _ = random_relabeling(std.group, random.Random(3))
     spec, iso = jn2.classify(H)
     assert spec == Jn2Spec(3, 1, 2, "II")
     assert iso.is_bijective
@@ -553,7 +556,7 @@ def test_classify_central_order_two_above_iso_bound():
     rng = random.Random(5)
     for variant in ("I", "II"):
         spec = Jn2Spec(2, 1, 5, variant)  # order 2048, over ISO_SIZE_LIMIT
-        H, _ = fg.random_relabeling(materialize(spec).group, rng)
+        H, _ = random_relabeling(materialize(spec).group, rng)
         got, iso = jn2.classify(H)
         assert got == spec and iso.is_bijective, str(spec)
     # a noncyclic center is refused before any model is built
@@ -598,7 +601,7 @@ def _central_order_two_groups() -> list[fg.FiniteGroup]:
 def test_classify_central_order_two_matches_order_profile_reference(seed):
     rng = random.Random(seed)
     for G in _central_order_two_groups():
-        H, _ = fg.random_relabeling(G, rng)
+        H, _ = random_relabeling(G, rng)
         spec, iso = jn2.classify(H)
         ref, _ = _classify_by_order_profile(H)  # asserts H is isomorphic to ref
         assert spec == ref and iso.is_bijective, (G.label, str(spec), str(ref))
@@ -632,7 +635,7 @@ def _normal_form_map_by_index(H: fg.FiniteGroup, spec: Jn2Spec, data) -> np.ndar
 def test_classify_map_matches_normal_forms_by_index(specs_243, seed):
     rng = random.Random(seed)
     for spec in specs_243:
-        H, _ = fg.random_relabeling(materialize(spec).group, rng)
+        H, _ = random_relabeling(materialize(spec).group, rng)
         got, iso = jn2.classify(H)
         assert got == spec
         data = jn2.normalize_basis(jn2.symplectic_data(H))
@@ -650,7 +653,7 @@ def test_classify_matches_per_rep_reference(specs_243, seed):
     rng = random.Random(seed)
     for spec in specs_243:
         for _ in range(3):
-            H, _ = fg.random_relabeling(materialize(spec).group, rng)
+            H, _ = random_relabeling(materialize(spec).group, rng)
             got, iso = jn2.classify(H)
             assert "element_orders" not in vars(H), str(spec)
             ref_spec, ref_images = classify_per_rep(H)
@@ -662,7 +665,7 @@ def test_classify_matches_per_rep_reference_at_order_512():
     rng = random.Random(0)
     for name in ("I(2,4)", "II(2,4)"):
         spec = parse_spec(name)
-        H, _ = fg.random_relabeling(materialize(spec).group, rng)
+        H, _ = random_relabeling(materialize(spec).group, rng)
         got, iso = jn2.classify(H)
         ref_spec, ref_images = classify_per_rep(H)
         assert got == ref_spec == spec

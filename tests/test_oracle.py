@@ -13,7 +13,7 @@ from braidquot import jn2, oracle
 from braidquot.errors import SearchBudgetExceeded
 from braidquot.jn2 import Jn2Spec, materialize
 
-from references import enumerate_tables_rules_1_to_3, follows_word_order
+from references import enumerate_tables_rules_1_to_3, follows_word_order, random_relabeling
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +407,7 @@ def test_minimal_normal_test_and_lattice_match_references(corpus_64, small_corpu
 def test_references_agree_on_relabelled_tables(corpus_64, seed):
     rng = random.Random(seed)
     for G in corpus_64:
-        H, _ = fg.random_relabeling(G, rng)
+        H, _ = random_relabeling(G, rng)
         _check_against_references(H)
 
 

@@ -1,36 +1,41 @@
-"""The sampled property checks of ``verify``: their draws, and what they count.
+"""The sampled checks of ``verify``: their draws, and what they count.
 
-Each check draws its samples with the same ``rng.randrange`` calls, in the
-same order, as a loop testing one sample at a time, then tests all the
-samples of a group with one gather each.
+Each check draws its samples in bulk from ``rng.randbytes``, and the
+draws must equal those of ``references.below_word_by_word`` and
+``references.permutation_by_sorted_keys``, which take one
+``rng.getrandbits`` call per word or key.  All the samples of a group are
+then tested with one gather each.
 """
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from braidquot import fingroup as fg, jn2, verify
 from braidquot.jn2 import Jn2Spec, materialize
+from references import below_word_by_word, permutation_by_sorted_keys
 
 # The first two draws on each group, in the order the checks visit the
-# groups, as the one-sample-at-a-time loops drew them: (x, y) for
-# nu-linearity, (x, y, c) with c central for pairing independence.
+# groups, as ``below_word_by_word`` draws them, one array of 1,000 after
+# another: (x, y) for nu-linearity, (x, y, c) with c central for pairing
+# independence.
 NU_FIRST = {
-    0: [[(12, 24), (13, 1)], [(11, 26), (2, 13)], [(76, 48), (52, 8)],
-        [(6, 49), (37, 79)], [(56, 105), (112, 49)], [(40, 74), (18, 107)]],
-    7: [[(10, 4), (12, 20)], [(3, 3), (19, 5)], [(14, 36), (5, 74)],
-        [(8, 68), (15, 58)], [(72, 80), (114, 16)], [(104, 90), (91, 100)]],
+    0: [[(10, 19), (0, 18)], [(19, 24), (1, 3)], [(63, 47), (36, 10)],
+        [(12, 77), (50, 22)], [(56, 79), (57, 60)], [(12, 3), (97, 69)]],
+    7: [[(20, 0), (12, 0)], [(12, 25), (17, 7)], [(59, 57), (61, 45)],
+        [(54, 57), (45, 1)], [(53, 91), (17, 7)], [(105, 11), (61, 25)]],
 }
 PAIRING_FIRST = {
-    0: [[(12, 24, 9), (1, 8, 18)], [(16, 11, 0), (7, 4, 0)],
-        [(28, 28, 63), (32, 39, 45)], [(64, 28, 63), (10, 1, 63)],
-        [(88, 25, 50), (41, 36, 0)], [(115, 46, 100), (72, 65, 0)],
-        [(3, 14, 12), (11, 4, 12)], [(15, 8, 0), (4, 4, 4)]],
-    7: [[(10, 4, 9), (20, 1, 0)], [(11, 13, 9), (7, 7, 0)],
-        [(9, 15, 45), (27, 0, 63)], [(55, 24, 0), (61, 48, 45)],
-        [(5, 11, 100), (61, 91, 50)], [(90, 73, 75), (89, 33, 50)],
-        [(15, 2, 0), (10, 14, 4)], [(4, 2, 4), (5, 0, 4)]],
+    0: [[(10, 19, 9), (0, 18, 9)], [(24, 9, 18), (3, 9, 9)],
+        [(12, 77, 18), (50, 22, 18)], [(22, 18, 72), (51, 64, 36)],
+        [(81, 66, 100), (24, 94, 50)], [(37, 23, 25), (11, 22, 100)],
+        [(8, 7, 0), (14, 4, 12)], [(6, 2, 12), (6, 7, 4)]],
+    7: [[(20, 0, 0), (12, 0, 18)], [(25, 5, 0), (7, 7, 0)],
+        [(54, 57, 63), (45, 1, 63)], [(56, 80, 36), (80, 80, 45)],
+        [(57, 48, 100), (28, 41, 100)], [(83, 99, 25), (32, 29, 50)],
+        [(1, 15, 12), (10, 11, 4)], [(3, 15, 4), (13, 7, 4)]],
 }
 
 
@@ -67,8 +72,8 @@ def test_pairing_draws_pinned(monkeypatch, seed):
 
 
 def _samples(G, count, seed):
-    xs, ys = verify._draws(random.Random(seed), (G.order, G.order), count).T
-    return xs, ys
+    rng = random.Random(seed)
+    return verify._below(rng, G.order, count), verify._below(rng, G.order, count)
 
 
 def test_nu_check_counts_a_planted_violation():
@@ -99,3 +104,101 @@ def test_pairing_check_counts_a_planted_violation(G):
                  for x, y, c in zip(xs.tolist(), ys.tolist(), cs.tolist()))
     assert scalar > 0
     assert verify._pairing_violations(G, xs, ys, cs) == scalar
+
+
+# ---------------------------------------------------------------------------
+# the draw helpers
+
+
+# 3 * 2^30 rejects a quarter of all words; 2^32 rejects none
+@pytest.mark.parametrize("bound", [1, 2, 27, 243, 1000, 3 * 2**30, 2**32])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_below_matches_word_by_word_draws(bound, seed):
+    rng, ref = random.Random(seed), random.Random(seed)
+    for count in (0, 1, 1000, 37):
+        got = verify._below(rng, bound, count)
+        assert got.shape == (count,)
+        assert ((0 <= got) & (got < bound)).all()
+        assert got.tolist() == below_word_by_word(ref, bound, count)
+        # the same words are consumed, so later draws agree too
+        assert rng.getstate() == ref.getstate()
+    assert verify._below(random.Random(seed), bound, 500).tolist() == \
+        verify._below(random.Random(seed), bound, 500).tolist()
+
+
+def test_below_rejects_words_above_the_last_full_range():
+    # at 3 * 2^30 the words from 3 * 2^30 on are rejected: taken mod the
+    # bound they would make 0..2^30-1 twice as likely as the rest
+    words = np.frombuffer(random.Random(3).randbytes(4 * 4000), dtype="<u4")
+    assert (words >= 3 * 2**30).sum() > 800
+    got = verify._below(random.Random(3), 3 * 2**30, 3000)
+    assert got.tolist() == [int(w) for w in words if w < 3 * 2**30][:3000]
+    assert (got >= 2**31).mean() == pytest.approx(1 / 3, abs=0.03)
+
+
+def test_below_is_uniform_by_chi_square():
+    bound, count = 7, 7000
+    counts = np.bincount(verify._below(random.Random(11), bound, count), minlength=bound)
+    expected = count / bound
+    chi2 = ((counts - expected) ** 2 / expected).sum()
+    assert chi2 < 22.46  # the 0.999 quantile of chi-square with 6 degrees of freedom
+
+
+@pytest.mark.parametrize("order", [2, 3, 27, 243])
+def test_permutations_fix_zero_and_match_sorted_keys(order):
+    rng, ref = random.Random(5), random.Random(5)
+    perms = verify._permutations(rng, order, 10)
+    assert perms.shape == (10, order)
+    for perm in perms.tolist():
+        assert perm[0] == 0
+        assert sorted(perm) == list(range(order))
+        assert perm == permutation_by_sorted_keys(ref, order)
+    assert rng.getstate() == ref.getstate()
+
+
+def test_roundtrip_relabels_by_the_drawn_permutations(monkeypatch):
+    drawn, used = [], []
+    permutations, relabel = verify._permutations, verify.relabel
+
+    def draw(rng, order, count):
+        drawn.extend(permutations(rng, order, count).tolist())
+        return np.asarray(drawn[-count:])
+
+    def spy(G, perm):
+        used.append(list(perm))
+        return relabel(G, perm)
+
+    monkeypatch.setattr(verify, "_permutations", draw)
+    monkeypatch.setattr(verify, "relabel", spy)
+    chk = verify.check_classify_roundtrips(seed=0)
+    assert chk.ok and chk.detail == "300 classifications; failures: []"
+    assert used == drawn and len(used) == 300
+
+
+def test_relabel_holds_no_other_table_sized_array(monkeypatch):
+    """Outside ``from_table``, relabelling I(3,2) (order 243) traces no
+    allocation the size of the table besides H's own."""
+    G = materialize(Jn2Spec(3, 1, 2, "I")).group
+    perm = verify._permutations(random.Random(0), G.order, 1)[0]
+    table_bytes = G.table.nbytes
+    peaks = []
+    from_table = fg.from_table
+
+    def traced(*args, **kwargs):
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        H = from_table(*args, **kwargs)
+        tracemalloc.reset_peak()
+        return H
+
+    monkeypatch.setattr(fg, "from_table", traced)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        H, iso = fg.relabel(G, perm)
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert iso.is_bijective and H.order == G.order
+    # before from_table and after it, H's table and less than half a
+    # table besides
+    assert max(peaks) < 1.5 * table_bytes, (peaks, table_bytes)
