@@ -34,12 +34,14 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import NotAGroup, NotNormal, SizeLimit
+from .errors import NotAGroup, NotNormal, SearchBudgetExceeded, SizeLimit
 
 TABLE_CAP = 10_000
 
-# Isomorphism backtracking refuses beyond this many elements.
+# Isomorphism backtracking refuses beyond this many elements, and gives up
+# after this many candidate images.
 ISO_SIZE_LIMIT = 2_000
+_ISO_BUDGET = 100_000
 
 # Table entries per row block of Light's test; bounds its temporaries.
 _LIGHT_BLOCK = 1 << 16
@@ -98,6 +100,12 @@ def _coset_walk(table: np.ndarray, candidates: Iterable[int], inside: np.ndarray
     K is a union of cosets r*H with every g*r marked, so g*K lies in K for
     each pick; K holds 0, so it holds every product of picks, and it is
     <H, x>, the closure.  No step holds more than |G| cells.
+
+    The first pick, from H = {0}, is the queue's first step in scalars: the
+    queue pops 0, x, x*x, ... in turn and marks each singleton coset, so
+    y <- x*y is walked from y = x while y is unmarked, each y marked, and H
+    becomes the marked set, the queue's set (H is only read as a set).  It
+    ends on any table, since each step marks a new element.
     """
     inside[0] = True
     H = np.zeros(1, dtype=np.intp)
@@ -107,8 +115,16 @@ def _coset_walk(table: np.ndarray, candidates: Iterable[int], inside: np.ndarray
             break
         if inside[x]:
             continue
-        yield int(x)
-        gens.append(int(x))
+        x = int(x)
+        yield x
+        gens.append(x)
+        if H.size == 1:  # H = {0}: <x> by powers, as the queue below finds it
+            row, y = table[x], x
+            while not inside[y]:
+                inside[y] = True
+                y = row[y]
+            H = inside.nonzero()[0]
+            continue
         cosets, queue = [H], [0]
         while queue:
             r = queue.pop()
@@ -145,7 +161,9 @@ def span_walk(table: np.ndarray, candidates: Iterable[int]) -> Iterator[int]:
     A, so M is associative, cancellative, finite and holds 0: a group, with
     H a subgroup of it at every step.  So the coset walk marks the closure
     there too, every pick is the one the closure would give, and the first
-    failing pick, and the message naming it, are unchanged.
+    failing pick, and the message naming it, are unchanged.  The first
+    pick x has passed Light's test before the walk takes its powers, so
+    <x> lies in M and its powers return to 0, as the coset queue's do.
     """
     return _coset_walk(table, candidates, np.zeros(table.shape[0], dtype=bool))
 
@@ -327,20 +345,23 @@ def from_table(order: int,
             and t.flags.c_contiguous):
         t = t.astype(np.int32, order="C")
 
+    # a law's first failure is the argmax of its failure mask, which is 0
+    # when nothing fails; the mask is read at that index
     idx = np.arange(order, dtype=np.int32)
-    if (t[0] != idx).any():
-        x = int(np.argwhere(t[0] != idx)[0][0])
+    x = int((t[0] != idx).argmax())
+    if t[0, x] != x:
         raise NotAGroup(f"identity law fails: 0*{x} = {int(t[0, x])}")
-    if (t[:, 0] != idx).any():
-        x = int(np.argwhere(t[:, 0] != idx)[0][0])
+    x = int((t[:, 0] != idx).argmax())
+    if t[x, 0] != x:
         raise NotAGroup(f"identity law fails: {x}*0 = {int(t[x, 0])}")
 
-    zero = t == 0
-    inv = zero.argmax(axis=1).astype(np.int32)  # first y with x*y = 0
-    has_inv = zero[idx, inv]
+    # entries are at least 0, so a row's minimum is 0 exactly when it holds
+    # a 0, and argmin finds the first one
+    inv = t.argmin(axis=1).astype(np.int32)  # first y with x*y = 0
+    has_inv = t[idx, inv] == 0
     fails = ~has_inv | (t[inv, idx] != 0)
-    if fails.any():
-        x = int(np.argmax(fails))
+    x = int(fails.argmax())
+    if fails[x]:
         y = int(inv[x])
         if not has_inv[x]:
             raise NotAGroup(f"no inverse for {x}")
@@ -362,9 +383,10 @@ def from_table(order: int,
             # (x*a)*y != x*(a*y), indexed [x - lo, y]
             t.take(block[:, a], axis=0, out=left[:h], mode="clip")
             block.take(ta, axis=1, out=right[:h], mode="clip")
-            if np.not_equal(left[:h], right[:h], out=bad[:h]).any():
-                x, y = np.argwhere(bad[:h])[0]
-                raise NotAGroup(f"associativity fails at ({lo + int(x)},{a},{int(y)})")
+            np.not_equal(left[:h], right[:h], out=bad[:h])
+            x, y = divmod(int(bad[:h].argmax()), order)
+            if bad[x, y]:
+                raise NotAGroup(f"associativity fails at ({lo + x},{a},{y})")
         gens.append(a)
 
     t.flags.writeable = False
@@ -893,14 +915,20 @@ def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupMap]:
     fgen = np.zeros(seq.size, dtype=np.int64)   # f(g_1), f(g_2), ...
     used = np.zeros(n, dtype=bool)   # images of the domain so far
     used[0] = True
+    nodes = 0
 
     def backtrack(i: int) -> bool:
+        nonlocal nodes
         if i == len(levels):
             return True
         rounds, added, dom, prods = levels[i]
         for h in buckets.get(tuple(sigG[seq[i]].tolist()), []):
             if used[h]:
                 continue
+            nodes += 1
+            if nodes > _ISO_BUDGET:
+                raise SearchBudgetExceeded(
+                    f"isomorphism search exceeded {_ISO_BUDGET} nodes", explored=nodes)
             fgen[i] = h
             for u, k, x in rounds:
                 gmap[x] = TH[gmap[u], fgen[k]]

@@ -32,7 +32,7 @@ from .errors import NotJn2, SizeLimit
 from .fingroup import (
     FiniteGroup,
     GroupMap,
-    derived_subgroup,
+    closure_indices,
     from_table,
     least_prime_factor,
     power_map,
@@ -82,18 +82,6 @@ def parse_spec(text: str) -> Jn2Spec:
         raise ValueError(f"cannot parse spec {text!r}")
     variant, p, j, rank = m.group(1), int(m.group(2)), m.group(3), int(m.group(4))
     return Jn2Spec(p=p, j=1 if j is None else int(j), m=rank, variant=variant)
-
-
-def _decode(spec: Jn2Spec, idx):
-    """(k, alpha, beta) of the normal form z^k * prod_i a_i^alpha_i b_i^beta_i
-    stored at index idx: base-p digits k, alpha_1..alpha_m, beta_1..beta_m.
-    ``idx`` may be an int or an integer array; the digits follow suit."""
-    p, m = spec.p, spec.m
-    digits = []
-    for _ in range(2 * m):
-        digits.append(idx % p)
-        idx = idx // p
-    return idx, tuple(reversed(digits[m:])), tuple(reversed(digits[:m]))
 
 
 @dataclass(frozen=True)
@@ -177,12 +165,19 @@ def is_jn2(G: FiniteGroup) -> Optional[tuple[int, int, int]]:
 def _jn2_params(G: FiniteGroup) -> Optional[tuple[int, int, int, int, np.ndarray]]:
     """``is_jn2``'s (p, j, m), the center's first generator z and x^p for
     every element x, or None.  The center is read off ``G.center_mask``,
-    and its cyclicity from powers of its elements alone."""
-    D = derived_subgroup(G)
-    if D.order < 2 or least_prime_factor(D.order) != D.order:
-        return None
-    p = D.order
+    and its cyclicity from powers of its elements alone.
+
+    G' is read off the commutators C = [a, b] of generators.  If some c in
+    C is not central, G/Z is not abelian and G is not JN2.  Otherwise <C>
+    is central, hence normal, and G/<C> is abelian since its generators
+    commute; so G' is <C>, the closure of C."""
     in_z = G.center_mask
+    comms = G.commutators_of(G.generators, G.generators).ravel()
+    if not in_z[comms].all():
+        return None  # central quotient not abelian
+    p = closure_indices(G.table, comms).size
+    if p < 2 or least_prime_factor(p) != p:
+        return None
     zsize = int(np.count_nonzero(in_z))
     zorder, j = zsize, 0
     while zorder % p == 0:
@@ -195,8 +190,6 @@ def _jn2_params(G: FiniteGroup) -> Optional[tuple[int, int, int, int, np.ndarray
     zgens = zs[power_map(G.table, p ** (j - 1), zs) != 0]
     if not zgens.size:
         return None  # center not cyclic
-    if not in_z[D.indices].all():
-        return None  # central quotient not abelian
     xp = power_map(G.table, p)
     if not in_z[xp].all():
         return None  # central quotient not of exponent p
@@ -305,12 +298,15 @@ def _symplectic_walk(data: SymplecticData) -> tuple[list[int], str]:
     first and makes the group type II: the Arf invariant of q (Aschbacher,
     *Finite Group Theory*, section 23).
 
+    The commutator rows are read off products, as c is central: [x, y] = 1
+    exactly when x*y = y*x, and [a, y] = c exactly when a*y = c*(y*a).
+
     A pick from an empty mask is element 0 (``argmax`` of all False), which
     no standard pair holds; so on wrong carried data the walk runs on, and
     ``normalize_basis``'s postcondition refuses its result.
     """
     G, p, j = data.group, data.p, data.j
-    everything = np.arange(G.order)
+    T = G.table
     c = data.zpow[p ** (j - 1)]
     nu = data.log[data.xp] % p
     noncentral = ~G.center_mask
@@ -319,24 +315,25 @@ def _symplectic_walk(data: SymplecticData) -> tuple[list[int], str]:
     pairs, basis_type = [], "I"
 
     def take(a: int, b: int) -> None:
-        nonlocal C
         pairs.append((a, b))
-        C = C & (G.commutators_of([a, b], everything) == 0).all(axis=0)
+        C[T[a] != T[:, a]] = False
+        C[T[b] != T[:, b]] = False
 
     if p ** j != 2 and nu.any():
         gens = np.asarray(G.generators, dtype=np.intp)
-        exps = data.log[G.commutators_of(gens, everything)] // p ** (j - 1)
-        u = int(np.argmax((exps == nu[gens, None]).all(axis=0)))
-        a = int(np.argmax(nu == 1))
-        take(a, int(G.table[a, u]))
+        exps = data.log[G.commutators_of(gens, np.arange(G.order))] // p ** (j - 1)
+        u = int((exps == nu[gens, None]).all(axis=0).argmax())
+        a = int((nu == 1).argmax())
+        take(a, int(T[a, u]))
         basis_type = "II"
     while len(pairs) < data.m:
-        plane = not (C & noncentral & allowed).any()   # p^j = 2: q = 1 on C/Z
+        free = C & noncentral & allowed
+        plane = not free.any()   # p^j = 2: q = 1 on C/Z
         if plane:
             allowed[:], basis_type = True, "II"
-        a = int(np.argmax(C & noncentral & allowed))
-        ca = G.commutators_of([a], everything)[0]
-        take(a, int(np.argmax(C & allowed & (ca == c))))
+            free = C & noncentral
+        a = int(free.argmax())
+        take(a, int((C & allowed & (T[a] == T[c].take(T[:, a]))).argmax()))
         if plane:
             pairs.insert(0, pairs.pop())
     return [x for pair in pairs for x in pair], basis_type
@@ -390,15 +387,18 @@ def classify(G: FiniteGroup) -> tuple[Jn2Spec, GroupMap]:
     spec = Jn2Spec(p=data.p, j=data.j, m=data.m, variant=data.basis_type)
     S = materialize(spec).group
     T = G.table
-    # the normal form z^k prod_i a_i^alpha_i b_i^beta_i of every index,
-    # evaluated on the lifted representatives, all indices at once, with
-    # ladder[e, t] = reps[t]^e
-    k, alpha, beta = _decode(spec, np.arange(S.order, dtype=np.int64))
+    # the normal form z^k a_1^alpha_1 b_1^beta_1 ... a_m^alpha_m b_m^beta_m
+    # of every index, multiplied out on the lifted representatives one
+    # factor at a time, each factor's exponent a new axis, with
+    # ladder[e, t] = reps[t]^e; the axes (k, alpha_1, beta_1, ...) are then
+    # put in the index's digit order (k, alpha_1..alpha_m, beta_1..beta_m)
+    dims = 2 * spec.m
     ladder = powers(T, np.asarray(data.reps), spec.p)
-    images_from_std = data.zpow[k]
-    for i in range(spec.m):
-        images_from_std = T[T[images_from_std, ladder[alpha[i], 2 * i]],
-                            ladder[beta[i], 2 * i + 1]]
+    images = data.zpow
+    for t in range(dims):
+        images = T[images[..., None], ladder[:, t]]
+    images_from_std = images.transpose(0, *range(1, dims, 2),
+                                       *range(2, dims + 1, 2)).ravel()
     # |G| = |S| images, so they enumerate G exactly when each is hit
     if not np.bincount(images_from_std, minlength=S.order).all():
         raise RuntimeError("normal forms must enumerate the group")

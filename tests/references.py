@@ -7,6 +7,9 @@ kept so that tests can require the kernel to give the same answer:
   with no coset walk;
 - ``span_walk_from_scratch``: ``fingroup.span_walk`` with the closure
   recomputed from every pick after each pick, by ``closure_by_squaring``;
+- ``coset_walk_by_queue``: ``fingroup.span_walk`` with every pick's cosets
+  found by the coset queue, the first pick's too, one singleton coset per
+  power of it;
 - ``find_witness_scalar``: ``oracle.find_witness_naive`` one tuple at a
   time, with one table lookup per Python call and generation tested by
   ``closure_by_squaring``;
@@ -15,6 +18,8 @@ kept so that tests can require the kernel to give the same answer:
   ``closure_by_squaring``;
 - ``closed_on_all_products``: ``fingroup.Subgroup``'s closure check on all
   |S|^2 products, without the generator law;
+- ``jn2_params_by_derived_subgroup``: ``jn2._jn2_params`` with G' taken as
+  ``fingroup.derived_subgroup``, a normal closure, and checked central;
 - ``normalize_basis_by_rows``: ``jn2.normalize_basis``'s symplectic walk
   and central adjustment, one element at a time on lists of table rows,
   with no masks and no carried invariants;
@@ -36,15 +41,17 @@ kept so that tests can require the kernel to give the same answer:
 
 Two more build the standard JN2 groups of ``jn2.materialize`` from the
 definition, by routes that share none of its code:
-- ``Jn2Element``, ``jn2_identity``, ``jn2_multiply`` and ``jn2_encode``:
-  scalar normal-form arithmetic, z^k prod_i a_i^alpha_i b_i^beta_i
-  multiplied by the collection formula;
+- ``Jn2Element``, ``jn2_identity``, ``jn2_multiply``, ``jn2_decode`` and
+  ``jn2_encode``: scalar normal-form arithmetic, z^k prod_i
+  a_i^alpha_i b_i^beta_i multiplied by the collection formula, and the
+  base-p digits of an index;
 - ``CentralProduct``, ``center_identification`` and ``central_product``:
   literal central products (G x H) / {(g, phi(g)^-1)}, raising
   ``CenterMismatch`` when phi is not an isomorphism of the full centers.
 """
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -82,6 +89,34 @@ def span_walk_from_scratch(table, candidates):
             picks.append(int(x))
             yield int(x)
             inside[closure_by_squaring(table, picks)] = True
+
+
+def coset_walk_by_queue(table, candidates):
+    """Yield each candidate, in order, outside the subgroup H marked so far,
+    then extend H by it, stopping once H is whole.  After a pick x the
+    queue starts at 0; for each queued r and each pick g, an unmarked
+    y = g*r has its coset y*H marked and is queued."""
+    inside = np.zeros(table.shape[0], dtype=bool)
+    inside[0] = True
+    H = np.zeros(1, dtype=np.intp)
+    gens = []
+    for x in candidates:
+        if H.size == inside.size:
+            break
+        if inside[x]:
+            continue
+        yield int(x)
+        gens.append(int(x))
+        cosets, queue = [H], [0]
+        while queue:
+            r = queue.pop()
+            for g in gens:
+                y = table[g, r]
+                if not inside[y]:
+                    cosets.append(table[y].take(H).astype(np.intp))
+                    inside[cosets[-1]] = True
+                    queue.append(y)
+        H = np.concatenate(cosets)
 
 
 def find_witness_scalar(G, n, g):
@@ -164,6 +199,30 @@ def closed_on_all_products(G, elements):
     return bool(inside[G.table[np.ix_(els, els)]].all())
 
 
+def jn2_params_by_derived_subgroup(G):
+    """(p, j, m, z, x^p for every x) as ``jn2._jn2_params`` gives them, or
+    None: G' is ``fingroup.derived_subgroup``, of prime order p and inside
+    the center, which is cyclic of order p^j with z its first generator,
+    and every x^p is central."""
+    D = fg.derived_subgroup(G)
+    p = D.order
+    if p < 2 or fg.least_prime_factor(p) != p:
+        return None
+    in_z = G.center_mask
+    Z = np.flatnonzero(in_z)
+    j = round(math.log(Z.size, p))
+    if p ** j != Z.size or j < 1:
+        return None
+    zgens = [z for z in Z.tolist() if G.element_order(z) == Z.size]
+    if not zgens or not in_z[D.indices].all():
+        return None
+    xp = fg.power_map(G.table, p)
+    if not in_z[xp].all():
+        return None
+    e = round(math.log(G.order // Z.size, p))
+    return (p, j, e // 2, zgens[0], xp)
+
+
 def normalize_basis_by_rows(G, z):
     """(reps, basis type) of ``jn2.normalize_basis(jn2.symplectic_data(G,
     z))``, with each element tested one at a time on Python lists of table
@@ -236,7 +295,7 @@ def classify_per_rep(G):
     reps, basis_type = normalize_basis_by_rows(G, z)
     spec = jn2.Jn2Spec(*jn2.is_jn2(G), variant=basis_type)
     T = G.table
-    k, alpha, beta = jn2._decode(spec, np.arange(spec.order, dtype=np.int64))
+    k, alpha, beta = jn2_decode(spec, np.arange(spec.order, dtype=np.int64))
     images = fg.powers(T, z, spec.center_order)[k]
     for i in range(spec.m):
         a_pow = fg.powers(T, reps[2 * i], spec.p)
@@ -458,6 +517,18 @@ def jn2_multiply(spec, x, y):
         alpha.append(sa % p)
         beta.append(sb % p)
     return Jn2Element(k % pj, tuple(alpha), tuple(beta))
+
+
+def jn2_decode(spec, idx):
+    """(k, alpha, beta) of the normal form z^k * prod_i a_i^alpha_i b_i^beta_i
+    stored at index idx: base-p digits k, alpha_1..alpha_m, beta_1..beta_m.
+    ``idx`` may be an int or an integer array; the digits follow suit."""
+    p, m = spec.p, spec.m
+    digits = []
+    for _ in range(2 * m):
+        digits.append(idx % p)
+        idx = idx // p
+    return idx, tuple(reversed(digits[m:])), tuple(reversed(digits[:m]))
 
 
 def jn2_encode(spec, el):

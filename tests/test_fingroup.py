@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -11,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidquot import fingroup as fg
-from braidquot import jn2, oracle
-from braidquot.errors import NotAGroup, NotNormal, SizeLimit
+from braidquot import jn2, oracle, verify
+from braidquot.errors import NotAGroup, NotNormal, SearchBudgetExceeded, SizeLimit
 from references import closure_by_squaring, compose, first_assoc_violation, random_relabeling
 
 
@@ -820,6 +821,37 @@ def test_variants_of_a_class_are_not_isomorphic(specs_243):
             jn2.Jn2Spec(spec.p, spec.j, spec.m, "II")).group, random.Random(0))
         assert fg.is_isomorphic(G, H) is None, str(spec)
         assert _is_isomorphic_by_assignment(G, H) is None, str(spec)
+
+
+def test_isomorphism_search_ends_in_a_budget_error():
+    """D8xD8xQ8 against a relabelling: without a node budget the search ran
+    for minutes here; past ``_ISO_BUDGET`` candidate images it raises,
+    counting them."""
+    d8, q8 = fg.dihedral(8), fg.dicyclic(8)
+    G = fg.direct_product(fg.direct_product(d8, d8), q8)
+    H, _ = random_relabeling(G, random.Random(0))
+    started = time.monotonic()
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        fg.is_isomorphic(G, H)
+    assert time.monotonic() - started < 30
+    assert exc.value.explored == fg._ISO_BUDGET + 1
+
+
+def test_isomorphism_callers_stay_far_below_the_budget(monkeypatch, specs_243):
+    """Every verdict the program reaches takes under a tenth of the budget:
+    the catalog tiers, exhaustive dedup, variant non-isomorphism up to
+    order 243 and the relabelled I(2,4) and II(2,4) of order 512."""
+    monkeypatch.setattr(fg, "_ISO_BUDGET", fg._ISO_BUDGET // 10)
+    oracle.nonabelian_catalog_upto.__wrapped__()
+    for k in range(1, 9):
+        oracle.enumerate_groups_exhaustive.__wrapped__(k)
+    assert verify.check_variant_nonisomorphism().ok
+    assert verify.check_exhaustive_order8().ok
+    rng = random.Random(0)
+    for spec in specs_243 + [jn2.parse_spec("I(2,4)"), jn2.parse_spec("II(2,4)")]:
+        G = jn2.materialize(spec).group
+        H, _ = random_relabeling(G, rng)
+        assert fg.is_isomorphic(G, H) is not None, str(spec)
 
 
 def _orders_by_multiplication(G: fg.FiniteGroup) -> list[int]:

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from braidquot import fingroup as fg
 from braidquot import jn2
 from braidquot.errors import NotAGroup
-from references import closed_on_all_products, random_relabeling, span_walk_from_scratch
+from references import (closed_on_all_products, closure_by_squaring, coset_walk_by_queue,
+                        random_relabeling, span_walk_from_scratch)
 from test_fingroup import LOOP6
 
 
@@ -77,6 +78,25 @@ def test_coset_walk_matches_closure_walk(small_corpus):
             # any candidate order, such as is_isomorphic's, and any first picks
             _walks_agree(G.table, rng.sample(range(n), n))
             _walks_agree(G.table, rng.sample(range(n), min(n, 2)) + list(range(n)))
+
+
+def test_walks_match_references_on_any_candidate_form(small_corpus):
+    """Shuffled candidates with repeats, given as a list of ints, a list of
+    numpy ints or an int64 or int32 array: the span walk picks what the
+    closure-from-scratch walk and the queue-only walk pick, and
+    ``closure_indices`` gives the closure by squaring."""
+    rng = random.Random(1)
+    for G in small_corpus:
+        t = G.table
+        for _ in range(8):
+            cands = rng.choices(range(G.order), k=rng.randint(0, 2 * G.order))
+            picks = list(span_walk_from_scratch(t, cands))
+            assert list(coset_walk_by_queue(t, cands)) == picks, G.label
+            closure = closure_by_squaring(t, cands)
+            for form in (cands, [np.int64(x) for x in cands],
+                         np.array(cands, dtype=np.int64), np.array(cands, dtype=np.int32)):
+                assert list(fg.span_walk(t, form)) == picks, G.label
+                assert np.array_equal(fg.closure_indices(t, form), closure), G.label
 
 
 def test_coset_walk_matches_closure_walk_over_the_center(specs_243):
@@ -346,7 +366,8 @@ def _loop_times_group(K: fg.FiniteGroup, rng: random.Random) -> np.ndarray:
 
 def test_from_table_walks_planted_tables_as_the_closure_walk(big_tables):
     """On tables that fail Light's test, the coset walk's picks up to the
-    failing one, and the message, are those of the closure walk."""
+    failing one, and the message, are those of the closure walk and of the
+    queue-only walk, which finds the first pick's powers coset by coset."""
     rng = random.Random(3)
     tables = [LOOP6]
     for G in big_tables:
@@ -361,6 +382,7 @@ def test_from_table_walks_planted_tables_as_the_closure_walk(big_tables):
     for t in tables:
         coset = _from_table_walk(t, fg.span_walk)
         assert coset == _from_table_walk(t, span_walk_from_scratch)
+        assert coset == _from_table_walk(t, coset_walk_by_queue)
         assert coset[1] == _light_unblocked(t)
         longest = max(longest, len(coset[0]))
     assert longest >= 4

@@ -12,8 +12,9 @@ from braidquot import jn2
 from braidquot.errors import NotJn2, SizeLimit
 from braidquot.jn2 import Jn2Spec, materialize, parse_spec
 from references import (CenterMismatch, Jn2Element, center_identification, central_product,
-                        classify_per_rep, jn2_encode, jn2_identity, jn2_multiply,
-                        normalize_basis_by_rows, random_relabeling)
+                        classify_per_rep, jn2_decode, jn2_encode, jn2_identity, jn2_multiply,
+                        jn2_params_by_derived_subgroup, normalize_basis_by_rows,
+                        random_relabeling)
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +101,8 @@ def test_multiply_matches_materialized_table(data):
     n = std.group.order
     x = data.draw(st.integers(min_value=0, max_value=n - 1))
     y = data.draw(st.integers(min_value=0, max_value=n - 1))
-    ex = Jn2Element(*jn2._decode(spec, x))
-    ey = Jn2Element(*jn2._decode(spec, y))
+    ex = Jn2Element(*jn2_decode(spec, x))
+    ey = Jn2Element(*jn2_decode(spec, y))
     prod = jn2_multiply(spec, ex, ey)
     assert jn2_encode(spec, prod) == std.group.mul(x, y)
 
@@ -138,7 +139,7 @@ def _int64_table(spec: Jn2Spec) -> np.ndarray:
     """The standard table by the int64 broadcast formula ``materialize``
     used before it built its table in place in int32."""
     p, j, m = spec.p, spec.j, spec.m
-    K, alpha, beta = jn2._decode(spec, np.arange(spec.order, dtype=np.int64))
+    K, alpha, beta = jn2_decode(spec, np.arange(spec.order, dtype=np.int64))
     A = np.stack(alpha, axis=1)
     B = np.stack(beta, axis=1)
     cross = B @ A.T
@@ -305,6 +306,58 @@ def test_is_jn2_derived_not_central_none():
     assert G.element_orders[Z.mask].max() == 3
     assert not Z.mask[D.mask].all()
     assert jn2.is_jn2(G) is None
+
+
+def _same_params(got, ref) -> bool:
+    if got is None or ref is None:
+        return got is ref
+    return got[:4] == ref[:4] and np.array_equal(got[4], ref[4])
+
+
+def _c3_wreath_c3() -> fg.FiniteGroup:
+    """C3 wr C3, order 81, as permutations of 9 points: its center is the
+    diagonal C3 and G/Z has exponent 3, but G' has order 9, and in most
+    labellings a commutator of generators of order 3 lies off the center."""
+    gens = [(3, 4, 5, 6, 7, 8, 0, 1, 2), (1, 2, 0, 3, 4, 5, 6, 7, 8)]
+    perms, frontier = {tuple(range(9))}, [tuple(range(9))]
+    while frontier:
+        new = {tuple(p[i] for i in g) for p in frontier for g in gens} - perms
+        perms |= new
+        frontier = list(new)
+    return fg._perm_group(sorted(perms), "C3wrC3")
+
+
+def _non_jn2_groups():
+    d8, c2, c3 = fg.dihedral(8), fg.cyclic(2), fg.cyclic(3)
+    i31 = materialize(parse_spec("I(3,1)")).group
+    i221 = materialize(parse_spec("I(2^2,1)")).group
+    return [fg.symmetric(3), fg.alternating(4), fg.symmetric(4), fg.alternating(5),
+            fg.symmetric(5), fg.dihedral(10), fg.dihedral(12), fg.dihedral(14),
+            fg.dicyclic(12), fg.dihedral(128), fg.dicyclic(64),
+            fg.direct_product(i31, c3), fg.direct_product(i221, c2),
+            fg.direct_product(d8, d8), fg.direct_product(c3, fg.symmetric(3)),
+            _c3_wreath_c3()]
+
+
+def test_recognition_matches_derived_subgroup_reference(specs_243):
+    """``_jn2_params`` reads G' off the generator commutators; the reference
+    takes the normal closure ``derived_subgroup``.  Both agree on every
+    relabelled spec up to order 243 and on groups that are not JN2."""
+    rng = random.Random(0)
+    for spec in specs_243:
+        H, _ = random_relabeling(materialize(spec).group, rng)
+        got = jn2._jn2_params(H)
+        assert got is not None and got[:3] == (spec.p, spec.j, spec.m), str(spec)
+        assert _same_params(got, jn2_params_by_derived_subgroup(H)), str(spec)
+    noncentral = 0
+    for G in _non_jn2_groups():
+        for K in [G] + [random_relabeling(G, rng)[0] for _ in range(3)]:
+            assert jn2._jn2_params(K) is None, G.label
+            assert jn2_params_by_derived_subgroup(K) is None, G.label
+            comms = K.commutators_of(K.generators, K.generators)
+            noncentral += not K.center_mask[comms].all()
+    # most of these fail at once, on a commutator of generators off the center
+    assert noncentral >= 40
 
 
 # ---------------------------------------------------------------------------
@@ -609,9 +662,9 @@ def test_classify_central_order_two_matches_order_profile_reference(seed):
 
 def test_decode_of_an_index_array_matches_each_index(specs_243):
     for spec in specs_243:
-        k, alpha, beta = jn2._decode(spec, np.arange(spec.order))
+        k, alpha, beta = jn2_decode(spec, np.arange(spec.order))
         for idx in range(spec.order):
-            assert jn2._decode(spec, idx) == (k[idx], tuple(a[idx] for a in alpha),
+            assert jn2_decode(spec, idx) == (k[idx], tuple(a[idx] for a in alpha),
                                               tuple(b[idx] for b in beta)), str(spec)
 
 
@@ -621,7 +674,7 @@ def _normal_form_map_by_index(H: fg.FiniteGroup, spec: Jn2Spec, data) -> np.ndar
     element at a time."""
     images = np.empty(spec.order, dtype=np.int64)
     for idx in range(spec.order):
-        k, alpha, beta = jn2._decode(spec, idx)
+        k, alpha, beta = jn2_decode(spec, idx)
         g = H.power(data.z, k)
         for i in range(spec.m):
             g = H.mul(g, H.power(data.reps[2 * i], alpha[i]))
