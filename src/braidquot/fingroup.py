@@ -188,6 +188,11 @@ class FiniteGroup:
     def mul(self, x: int, y: int) -> int:
         return int(self.table[x, y])
 
+    @property
+    def generator_rows(self) -> np.ndarray:
+        """The rows of ``table`` at ``generators``."""
+        return self.table.take(self.generators, axis=0)
+
     def inv(self, x: int) -> int:
         return int(self.inverse[x])
 
@@ -717,7 +722,14 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, "GroupMap"]:
 
 @dataclass(frozen=True, eq=False)
 class GroupMap:
-    """A homomorphism between table groups, validated on construction.
+    """A homomorphism of finite groups, validated on construction.
+
+    The source gives ``order``, ``generators`` that generate it, and
+    ``generator_rows``, the products a*y for each generator a (rows) and
+    every y (columns): a ``FiniteGroup``, or the closed-form law of a
+    standard JN2 group (``jn2.Jn2Law``), which is a group because its
+    tabulation by ``jn2.materialize`` passes ``from_table``.  The target is
+    a ``FiniteGroup``, read by gathers from its table.
 
     Images must be integers in 0..target.order-1, with f(0) = 0.  The map
     checks f(a*y) = f(a)*f(y) for each generator a of the source and every
@@ -725,7 +737,7 @@ class GroupMap:
     under products, so they are the whole source.  ``images`` is kept as a
     read-only int32 copy."""
 
-    source: FiniteGroup
+    source: FiniteGroup  # or a jn2.Jn2Law
     target: FiniteGroup
     images: np.ndarray
 
@@ -745,7 +757,7 @@ class GroupMap:
         if img[0] != 0:
             raise ValueError("homomorphisms must send identity to identity")
         gens = np.asarray(self.source.generators, dtype=np.intp)
-        lhs = img.take(self.source.table.take(gens, axis=0))
+        lhs = img.take(self.source.generator_rows)
         rhs = self.target.table.take(img.take(gens), axis=0).take(img, axis=1)
         if (lhs != rhs).any():
             i, y = np.argwhere(lhs != rhs)[0]

@@ -12,17 +12,18 @@ JN2 groups per class, the central products
     II(p^j, m) = N(p^j) central-product M(p^j)^(m-1),
 
 where M has relations a^p = b^p = 1 and N has a^p = b^p = z.  This module
-recognizes JN2 groups, builds the standard models from exact normal forms,
-picks a normalized symplectic basis by a walk in the group itself, and
-decides which standard model an arbitrary JN2 group is, with an explicit
-verified isomorphism.
+recognizes JN2 groups, gives the standard models one closed-form law on
+their normal forms (``Jn2Law``), picks a normalized symplectic basis by a
+walk in the group itself, and decides which standard model an arbitrary
+JN2 group is, with an explicit isomorphism from the model, verified
+against the law without building the model's table.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -84,6 +85,103 @@ def parse_spec(text: str) -> Jn2Spec:
     return Jn2Spec(p=p, j=1 if j is None else int(j), m=rank, variant=variant)
 
 
+@dataclass(frozen=True, eq=False)
+class Jn2Law:
+    """The group law of a standard JN2 group on its indices, in closed form.
+
+    An index is the base-p digit string (k, alpha, beta), that is
+    x = k*q + v with q = p^(2m) and v = a*p^m + b, where a holds the digits
+    alpha and b the digits beta of V = (Z/p)^(2m).  The law is
+
+        (k, v) * (k', v') = ((k + k' + c(v, v')) mod p^j, v (+) v'),
+
+    where (+) is digitwise addition mod p (``fingroup.digit_sum_table``) and
+    c(v, v') = -p^(j-1) * sum_i beta_i(v) * alpha_i(v'); variant II adds the
+    carries floor((alpha_1 + alpha_1')/p) + floor((beta_1 + beta_1')/p).  It
+    is held as three p^m x p^m blocks, the terms of c already times q:
+
+    - ``alpha_part[a, a']``: (a (+) a')*p^m plus the variant-II carry on a;
+    - ``pairing[b, a']``: the pairing term of c;
+    - ``beta_part[b, b']``: b (+) b' plus the variant-II carry on b.
+
+    ``generators`` are z = q, a_i = p^(2m-1-i) and b_i = p^(m-1-i), i from
+    0, which generate the group by its normal form z^k prod_i a_i^alpha_i
+    b_i^beta_i.  ``materialize`` tabulates the law; ``classify`` checks its
+    map on ``generator_rows`` alone, so it is a ``GroupMap`` source without
+    a table."""
+
+    spec: Jn2Spec
+    alpha_part: np.ndarray
+    pairing: np.ndarray
+    beta_part: np.ndarray
+
+    @property
+    def order(self) -> int:
+        return self.spec.order
+
+    @property
+    def generators(self) -> tuple[int, ...]:
+        p, m = self.spec.p, self.spec.m
+        return (p ** (2 * m), *(p ** (2 * m - 1 - i) for i in range(m)),
+                *(p ** (m - 1 - i) for i in range(m)))
+
+    def block(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """c(v, v')*q + v (+) v' for v = a*p^m + b, over the last two axes
+        (a', b') of every v' in V.  ``a`` and ``b`` index the rows of the
+        blocks: index arrays that broadcast against each other, or slices,
+        as ``materialize`` takes all of V."""
+        return ((self.alpha_part[a] + self.pairing[b])[..., :, None]
+                + self.beta_part[b][..., None, :])
+
+    def rows(self, xs) -> np.ndarray:
+        """The products x*y for x in ``xs`` (rows) and every y (columns):
+        (k*q + k'*q + c*q + v (+) v') mod n through the (k', v') view of a
+        row."""
+        pm, pj = self.spec.p ** self.spec.m, self.spec.center_order
+        q = pm * pm
+        k, v = np.divmod(np.asarray(xs, dtype=np.intp), q)
+        kq = np.arange(pj, dtype=np.int32) * q
+        out = np.empty((k.size, pj, q), dtype=np.int32)
+        np.add((k * q).astype(np.int32)[:, None, None] + kq[:, None],
+               self.block(*np.divmod(v, pm)).reshape(k.size, 1, q), out=out)
+        np.remainder(out, self.order, out=out)
+        return out.reshape(k.size, self.order)
+
+    @cached_property
+    def generator_rows(self) -> np.ndarray:
+        """``rows(generators)``, read-only: the (2m+1) x n cells a
+        ``GroupMap`` from the law reads."""
+        out = self.rows(self.generators)
+        out.flags.writeable = False
+        return out
+
+
+@lru_cache(maxsize=None)
+def standard_law(spec: Jn2Spec) -> Jn2Law:
+    """The law of the standard group ``spec``, from its p^m x p^m blocks;
+    one per spec, so ``generator_rows`` are made once."""
+    p, j, m = spec.p, spec.j, spec.m
+    # p >= 2: the exponent alone shows most over-cap orders, without the power
+    if (2 * m + j >= fingroup.TABLE_CAP.bit_length()
+            or spec.order > fingroup.TABLE_CAP):
+        raise SizeLimit(f"{spec} has order over table cap {fingroup.TABLE_CAP}")
+    pm = p ** m
+    q = pm * pm
+    # digits[a] = (alpha_1..alpha_m) of a, most significant first (beta of b alike)
+    digits = np.arange(pm, dtype=np.int32)[:, None] // p ** np.arange(
+        m - 1, -1, -1, dtype=np.int32) % p
+    digit_sum = fingroup.digit_sum_table(p, m)
+    pairing = -(digits @ digits.T) % p * (p ** (j - 1) * q)
+    if spec.variant == "II":
+        carry = (digits[:, 0, None] + digits[:, 0]) // p * q
+        blocks = (digit_sum * pm + carry, pairing, digit_sum + carry)
+    else:
+        blocks = (digit_sum * pm, pairing, digit_sum)
+    for block in blocks:
+        block.flags.writeable = False
+    return Jn2Law(spec, *blocks)
+
+
 @dataclass(frozen=True)
 class StandardJn2:
     """A materialized standard group with its distinguished generators."""
@@ -97,54 +195,33 @@ class StandardJn2:
 
 @lru_cache(maxsize=None)
 def materialize(spec: Jn2Spec) -> StandardJn2:
-    """Cayley table of the standard group, enumerated from normal forms in
-    lexicographic (k, alpha, beta) order so the identity is element 0.  An
-    index is the base-p digit string (k, alpha, beta), hence
-    a_i = p^(2m-1-i), b_i = p^(m-1-i) and z = p^(2m) (i counted from 0).
-
-    The table is built from its block structure.  With q = p^(2m), an index
-    is x = k*q + v, where v = a*p^m + b holds the digits alpha (in a) and
-    beta (in b) of V = (Z/p)^(2m), and
+    """Cayley table of the standard group: its law (``Jn2Law``, one for
+    both variants),
 
         (k, v) * (k', v') = ((k + k' + c(v, v')) mod p^j, v (+) v'),
 
-    where (+) is digitwise addition mod p (``fingroup.digit_sum_table``) and
-    c(v, v') = -p^(j-1) * sum_i beta_i(v) * alpha_i(v'); variant II adds the
-    carries floor((alpha_1 + alpha_1')/p) + floor((beta_1 + beta_1')/p).  So
-    only the q x q table cq = c*q + v (+) v', of n^2/p^(2j) cells, is built
-    from digits, through its (p^m, p^m, p^m, p^m) view over (a, b, a', b').  The
-    n x n table is (k*q + k'*q + cq) mod n, one broadcast add through its
-    (p^j, q, p^j, q) view and one remainder, and is handed to ``from_table``
-    as the array that owns it, so it is taken over without a copy."""
-    p, j, m = spec.p, spec.j, spec.m
-    # p >= 2: the exponent alone shows most over-cap orders, without the power
-    if (2 * m + j >= fingroup.TABLE_CAP.bit_length()
-            or spec.order > fingroup.TABLE_CAP):
-        raise SizeLimit(f"{spec} has order over table cap {fingroup.TABLE_CAP}")
-    order = spec.order
-    pj, pm = p ** j, p ** m
-    q = pm * pm
-    # digits[a] = (alpha_1..alpha_m) of a, most significant first (beta of b alike)
-    digits = np.arange(pm)[:, None] // p ** np.arange(m - 1, -1, -1) % p
-    cq = fingroup.digit_sum_table(p, 2 * m)
-    c4 = cq.reshape(pm, pm, pm, pm)
-    pairing = -(digits @ digits.T) % p * p ** (j - 1)  # [b, a']
-    c4 += (pairing * q).astype(np.int32)[None, :, :, None]
-    if spec.variant == "II":
-        carry = ((digits[:, 0, None] + digits[:, 0]) // p * q).astype(np.int32)
-        c4 += carry[:, None, :, None]   # [a, a']
-        c4 += carry[None, :, None, :]   # [b, b']
+    tabulated on indices in lexicographic (k, alpha, beta) order, so the
+    identity is element 0, with z, a_i and b_i the law's ``generators``.
+
+    Only the q x q table cq = c*q + v (+) v' (``Jn2Law.block`` of all of V,
+    through its (a, b, a', b') view), of n^2/p^(2j) cells, is built from
+    the law's blocks.  The n x n table is (k*q + k'*q + cq) mod n, one
+    broadcast add through its (p^j, q, p^j, q) view and one remainder, and
+    is handed to ``from_table`` as the array that owns it, so it is taken
+    over without a copy."""
+    law = standard_law(spec)  # refuses orders over the table cap
+    order, pj, m = spec.order, spec.center_order, spec.m
+    q = spec.p ** (2 * m)
+    cq = law.block(np.s_[:, None], np.s_[:]).reshape(q, q)
     kq = np.arange(pj, dtype=np.int32) * q
     table = np.empty((order, order), dtype=np.int32)
     np.add(np.add.outer(kq, kq)[:, None, :, None], cq[None, :, None, :],
            out=table.reshape(pj, q, pj, q))
-    del cq, c4  # freed before validation, which then holds the table and its own blocks
+    del cq  # freed before validation, which then holds the table and its own blocks
     np.remainder(table, order, out=table)
-
-    a_idx = tuple(p ** (2 * m - 1 - i) for i in range(m))
-    b_idx = tuple(p ** (m - 1 - i) for i in range(m))
     group = from_table(order, table, label=str(spec))
-    return StandardJn2(spec=spec, group=group, z=q, a=a_idx, b=b_idx)
+    z, *ab = law.generators
+    return StandardJn2(spec=spec, group=group, z=z, a=tuple(ab[:m]), b=tuple(ab[m:]))
 
 
 # ---------------------------------------------------------------------------
@@ -378,14 +455,16 @@ def normalize_basis(data: SymplecticData) -> SymplecticData:
 
 
 def classify(G: FiniteGroup) -> tuple[Jn2Spec, GroupMap]:
-    """The standard model of a JN2 group plus a verified isomorphism onto it.
+    """The standard model of a JN2 group plus a verified isomorphism from it.
 
-    The variant is read off a normalized symplectic basis, and the
-    isomorphism maps the lifted representatives to the standard generators.
+    The variant is read off a normalized symplectic basis.  The map sends
+    each standard index, the normal form z^k prod_i a_i^alpha_i b_i^beta_i,
+    to that word in z and the lifted representatives of G.  Its source is
+    the model's closed-form law, so the homomorphism check reads the law's
+    generator rows and gathers in G, and no model table is built.
     """
     data = normalize_basis(symplectic_data(G))  # recognises JN2
     spec = Jn2Spec(p=data.p, j=data.j, m=data.m, variant=data.basis_type)
-    S = materialize(spec).group
     T = G.table
     # the normal form z^k a_1^alpha_1 b_1^beta_1 ... a_m^alpha_m b_m^beta_m
     # of every index, multiplied out on the lifted representatives one
@@ -397,13 +476,12 @@ def classify(G: FiniteGroup) -> tuple[Jn2Spec, GroupMap]:
     images = data.zpow
     for t in range(dims):
         images = T[images[..., None], ladder[:, t]]
-    images_from_std = images.transpose(0, *range(1, dims, 2),
-                                       *range(2, dims + 1, 2)).ravel()
-    # |G| = |S| images, so they enumerate G exactly when each is hit
-    if not np.bincount(images_from_std, minlength=S.order).all():
+    iso = GroupMap(standard_law(spec), G, images.transpose(
+        0, *range(1, dims, 2), *range(2, dims + 1, 2)).ravel())
+    # a homomorphism between groups of one order is an isomorphism once onto
+    if not iso.is_bijective:
         raise RuntimeError("normal forms must enumerate the group")
-    # images_from_std is a permutation: its inverse sends G to S
-    return spec, GroupMap(G, S, np.argsort(images_from_std))
+    return spec, iso
 
 
 def enumerate_specs(max_order: int) -> list[Jn2Spec]:

@@ -287,7 +287,7 @@ def normalize_basis_by_rows(G, z):
 
 
 def classify_per_rep(G):
-    """(spec, images of the isomorphism G -> standard model) as
+    """(spec, images of the isomorphism standard model -> G) as
     ``jn2.classify`` gives them, with the normal form z^k prod_i
     a_i^alpha_i b_i^beta_i evaluated one representative at a time."""
     Z = np.flatnonzero(G.center_mask)
@@ -301,7 +301,7 @@ def classify_per_rep(G):
         a_pow = fg.powers(T, reps[2 * i], spec.p)
         b_pow = fg.powers(T, reps[2 * i + 1], spec.p)
         images = T[T[images, a_pow[alpha[i]]], b_pow[beta[i]]]
-    return spec, np.argsort(images)
+    return spec, images
 
 
 def follows_word_order(rows):

@@ -181,6 +181,23 @@ def test_materialize_size_limit():
         materialize(Jn2Spec(7, 3, 2, "I"))
 
 
+def test_law_rows_equal_materialized_tables():
+    """The closed-form law ``classify`` checks against is the table
+    ``materialize`` builds: on all rows up to order 243, and on the
+    generator rows a ``GroupMap`` from the law reads up to order 2,187.
+    Each table is built outside ``materialize``'s cache and dropped."""
+    specs = jn2.enumerate_specs(2187)
+    assert len(specs) == 76
+    for spec in specs:
+        law = jn2.standard_law(spec)
+        table = materialize.__wrapped__(spec).group.table
+        if spec.order <= 243:
+            assert np.array_equal(law.rows(np.arange(spec.order)), table), str(spec)
+        gens = np.array(law.generators)
+        assert np.array_equal(law.generator_rows, table[gens]), str(spec)
+        assert not law.generator_rows.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # central products
 
@@ -576,10 +593,46 @@ def test_normalized_reps_are_pinned(specs_243):
 
 
 def test_classify_d8():
-    spec, iso = jn2.classify(fg.dihedral(8))
+    D8 = fg.dihedral(8)
+    spec, iso = jn2.classify(D8)
     assert spec == Jn2Spec(2, 1, 1, "I")
     assert iso.is_bijective
-    assert iso.target.label == "I(2,1)"
+    assert iso.source.spec == spec and iso.target is D8
+
+
+def test_classify_leaves_materialize_cache_empty():
+    """classify checks its map against the law, so a loop that only
+    classifies models built outside the cache leaves it empty."""
+    materialize.cache_clear()
+    rng = random.Random(0)
+    for spec in jn2.enumerate_specs(243):
+        H, _ = random_relabeling(materialize.__wrapped__(spec).group, rng)
+        got, iso = jn2.classify(H)
+        assert got == spec and iso.is_bijective, str(spec)
+    assert materialize.cache_info().currsize == 0
+
+
+def test_classify_refuses_law_without_variant_two_carry_on_b(monkeypatch):
+    """A law that drops the variant-II carry on b is a wrong model of the
+    II groups, and classify's homomorphism check refuses it; I(3,2), whose
+    law has no carry, still classifies."""
+    rng = random.Random(0)
+    inputs = {name: random_relabeling(materialize.__wrapped__(parse_spec(name)).group, rng)[0]
+              for name in ("II(2,1)", "II(3,1)", "II(2^2,2)", "I(3,2)")}
+
+    law_of = jn2.standard_law.__wrapped__
+
+    def without_carry_on_b(spec):
+        law = law_of(spec)
+        q = spec.p ** (2 * spec.m)
+        return replace(law, beta_part=law.beta_part % q)
+
+    monkeypatch.setattr(jn2, "standard_law", without_carry_on_b)
+    for name in ("II(2,1)", "II(3,1)", "II(2^2,2)"):
+        with pytest.raises(ValueError, match="not a homomorphism"):
+            jn2.classify(inputs[name])
+    got, iso = jn2.classify(inputs["I(3,2)"])
+    assert got == parse_spec("I(3,2)") and iso.is_bijective
 
 
 def test_classify_roundtrip_relabeled():
@@ -694,7 +747,7 @@ def test_classify_map_matches_normal_forms_by_index(specs_243, seed):
         data = jn2.normalize_basis(jn2.symplectic_data(H))
         ref = fg.GroupMap(materialize(spec).group, H,
                           _normal_form_map_by_index(H, spec, data))
-        assert np.array_equal(iso.images, np.argsort(ref.images)), str(spec)
+        assert np.array_equal(iso.images, ref.images), str(spec)
 
 
 @pytest.mark.parametrize("seed", [0, 7])
