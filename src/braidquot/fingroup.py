@@ -979,6 +979,10 @@ def to_cayley_text(G: FiniteGroup) -> str:
 # non-ASCII ones included, belongs to an entry.
 _LINE_BREAKS = b"\n\r\x0b\x0c\x1c\x1d\x1e"
 _LINE_END = re.compile(rb"\r\n|[\n\r\x0b\x0c\x1c-\x1e]")
+# The order line: an ASCII integer between the ASCII whitespace int()
+# strips; int() alone also reads '_' separators, non-ASCII digits and
+# non-ASCII spaces.
+_ORDER_LINE = re.compile(r"[\t-\r ]*[+-]?[0-9]+[\t-\r ]*")
 # Bytes per parse block, extended to whole rows; bounds the temporaries.
 _BLOCK = 1 << 16
 
@@ -1010,19 +1014,23 @@ def _read_header(data: bytes) -> tuple[Optional[str], int, int]:
             label = comment[len("label:"):].strip()
     if not lines:
         raise NotAGroup("missing order line")
-    order = int(lines[0].splitlines()[0])
+    line = lines[0].splitlines()[0]
+    if not _ORDER_LINE.fullmatch(line):
+        raise _not_ascii_int(line.encode(), "order line")
+    order = int(line)
     _check_order(order)
     return label, order, end - len("".join(lines[1:]).encode())
 
 
-def _bad_entry(entry: bytes, row: int) -> NotAGroup:
-    """The error for an entry that is not ``[+-]?[0-9]+``.  An ASCII entry
-    without '_' re-raises ``int()``'s own ValueError; one that int() would
-    read anyway (``1_0``, non-ASCII digits or spaces) is refused."""
-    if entry.isascii() and b"_" not in entry:
-        int(entry.decode())
-    text = entry.decode(errors="backslashreplace")
-    return NotAGroup(f"row {row} entry {text!r} is not an ASCII integer")
+def _not_ascii_int(text: bytes, what: str) -> NotAGroup:
+    """The error for a table entry or order line that is not
+    ``[+-]?[0-9]+``.  ASCII text without '_' re-raises ``int()``'s own
+    ValueError; text that int() would read anyway (``1_0``, non-ASCII
+    digits or spaces) is refused."""
+    if text.isascii() and b"_" not in text:
+        int(text.decode())
+    shown = text.decode(errors="backslashreplace")
+    return NotAGroup(f"{what} {shown!r} is not an ASCII integer")
 
 
 def _parse_rows(a: np.ndarray, breaks: np.ndarray, row0: int, order: int,
@@ -1075,7 +1083,8 @@ def _parse_rows(a: np.ndarray, breaks: np.ndarray, row0: int, order: int,
             i = int(np.argmax(bad))
             bad_row = int(np.searchsorted(breaks, first[i]))
             if bad_row <= count_row:
-                raise _bad_entry(a[first[i]:stop[i]].tobytes(), row0 + bad_row)
+                raise _not_ascii_int(a[first[i]:stop[i]].tobytes(),
+                                     f"row {row0 + bad_row} entry")
         if count_row < nrows:
             raise NotAGroup(f"row {row0 + count_row} has {int(counts[count_row])} "
                             f"entries, expected {order}")

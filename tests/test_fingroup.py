@@ -958,6 +958,8 @@ def test_cayley_file_roundtrip(tmp_path):
     ("3\n0 1 2\n1 2\n2 0 1\n", "row 1 has 2 entries, expected 3"),
     ("-3\n", "order must be >= 1, got -3"),
     ("0\n", "order must be >= 1, got 0"),
+    ("\u0662\n0 1\n1 0\n", "order line '\u0662' is not an ASCII integer"),
+    ("0_2\n0 1\n1 0\n", "order line '0_2' is not an ASCII integer"),
 ])
 def test_cayley_text_rejects_malformed_tables(text, message):
     with pytest.raises(NotAGroup, match=message):

@@ -128,7 +128,8 @@ def test_tables_are_the_word_ordered_tables_of_rules_1_to_3(k):
 def test_orders_9_to_13_from_the_axioms(catalog):
     """Orders 9, 11 and 13 have no nonabelian table, and the catalog's
     order-10 tier is exactly the nonabelian classes of order 10.  Order 12
-    takes a few seconds; a CI step checks it."""
+    takes a few seconds; ci/test_checks.py::test_check[catalog-tier-12]
+    checks it."""
     for k in (9, 11, 13):
         assert all(list(zip(*rows)) == rows for rows in oracle._enumerate_tables(k)), k
     oracle._check_tier(10, [e.group for e in catalog.tier(10)])
