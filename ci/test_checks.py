@@ -54,7 +54,7 @@ CHECKS = {
         from braidquot import fingroup as fg, oracle
         fg._ISO_BUDGET //= 10  # each isomorphism verdict takes under a tenth of it
         reps = oracle.enumerate_groups_exhaustive(10)
-        d10 = oracle.nonabelian_catalog_upto().tier(10)[0].group
+        [d10] = [G for G in oracle.nonabelian_catalog_upto() if G.order == 10]
         assert len(reps) == 2, reps
         for H in (fg.cyclic(10), d10):
             assert sum(fg.is_isomorphic(G, H) is not None for G in reps) == 1, H
@@ -65,23 +65,34 @@ CHECKS = {
     "catalog-tier-12": Check(60, """
         from braidquot import fingroup as fg, oracle
         fg._ISO_BUDGET //= 10  # each isomorphism verdict takes under a tenth of it
-        tier = [e.group for e in oracle.nonabelian_catalog_upto().tier(12)]
+        tier = [G for G in oracle.nonabelian_catalog_upto() if G.order == 12]
         assert [G.label for G in tier] == ['D12', 'A4', 'Dic12'], tier
         oracle._check_tier(12, tier)
         """),
     # the just-nonabelian oracle quotients by minimal normal subgroups
-    # only; building the whole lattice took about a minute here, almost
-    # all of it on the order-128 groups
+    # only, and stops at the first nonabelian quotient: one quotient for
+    # each JN2 group, whose one minimal normal subgroup is G', and one for
+    # D8xD8 and for I(3,1)xC3.  Quotienting by every normal subgroup ends
+    # inside the timeout (6-9 s on 2 cores), so the count catches it: 7,842
+    # quotients on the 28 specs
     "just-nonabelian-up-to-243": Check(30, """
         from braidquot import fingroup as fg, jn2, oracle
+        quotients = []
+        def counted(G, N, quotient=oracle.quotient):
+            quotients.append(N.order)
+            return quotient(G, N)
+        oracle.quotient = counted
         specs = jn2.enumerate_specs(243)
         assert len(specs) == 28, len(specs)
         for spec in specs:
             assert oracle.is_just_nonabelian(jn2.materialize(spec).group), spec
+        assert len(quotients) == 28, len(quotients)
         d8 = fg.dihedral(8)
         i31 = jn2.materialize(jn2.parse_spec('I(3,1)')).group
         for G in (fg.direct_product(d8, d8), fg.direct_product(i31, fg.cyclic(3))):
+            quotients.clear()
             assert not oracle.is_just_nonabelian(G), G.label
+            assert len(quotients) == 1, (G.label, quotients)
         """),
     # is_isomorphic above the orders of tier-1's corpus (243): the map on
     # relabelled I(2,4) and II(2,4), order 512, is checked on all n^2
@@ -102,9 +113,13 @@ CHECKS = {
         assert fg.is_isomorphic(groups['I(2,4)'][0], groups['II(2,4)'][1]) is None
         """),
     # the round trip as verify-paper runs it, after its four rows: 300
-    # relabellings of tables up to order 243 (236 KB each); when relabel
-    # gathered each row block into two fresh n x n temporaries it took
-    # about 8,400 minor page faults here, mapped and zero-filled anew
+    # relabellings of tables up to order 243 (236 KB each).  It catches
+    # relabel's old row-block gathers, which took about 8,400 minor page
+    # faults here, each block mapped and zero-filled anew.  It cannot
+    # catch whole-table temporaries: relabel built as p[G.table[q][:, q]]
+    # reads 522 faults against 448, so no fault bound separates the two;
+    # tests/test_verify.py::test_relabel_holds_no_other_table_sized_array
+    # bounds those by their traced size
     "round-trip-page-faults": Check(60, """
         import resource
         from braidquot import verify

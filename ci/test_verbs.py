@@ -99,8 +99,9 @@ SWEEPS = [  # n, g, bound, timeout in s, minimum, attained, peak bound in MB
     # to 2,048 peaked at about 323 MB and took 4-5 s on a 2-core VM
     (6, 1, 2048, 60, "16", "I(2^2,1),II(2^2,1)", 600),
     # the large-g regime: no candidate has |G : Z| = |G'|^8, so the count
-    # cut settles each one; before it I(2^2,2) alone took 29,820 nodes
-    (5, 4, 64, 60, "none", "", None),
+    # cut settles each one (0.21-0.32 s on 2 cores); before it I(2^2,2)
+    # alone took 29,820 nodes, and without it the sweep takes about 55 s
+    (5, 4, 64, 10, "none", "", None),
 ]
 
 

@@ -25,7 +25,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import fingroup, jn2, oracle
-from .errors import HypothesisFailed, ParamRange, SearchBudgetExceeded, SizeLimit
+from .errors import Budget, HypothesisFailed, ParamRange, SizeLimit
 from .fingroup import FiniteGroup, closure_indices, derived_subgroup, subgroup_generated
 from .jn2 import Jn2Spec, materialize, parse_spec
 
@@ -264,22 +264,13 @@ def check_reduced_witness(w: Witness) -> QuotientReport:
 # witness search
 
 
-@dataclass
-class SearchStats:
-    """What one witness search did: ``explored`` counts its nodes, one per
-    a and one per b tried (the count a budget error reports).  0 means the
-    count cut, the sigma gate or the Frattini skip settled the group before
-    any pair was placed."""
-
-    explored: int = 0
-
-
 def find_witness(G: FiniteGroup, n: int, g: int,
-                 *, budget: Optional[int] = None,
-                 stats: Optional[SearchStats] = None) -> Optional[Witness]:
+                 *, budget: Optional[Budget] = None) -> Optional[Witness]:
     """First witness in deterministic order (sigma, then pairs in increasing
-    element index), or None after exhausting the search space.  If ``stats``
-    is given, its ``explored`` is set to the number of nodes visited.
+    element index), or None after exhausting the search space.  Each node,
+    one per a and one per b tried, is spent from ``budget`` (unlimited when
+    None); none is when the count cut, the sigma gate or the Frattini skip
+    settles the group before any pair is placed.
 
     A witness forces G' = <sigma^2>: G is generated by sigma and pairs whose
     only nontrivial commutators are the central sigma^2.  Three necessary
@@ -318,19 +309,12 @@ def find_witness(G: FiniteGroup, n: int, g: int,
     N = G.order
     T = G.table
     derived = derived_subgroup(G)
-    stats = stats if stats is not None else SearchStats()
-    stats.explored = 0
+    budget = budget if budget is not None else Budget("witness search")
     if N // int(G.center_mask.sum()) != derived.order ** (2 * g):
         return None
     tr_exp = 2 * (g + n - 1)
     orders = G.element_orders
     frattini = G.frattini
-
-    def bump() -> None:
-        stats.explored += 1
-        if budget is not None and stats.explored > budget:
-            raise SearchBudgetExceeded(
-                f"witness search exceeded {budget} nodes", explored=stats.explored)
 
     sigmas = [s for s in range(N)
               if G.center_mask[s] and tr_exp % int(orders[s]) == 0
@@ -351,11 +335,11 @@ def find_witness(G: FiniteGroup, n: int, g: int,
             return placed if whole else None
         cent = np.flatnonzero(mask)    # C, the centralizer of the prefix
         for a in cent:
-            bump()
+            budget.spend()
             ca = comm(a)
             inner = mask & (ca == 0)
             for b in cent[ca[cent] == s2]:
-                bump()
+                budget.spend()
                 res = recurse(recurse, r + 1, placed + [int(a), int(b)],
                               inner & (comm(b) == 0), sigma, s2)
                 if res is not None:
@@ -481,10 +465,9 @@ def minimal_braid_reduced_search(n: int, g: int, bound: int,
     if bound > fingroup.TABLE_CAP:
         raise SizeLimit(f"bound {bound} exceeds table cap {fingroup.TABLE_CAP}")
     cands: list[tuple[int, int, str, Optional[Jn2Spec], FiniteGroup]] = []
-    catalog = oracle.nonabelian_catalog_upto()
-    for entry in catalog.entries:
-        if entry.order <= bound:
-            cands.append((entry.order, 0, entry.group.label or "?", None, entry.group))
+    for G in oracle.nonabelian_catalog_upto():
+        if G.order <= bound:
+            cands.append((G.order, 0, G.label or "?", None, G))
     for spec in jn2.enumerate_specs(bound):
         std = materialize(spec)
         cands.append((spec.order, 1, str(spec), spec, std.group))
@@ -492,13 +475,13 @@ def minimal_braid_reduced_search(n: int, g: int, bound: int,
 
     verdicts = []
     for order, _, label, spec, group in cands:
-        stats = SearchStats()
-        w = find_witness(group, n, g, budget=budget, stats=stats)
+        nodes = Budget("witness search", budget)
+        w = find_witness(group, n, g, budget=nodes)
         if w is not None:
             if not check_reduced_witness(w).ok:
                 raise RuntimeError(f"witness for {label} failed re-verification")
         verdicts.append(CandidateVerdict(label=label, order=order, spec=spec,
-                                         witness=w, explored=stats.explored))
+                                         witness=w, explored=nodes.spent))
 
     hits = [v for v in verdicts if v.witness is not None]
     # every catalog group is nonabelian with |Z| <= 2, so a central sigma

@@ -285,14 +285,14 @@ def cmd_enumerate(args) -> int:
     if args.bound > exhaustive:
         catalog = oracle.nonabelian_catalog_upto()
         for k in range(exhaustive + 1, min(args.bound, catalog_max) + 1):
-            tier = catalog.tier(k)
+            tier = [G for G in catalog if G.order == k]
             if not tier:
                 continue
             human.append(f"order {k}: {len(tier)} nonabelian classes "
                          f"[constructed catalog]")
             machine[f"nonabelian_order_{k}"] = len(tier)
-            for i, entry in enumerate(tier):
-                files.append((f"order{k}_{i}.grp", entry.group, entry.provenance))
+            for i, G in enumerate(tier):
+                files.append((f"order{k}_{i}.grp", G, "constructed"))
                 total += 1
     if args.out:
         os.makedirs(args.out, exist_ok=True)

@@ -30,8 +30,24 @@ class HypothesisFailed(GroupError):
 
 
 class SearchBudgetExceeded(GroupError):
-    """A combinatorial search ran past its node budget."""
+    """A combinatorial search ran past its node budget; ``explored`` is the
+    node count that crossed it."""
 
-    def __init__(self, message: str, explored: int | None = None):
+    def __init__(self, message: str, explored: int):
         super().__init__(message)
         self.explored = explored
+
+
+class Budget:
+    """The node count of one search: ``spend()`` counts a node, and past
+    ``limit`` (None for no limit) raises ``SearchBudgetExceeded`` with the
+    count."""
+
+    def __init__(self, what: str, limit: int | None = None):
+        self.what, self.limit, self.spent = what, limit, 0
+
+    def spend(self) -> None:
+        self.spent += 1
+        if self.limit is not None and self.spent > self.limit:
+            raise SearchBudgetExceeded(f"{self.what} exceeded {self.limit} nodes",
+                                       explored=self.spent)

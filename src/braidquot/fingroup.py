@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import NotAGroup, NotNormal, SearchBudgetExceeded, SizeLimit
+from .errors import Budget, NotAGroup, NotNormal, SizeLimit
 
 TABLE_CAP = 10_000
 
@@ -927,20 +927,16 @@ def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupMap]:
     fgen = np.zeros(seq.size, dtype=np.int64)   # f(g_1), f(g_2), ...
     used = np.zeros(n, dtype=bool)   # images of the domain so far
     used[0] = True
-    nodes = 0
+    budget = Budget("isomorphism search", _ISO_BUDGET)
 
     def backtrack(i: int) -> bool:
-        nonlocal nodes
         if i == len(levels):
             return True
         rounds, added, dom, prods = levels[i]
         for h in buckets.get(tuple(sigG[seq[i]].tolist()), []):
             if used[h]:
                 continue
-            nodes += 1
-            if nodes > _ISO_BUDGET:
-                raise SearchBudgetExceeded(
-                    f"isomorphism search exceeded {_ISO_BUDGET} nodes", explored=nodes)
+            budget.spend()
             fgen[i] = h
             for u, k, x in rounds:
                 gmap[x] = TH[gmap[u], fgen[k]]

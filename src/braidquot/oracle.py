@@ -11,13 +11,12 @@ oracles against which the constructive algorithms are validated.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import SearchBudgetExceeded
+from .errors import Budget, SizeLimit
 from .fingroup import (
     FiniteGroup,
     Subgroup,
@@ -162,14 +161,7 @@ def _enumerate_tables(k: int) -> list[list[tuple[int, ...]]]:
     identity = tuple(range(k))
     full = (1 << k) - 1
     tables: list[list[tuple[int, ...]]] = []
-    nodes = 0
-
-    def bump():
-        nonlocal nodes
-        nodes += 1
-        if nodes > _ENUM_BUDGET:
-            raise SearchBudgetExceeded(
-                f"table enumeration exceeded {_ENUM_BUDGET} nodes", explored=nodes)
+    budget = Budget("table enumeration", _ENUM_BUDGET)
 
     def propagate(rows: dict[int, tuple[int, ...]], cols: list[int], x: int,
                   d: int) -> Optional[tuple[dict[int, tuple[int, ...]], list[int]]]:
@@ -211,7 +203,7 @@ def _enumerate_tables(k: int) -> list[list[tuple[int, ...]]]:
         def fill(pos: int, used: int, cycle: int, rel: list[tuple[int, int]]):
             # cycle: the common length of the closed cycles, 0 before one
             # closes; rel: the pairs (t, h) in H with x*t = h*x
-            bump()
+            budget.spend()
             if pos == k:
                 found.append(tuple(row))
                 return
@@ -273,7 +265,7 @@ def _enumerate_tables(k: int) -> list[list[tuple[int, ...]]]:
             tables.append([rows[i] for i in range(k)])
             return
         for cand in row_candidates(x, rows, cols, d):
-            bump()
+            budget.spend()
             nxt = dict(rows)
             nxt[x] = cand
             closed = propagate(nxt, [m | 1 << c for m, c in zip(cols, cand)], x, d)
@@ -281,7 +273,7 @@ def _enumerate_tables(k: int) -> list[list[tuple[int, ...]]]:
                 search(*closed, d)
 
     for row1 in _row1_candidates(k):
-        bump()
+        budget.spend()
         d = row1.index(0) + 1  # the order of element 1
         cols = [1 << t | 1 << c for t, c in enumerate(row1)]
         closed = propagate({0: identity, 1: row1}, cols, 1, d)
@@ -314,21 +306,6 @@ def enumerate_groups_exhaustive(k: int) -> tuple[FiniteGroup, ...]:
     return tuple(reps)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    order: int
-    group: FiniteGroup
-    provenance: str  # "exhaustive" or "constructed"
-
-
-@dataclass(frozen=True)
-class GroupCatalog:
-    entries: tuple[CatalogEntry, ...]
-
-    def tier(self, order: int) -> tuple[CatalogEntry, ...]:
-        return tuple(e for e in self.entries if e.order == order)
-
-
 def _check_tier(k: int, tier: Sequence[FiniteGroup]) -> None:
     """Raise unless ``tier`` holds exactly one group of each nonabelian
     isomorphism class of order k, checked against every table of
@@ -356,39 +333,31 @@ def _check_tier(k: int, tier: Sequence[FiniteGroup]) -> None:
 
 
 @lru_cache(maxsize=None)
-def nonabelian_catalog_upto() -> GroupCatalog:
-    """Complete catalog of nonabelian groups through ``CATALOG_MAX_ORDER``.
+def nonabelian_catalog_upto() -> tuple[FiniteGroup, ...]:
+    """Complete catalog of nonabelian groups through ``CATALOG_MAX_ORDER``,
+    one group per class, by increasing order.
 
-    Tiers through ``EXHAUSTIVE_MAX_ORDER`` (orders 6 and 8) are
-    machine-verified complete from the axioms in every process: each
-    nonabelian table the enumeration gives is matched to a tier entry, and
-    every tier entry must be matched (``_check_tier``), so the tier is
-    exactly the set of nonabelian classes of its order.  Larger orders
-    follow the classical classification (documented, not re-derived), and
-    their tiers are checked pairwise non-isomorphic.
+    Tiers (the groups of one order) through ``EXHAUSTIVE_MAX_ORDER``
+    (orders 6 and 8) are machine-verified complete from the axioms in
+    every process: each nonabelian table the enumeration gives is matched
+    to a tier group, and every tier group must be matched
+    (``_check_tier``), so the tier is exactly the set of nonabelian classes
+    of its order.  Larger orders follow the classical classification
+    (documented, not re-derived), and their tiers are checked pairwise
+    non-isomorphic.
     """
-    groups = [
-        (6, symmetric(3), "exhaustive"),
-        (8, dihedral(8), "exhaustive"),
-        (8, dicyclic(8), "exhaustive"),
-        (10, dihedral(10), "constructed"),
-        (12, dihedral(12), "constructed"),
-        (12, alternating(4), "constructed"),
-        (12, dicyclic(12), "constructed"),
-        (14, dihedral(14), "constructed"),
-    ]
-    entries = tuple(CatalogEntry(order=o, group=G, provenance=tag)
-                    for o, G, tag in groups)
+    groups = (symmetric(3), dihedral(8), dicyclic(8), dihedral(10),
+              dihedral(12), alternating(4), dicyclic(12), dihedral(14))
     # groups of different orders are never isomorphic, and _check_tier
     # rejects a tier that holds two isomorphic groups
-    for i, e in enumerate(entries):
-        for f in entries[i + 1:]:
-            if (e.order == f.order > EXHAUSTIVE_MAX_ORDER
-                    and is_isomorphic(e.group, f.group) is not None):
+    for i, G in enumerate(groups):
+        for H in groups[i + 1:]:
+            if (G.order == H.order > EXHAUSTIVE_MAX_ORDER
+                    and is_isomorphic(G, H) is not None):
                 raise RuntimeError("catalog entries must be pairwise non-isomorphic")
-    for k in sorted({e.order for e in entries if e.order <= EXHAUSTIVE_MAX_ORDER}):
-        _check_tier(k, [e.group for e in entries if e.order == k])
-    return GroupCatalog(entries=entries)
+    for k in sorted({G.order for G in groups if G.order <= EXHAUSTIVE_MAX_ORDER}):
+        _check_tier(k, [G for G in groups if G.order == k])
+    return groups
 
 
 def _class_closures(G: FiniteGroup) -> list[Subgroup]:
@@ -396,7 +365,7 @@ def _class_closures(G: FiniteGroup) -> list[Subgroup]:
     "atoms"), the trivial subgroup among them.  Every normal subgroup is
     the join of the atoms of its own classes."""
     if G.order > 256:
-        raise SearchBudgetExceeded(f"order {G.order} beyond the 256 budget")
+        raise SizeLimit(f"order {G.order} beyond the 256 budget")
     atoms = {}
     for cls in G.conjugacy_classes:
         sub = subgroup_generated(G, cls)

@@ -186,7 +186,7 @@ def check_equivalence_with_definition() -> GlobalCheck:
     8, the nonabelian catalog and the standard JN2 groups of order <= 64."""
     groups = [G for k in range(1, oracle.EXHAUSTIVE_MAX_ORDER + 1)
               for G in oracle.enumerate_groups_exhaustive(k)]
-    groups += [entry.group for entry in oracle.nonabelian_catalog_upto().entries]
+    groups += oracle.nonabelian_catalog_upto()
     groups += [materialize(spec).group for spec in enumerate_specs(64)]
     bad = []
     for G in groups:
@@ -207,9 +207,9 @@ def check_classify_roundtrips(seed: int = 0) -> GlobalCheck:
     targets: list[tuple[str, FiniteGroup, Optional[Jn2Spec]]] = []
     for spec in enumerate_specs(SPEC_MAX_ORDER):
         targets.append((str(spec), materialize(spec).group, spec))
-    for entry in oracle.nonabelian_catalog_upto().entries:
-        if is_jn2(entry.group) is not None:
-            targets.append((entry.group.label or "?", entry.group, None))
+    for G in oracle.nonabelian_catalog_upto():
+        if is_jn2(G) is not None:
+            targets.append((G.label or "?", G, None))
     for label, G, spec in targets:
         for perm in _permutations(rng, G.order, 10):
             H, _ = relabel(G, perm)
@@ -369,9 +369,8 @@ def check_unconditional_below_16() -> GlobalCheck:
     for k in range(1, oracle.EXHAUSTIVE_MAX_ORDER + 1):
         groups.extend(G for G in oracle.enumerate_groups_exhaustive(k)
                       if not G.is_abelian)
-    for entry in oracle.nonabelian_catalog_upto().entries:
-        if entry.order > oracle.EXHAUSTIVE_MAX_ORDER:
-            groups.append(entry.group)
+    groups += [G for G in oracle.nonabelian_catalog_upto()
+               if G.order > oracle.EXHAUSTIVE_MAX_ORDER]
     bad = []
     for G in groups:
         if braid.find_witness(G, 6, 1) is not None:

@@ -59,7 +59,7 @@ import numpy as np
 
 from braidquot import fingroup as fg
 from braidquot import jn2, oracle
-from braidquot.errors import GroupError, SearchBudgetExceeded
+from braidquot.errors import Budget, GroupError
 
 
 def closure_by_squaring(table, seeds):
@@ -326,7 +326,7 @@ def follows_word_order(rows):
     return reached == list(range(k))
 
 
-def enumerate_tables_rules_1_to_3(k, budget=oracle._ENUM_BUDGET):
+def enumerate_tables_rules_1_to_3(k, limit=oracle._ENUM_BUDGET):
     """``oracle._enumerate_tables`` without its word-order rule (rule 4):
     every group table with identity 0 whose element 1 has maximal order d,
     whose powers of 1 are labeled 0..d-1, and whose initial label segments
@@ -337,14 +337,7 @@ def enumerate_tables_rules_1_to_3(k, budget=oracle._ENUM_BUDGET):
     identity = tuple(range(k))
     full = (1 << k) - 1
     tables = []
-    nodes = 0
-
-    def bump():
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise SearchBudgetExceeded(
-                f"table enumeration exceeded {budget} nodes", explored=nodes)
+    budget = Budget("table enumeration", limit)
 
     def propagate(rows, cols, x, d):
         """Close ``rows`` under products, in place.  The rows are closed
@@ -384,7 +377,7 @@ def enumerate_tables_rules_1_to_3(k, budget=oracle._ENUM_BUDGET):
         def fill(pos, used, cycle, rel):
             # cycle: the common length of the closed cycles, 0 before one
             # closes; rel: the pairs (t, h) in H with x*t = h*x
-            bump()
+            budget.spend()
             if pos == k:
                 found.append(tuple(row))
                 return
@@ -422,7 +415,7 @@ def enumerate_tables_rules_1_to_3(k, budget=oracle._ENUM_BUDGET):
             return
         x = len(rows)  # smallest undefined index, by the segment rule
         for cand in row_candidates(x, rows, cols, d):
-            bump()
+            budget.spend()
             nxt = dict(rows)
             nxt[x] = cand
             closed = propagate(nxt, [m | 1 << c for m, c in zip(cols, cand)], x, d)
@@ -430,7 +423,7 @@ def enumerate_tables_rules_1_to_3(k, budget=oracle._ENUM_BUDGET):
                 search(*closed, d)
 
     for row1 in oracle._row1_candidates(k):
-        bump()
+        budget.spend()
         d = row1.index(0) + 1  # the order of element 1
         cols = [1 << t | 1 << c for t, c in enumerate(row1)]
         closed = propagate({0: identity, 1: row1}, cols, 1, d)

@@ -38,8 +38,8 @@ def test_acceptance_2_unconditional_minimality_below_16():
     for k in range(1, oracle.EXHAUSTIVE_MAX_ORDER + 1):
         groups += [G for G in oracle.enumerate_groups_exhaustive(k)
                    if not G.is_abelian]
-    groups += [e.group for e in oracle.nonabelian_catalog_upto().entries
-               if e.order > oracle.EXHAUSTIVE_MAX_ORDER]
+    groups += [G for G in oracle.nonabelian_catalog_upto()
+               if G.order > oracle.EXHAUSTIVE_MAX_ORDER]
     assert {G.order for G in groups} == {6, 8, 10, 12, 14}
     for G in groups:
         assert braid.find_witness(G, 6, 1) is None, G.label

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from braidquot import braid, fingroup as fg, jn2, oracle
 from braidquot.braid import Witness
-from braidquot.errors import HypothesisFailed, ParamRange, SearchBudgetExceeded, SizeLimit
+from braidquot.errors import (Budget, HypothesisFailed, ParamRange, SearchBudgetExceeded,
+                              SizeLimit)
 from braidquot.jn2 import Jn2Spec, materialize, parse_spec
 from references import find_witness_scalar, first_witness_unpruned, random_relabeling
 
@@ -218,7 +219,7 @@ def test_find_witness_keeps_no_reference_cycle():
 def _naive_corpus(exhaustive_tiers, catalog):
     """Every group of order <= 16 the naive search is compared on."""
     groups = [G for k in range(2, 9) for G in exhaustive_tiers[k]]
-    groups += [e.group for e in catalog.entries if e.order <= 14]
+    groups += [G for G in catalog if G.order <= 14]
     # order 16: the two groups of the (6,1) minimum and two non-JN2 2-groups
     groups += [materialize(Jn2Spec(2, 2, 1, v)).group for v in ("I", "II")]
     groups += [fg.dihedral(16), fg.dicyclic(16)]
@@ -383,7 +384,7 @@ def test_naive_search_matches_scalar_reference(exhaustive_tiers, catalog):
     abelian += [fg.direct_product(fg.cyclic(3), fg.cyclic(3)),
                 fg.direct_product(fg.cyclic(2), fg.cyclic(6))]
     groups = [G for k in range(1, 9) for G in exhaustive_tiers[k]]
-    groups += [e.group for e in catalog.entries if e.order > 8]
+    groups += [G for G in catalog if G.order > 8]
     groups += abelian + _order_16_groups()
     found = 0
     for G in groups:
@@ -450,23 +451,24 @@ def test_first_witnesses_unchanged_at_bound_128():
 @pytest.mark.parametrize("spec", ["I(2^4,1)", "I(2^5,1)"])
 def test_search_counts_its_nodes(spec):
     G, _ = random_relabeling(materialize(parse_spec(spec)).group, random.Random(0))
-    stats = braid.SearchStats()
-    assert braid.find_witness(G, 5, 2, budget=0, stats=stats) is None
-    assert stats.explored == 0
+    budget = Budget("witness search", 0)
+    assert braid.find_witness(G, 5, 2, budget=budget) is None
+    assert budget.spent == 0
     assert "commutators" not in vars(G)    # built only past the sigma tests
 
 
 def test_budget_error_counts_the_nodes():
     # I(2^2,2) passes the cut and explores 6 nodes up to its first witness
     G = materialize(parse_spec("I(2^2,2)")).group
-    stats = braid.SearchStats()
-    w = braid.find_witness(G, 5, 2, stats=stats)
+    budget = Budget("witness search")
+    w = braid.find_witness(G, 5, 2, budget=budget)
     assert _triple(w) == FIRST_WITNESSES[(5, 2, "I(2^2,2)")]
-    assert stats.explored == 6
-    assert _triple(braid.find_witness(G, 5, 2, budget=6)) == _triple(w)
+    assert budget.spent == 6
+    assert _triple(braid.find_witness(G, 5, 2, budget=Budget("witness search", 6))) == _triple(w)
     with pytest.raises(SearchBudgetExceeded) as err:
-        braid.find_witness(G, 5, 2, budget=5)
+        braid.find_witness(G, 5, 2, budget=Budget("witness search", 5))
     assert err.value.explored == 6
+    assert str(err.value) == "witness search exceeded 5 nodes"
 
 
 def test_sweep_carries_node_counts():
@@ -484,7 +486,7 @@ def test_sigma_cut_settles_order_128_at_once():
     # The closure-only search used up a million nodes here without a verdict.
     G = materialize(Jn2Spec(2, 3, 2, "I")).group
     assert G.frattini.rank == 5
-    assert braid.find_witness(G, 5, 2, budget=10_000) is None
+    assert braid.find_witness(G, 5, 2, budget=Budget("witness search", 10_000)) is None
 
 
 def test_genus_four_sweep_node_counts_unchanged(catalog):
@@ -494,7 +496,7 @@ def test_genus_four_sweep_node_counts_unchanged(catalog):
     explored = {c.label: c.explored for c in rep.candidates}
     assert len(explored) == 22
     assert not any(explored.values())
-    tier = {e.group.label: e.group for e in catalog.entries}
+    tier = {G.label: G for G in catalog}
     for c in rep.candidates:
         G = materialize(c.spec).group if c.spec is not None else tier[c.label]
         zsize = int(G.center_mask.sum())
@@ -505,14 +507,13 @@ def test_catalog_groups_never_carry_a_witness(catalog):
     # the premise of the sweep's assertion that every hit has a spec: a
     # central sigma has sigma^2 = 1, which generates G' only on abelian G,
     # so no catalog group gets past the count cut and the sigma gate
-    for entry in catalog.entries:
-        G = entry.group
+    for G in catalog:
         assert not G.is_abelian and G.center_mask.sum() <= 2, G.label
         for n in range(5, 10):
             for g in range(1, 5):
-                stats = braid.SearchStats()
-                assert braid.find_witness(G, n, g, stats=stats) is None, (G.label, n, g)
-                assert stats.explored == 0, (G.label, n, g)
+                budget = Budget("witness search")
+                assert braid.find_witness(G, n, g, budget=budget) is None, (G.label, n, g)
+                assert budget.spent == 0, (G.label, n, g)
 
 
 # Nodes explored on every candidate of the (5,2,128) and (7,3,128) sweeps:
@@ -533,7 +534,7 @@ def test_bound_128_sweep_node_counts_unchanged(n, g, nodes):
 @pytest.fixture(scope="module")
 def gate_corpus(exhaustive_tiers, catalog, specs_243):
     groups = [G for tier in exhaustive_tiers.values() for G in tier]
-    groups += [entry.group for entry in catalog.entries]
+    groups += catalog
     groups += [materialize(spec).group for spec in specs_243]
     return [(G, fg.derived_subgroup(G)) for G in groups]
 
@@ -558,9 +559,9 @@ def test_sigma_gate_admits_exactly_when_sigma_squared_generates_derived(gate_cor
 def test_sigma_gate_skips_products_with_a_larger_derived_subgroup(factor, n, g):
     H = fg.symmetric(3) if factor == "S3" else fg.dihedral(8)
     G = fg.direct_product(H, materialize(parse_spec("I(2^2,1)")).group)
-    stats = braid.SearchStats()
-    assert braid.find_witness(G, n, g, stats=stats) is None
-    assert stats.explored == 0
+    budget = Budget("witness search")
+    assert braid.find_witness(G, n, g, budget=budget) is None
+    assert budget.spent == 0
     assert first_witness_unpruned(G, n, g) is None
 
 

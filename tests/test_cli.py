@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import braidquot
 from braidquot import braid, cli, fingroup as fg, oracle
 from braidquot.errors import NotJn2, NotNormal, SizeLimit
 from braidquot.jn2 import Jn2Spec, materialize, parse_spec
@@ -457,12 +456,11 @@ def _names_used(node) -> Counter:
                    if isinstance(sub, (ast.Name, ast.Attribute)))
 
 
-def test_every_class_in_src_is_referenced_or_exported():
+def test_every_class_in_src_is_referenced():
     """Each top-level class of ``src/braidquot`` is referenced by name in
-    ``src/`` outside its own definition, or exported in
-    ``braidquot.__all__``.  Code that only tests reach belongs in
-    ``tests/references.py``; functions and methods are held to the
-    stronger rule of ``test_every_function_in_src_runs_under_a_verb``."""
+    ``src/`` outside its own definition.  Code that only tests reach
+    belongs in ``tests/references.py``; functions and methods are held to
+    the stronger rule of ``test_every_function_in_src_runs_under_a_verb``."""
     src = os.path.dirname(cli.__file__)
     trees = {}
     for name in sorted(os.listdir(src)):
@@ -472,7 +470,7 @@ def test_every_class_in_src_is_referenced_or_exported():
     used = sum((_names_used(tree) for tree in trees.values()), Counter())
     unreached = [f"{name}:{node.name}" for name, tree in trees.items()
                  for node in tree.body
-                 if isinstance(node, ast.ClassDef) and node.name not in braidquot.__all__
+                 if isinstance(node, ast.ClassDef)
                  and used[node.name] == _names_used(node)[node.name]]
     assert unreached == []
 

@@ -564,7 +564,7 @@ def test_order_profile():
 
 def test_class_sizes_are_conjugacy_class_lengths(exhaustive_tiers, catalog, specs_243):
     groups = [G for tier in exhaustive_tiers.values() for G in tier]
-    groups += [entry.group for entry in catalog.entries]
+    groups += catalog
     groups += [jn2.materialize(spec).group for spec in specs_243]
     for G in groups:
         lengths = np.zeros(G.order, dtype=np.int64)
@@ -777,7 +777,7 @@ def _is_isomorphic_by_assignment(G: fg.FiniteGroup, H: fg.FiniteGroup):
 @pytest.fixture(scope="module")
 def iso_corpus(exhaustive_tiers, catalog, specs_243):
     groups = [jn2.materialize(spec).group for spec in specs_243]
-    groups += [e.group for e in catalog.entries]
+    groups += catalog
     groups += [G for k in range(1, 9) for G in exhaustive_tiers[k]]
     # in C4xC4 some images of a second generator give a homomorphism that
     # is not injective, which the search must reject

@@ -177,7 +177,7 @@ def _map_agrees(G, H, img) -> bool:
 @pytest.fixture(scope="module")
 def law_corpus(exhaustive_tiers, catalog, specs_243):
     groups = [G for k in range(1, 9) for G in exhaustive_tiers[k]]
-    groups += [entry.group for entry in catalog.entries]
+    groups += catalog
     groups += [jn2.materialize(spec).group for spec in specs_243]
     i31 = jn2.materialize(jn2.parse_spec("I(3,1)")).group
     groups += [fg.symmetric(4), fg.alternating(5),

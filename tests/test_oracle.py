@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from braidquot import fingroup as fg
 from braidquot import jn2, oracle
-from braidquot.errors import SearchBudgetExceeded
+from braidquot.errors import SearchBudgetExceeded, SizeLimit
 from braidquot.jn2 import Jn2Spec, materialize
 
 from references import enumerate_tables_rules_1_to_3, follows_word_order, random_relabeling
@@ -132,7 +132,7 @@ def test_orders_9_to_13_from_the_axioms(catalog):
     checks it."""
     for k in (9, 11, 13):
         assert all(list(zip(*rows)) == rows for rows in oracle._enumerate_tables(k)), k
-    oracle._check_tier(10, [e.group for e in catalog.tier(10)])
+    oracle._check_tier(10, [G for G in catalog if G.order == 10])
 
 
 def _match_one_to_one(tier, standard):
@@ -166,16 +166,15 @@ def test_enumeration_budget(monkeypatch):
 
 
 def test_catalog_order12_tier(catalog):
-    tier = catalog.tier(12)
-    assert len(tier) == 3
-    groups = [e.group for e in tier]
+    groups = [G for G in catalog if G.order == 12]
+    assert len(groups) == 3
     for i in range(3):
         for j in range(i + 1, 3):
             assert fg.is_isomorphic(groups[i], groups[j]) is None
 
 
 def test_catalog_matches_exhaustive_at_8(catalog, exhaustive_tiers):
-    tier = [e.group for e in catalog.tier(8)]
+    tier = [G for G in catalog if G.order == 8]
     nonab = [G for G in exhaustive_tiers[8] if not G.is_abelian]
     assert len(tier) == len(nonab) == 2
     for G in nonab:
@@ -193,7 +192,7 @@ def _bad_tiers():
 
 def test_check_tier_accepts_the_catalog_tiers(catalog):
     for k in (6, 8):
-        oracle._check_tier(k, [e.group for e in catalog.tier(k)])
+        oracle._check_tier(k, [G for G in catalog if G.order == k])
 
 
 @pytest.mark.parametrize("name", sorted(_bad_tiers()))
@@ -246,18 +245,17 @@ def test_catalog_and_enumeration_enumerate_each_order_once():
 
 
 def test_catalog_order15_empty(catalog):
-    assert catalog.tier(15) == ()
-    assert catalog.tier(9) == ()
-    assert catalog.tier(11) == ()
-    assert catalog.tier(13) == ()
+    assert not {9, 11, 13, 15} & {G.order for G in catalog}
 
 
-def test_catalog_provenance_tags(catalog):
-    for entry in catalog.entries:
-        if entry.order <= 8:
-            assert entry.provenance == "exhaustive"
-        else:
-            assert entry.provenance == "constructed"
+def test_catalog_provenance_tags(monkeypatch):
+    """The tiers through EXHAUSTIVE_MAX_ORDER, and only they, are checked
+    from the axioms: ``enumerate`` tags the others "constructed"."""
+    checked = []
+    monkeypatch.setattr(oracle, "_check_tier",
+                        lambda k, tier: checked.append((k, [G.label for G in tier])))
+    oracle.nonabelian_catalog_upto.__wrapped__()
+    assert checked == [(6, ["S3"]), (8, ["D8", "Q8"])]
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +278,7 @@ def test_cyclic_prime_normals():
 
 
 def test_normal_subgroups_budget():
-    with pytest.raises(SearchBudgetExceeded):
+    with pytest.raises(SizeLimit):
         oracle.normal_subgroups(fg.symmetric(6))
 
 
@@ -313,7 +311,7 @@ def test_s4_not_just_nonabelian():
 
 def _definition_corpus(exhaustive_tiers, catalog, specs, max_order):
     corpus = [G for k in range(1, 9) for G in exhaustive_tiers[k]]
-    corpus += [e.group for e in catalog.entries]
+    corpus += catalog
     corpus += [materialize(s).group for s in specs if s.order <= max_order]
     return corpus
 
@@ -415,9 +413,9 @@ def test_references_agree_on_relabelled_tables(corpus_64, seed):
 def test_catalog_jn2_members_classify(catalog):
     """Every JN2 group in the catalog classifies to a standard model with a
     verified isomorphism."""
-    for entry in catalog.entries:
-        if jn2.is_jn2(entry.group) is None:
+    for G in catalog:
+        if jn2.is_jn2(G) is None:
             continue
-        spec, iso = jn2.classify(entry.group)
+        spec, iso = jn2.classify(G)
         assert iso.is_bijective
-        assert spec.order == entry.order
+        assert spec.order == G.order
