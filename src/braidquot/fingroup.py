@@ -959,15 +959,20 @@ def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupMap]:
 # Cayley-table text format
 
 
-def to_cayley_text(G: FiniteGroup) -> str:
-    """Bit-exact text form: optional '# label:' line, order, then the rows."""
-    lines = []
+def _cayley_lines(G: FiniteGroup) -> Iterator[str]:
+    """The text form line by line, each ending in "\\n": an optional
+    '# label:' line, the order, then the rows as they are formatted."""
     if G.label:
-        lines.append(f"# label: {G.label}")
-    lines.append(str(G.order))
+        yield f"# label: {G.label}\n"
+    yield f"{G.order}\n"
     names = [str(i) for i in range(G.order)]
-    lines.extend(" ".join(map(names.__getitem__, row.tolist())) for row in G.table)
-    return "\n".join(lines) + "\n"
+    for row in G.table:
+        yield " ".join(map(names.__getitem__, row.tolist())) + "\n"
+
+
+def to_cayley_text(G: FiniteGroup) -> str:
+    """Bit-exact text form, as ``write_cayley`` writes it."""
+    return "".join(_cayley_lines(G))
 
 
 # The body's byte classes are the ASCII ones of str.splitlines() (line
@@ -1036,36 +1041,55 @@ def _parse_rows(a: np.ndarray, breaks: np.ndarray, row0: int, order: int,
 
     Faults are raised in the old per-token order: the first row holding a
     bad entry or a wrong entry count raises, a bad entry before the count.
-    An entry is valued from its digits right-aligned at its end; one with
-    more digits than order - 1 is read with int() (zero-padded, else out of
-    range, which ``from_table`` reports).
+    An entry is valued from the run of digits that ends it, right to left;
+    one with more digits than order - 1 is read with int() (zero-padded,
+    else out of range, which ``from_table`` reports).
     """
     nrows = len(breaks) + 1
-    is_entry = ~_is_space(a)
-    edges = np.flatnonzero(np.diff(is_entry, prepend=False, append=False))
+    # whitespace, with a space on either side: entries start where the mask
+    # falls and stop where it rises
+    space = np.ones(len(a) + 2, dtype=bool)
+    space[1:-1] = _is_space(a)
+    edges = np.flatnonzero(np.not_equal(space[1:], space[:-1]))
     first, stop = edges[0::2], edges[1::2]
     counts = np.diff(np.searchsorted(first, breaks), prepend=0, append=len(first))
-    lead = a[first]
-    signed = (lead == ord("+")) | (lead == ord("-"))
-    ndigits = stop - first - signed
     width = len(str(order - 1))
 
-    digits = a - np.uint8(ord("0"))  # wraps; read only at digit positions
-    place = stop - 1
-    vals = digits[place].astype(np.int32)
+    # digits[i + 1] is a[i]'s digit; the pad and every other byte read >= 10,
+    # so the run of digits that ends an entry stops at its sign, the space
+    # before it or the pad.  digits[stop - k] is the byte k places before
+    # an entry's last.
+    digits = np.empty(len(a) + 1, dtype=np.uint8)
+    digits[0] = 10
+    np.subtract(a, np.uint8(ord("0")), out=digits[1:])  # wraps
+    # a block with a wrong entry count always raises, so only then may the
+    # values go elsewhere than ``out``
+    vals = out if len(out) == len(stop) else np.empty(len(stop), dtype=np.int32)
+    place = stop.copy()
+    d = digits.take(place)
+    vals[:] = d
+    run = d < 10
     for k in range(1, width):
         place -= 1
         d = digits.take(place, mode="clip")
-        d[ndigits <= k] = 0
+        run &= d < 10
+        d *= run
         vals += d * np.int32(10 ** k)
-    vals[lead == ord("-")] *= -1
+    # the runs still going are longer than order - 1's ``width`` digits
+    place -= 1
+    run &= digits.take(place, mode="clip") < 10
 
-    short = counts != order
     # every entry is [+-]?[0-9]+ exactly when its only non-digit is its sign
-    if (short.any() or ndigits.min(initial=1) < 1 or ndigits.max(initial=1) > width
-            or (np.count_nonzero(is_entry) - np.count_nonzero(digits < 10)
-                != np.count_nonzero(signed))):
-        others = np.concatenate(([0], np.cumsum(is_entry & (digits >= 10))))
+    nondigits = len(space) - np.count_nonzero(space) - np.count_nonzero(digits < 10)
+    signed = 0
+    if nondigits:
+        lead = a[first]
+        signed = (lead == ord("+")) | (lead == ord("-"))
+        vals[lead == ord("-")] *= -1
+    short = counts != order
+    if short.any() or nondigits or run.any():
+        ndigits = stop - first - signed
+        others = np.concatenate(([0], np.cumsum(~space[1:-1] & (digits[1:] >= 10))))
         bad = (others[stop] - others[first] != signed) | (ndigits < 1)
         for i in np.flatnonzero(~bad & (ndigits > width)):
             try:
@@ -1084,7 +1108,6 @@ def _parse_rows(a: np.ndarray, breaks: np.ndarray, row0: int, order: int,
         if count_row < nrows:
             raise NotAGroup(f"row {row0 + count_row} has {int(counts[count_row])} "
                             f"entries, expected {order}")
-    out[:] = vals
 
 
 def _parse_cayley(data: bytes) -> FiniteGroup:
@@ -1097,9 +1120,11 @@ def _parse_cayley(data: bytes) -> FiniteGroup:
     # line ends, kept only while they may still be the table's
     ends, nbreaks = [], 0
     for s in range(start, size, _BLOCK):
-        pos = np.flatnonzero(_is_break(buf[s:s + _BLOCK])) + s
+        # every line break is below 0x1f, and few other bytes are
+        pos = np.flatnonzero(buf[s:s + _BLOCK] < 0x1f) + s
+        c = buf[pos]
         # the "\n" of "\r\n" is whitespace at the start of the next row
-        pos = pos[(buf[pos] != ord("\n")) | (buf[pos - 1] != ord("\r"))]
+        pos = pos[_is_break(c) & ((c != ord("\n")) | (buf[pos - 1] != ord("\r")))]
         nbreaks += len(pos)
         if nbreaks <= order:
             ends.append(pos)
@@ -1124,7 +1149,7 @@ def _parse_cayley(data: bytes) -> FiniteGroup:
 
 def write_cayley(G: FiniteGroup, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(to_cayley_text(G))
+        fh.writelines(_cayley_lines(G))
 
 
 def read_cayley(path) -> FiniteGroup:

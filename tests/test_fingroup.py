@@ -1104,6 +1104,49 @@ def test_cayley_parser_across_block_boundaries():
             _parse_outcome(_reference_from_cayley_text, text)
 
 
+def _cyclic_1009_text(cells: dict[tuple[int, int], str]) -> str:
+    """cyclic(1009)'s text, order line first, with the entry at each (row,
+    column) of ``cells`` replaced; row r, column c holds (r + c) % 1009."""
+    rows = [" ".join(map(str, row)) for row in fg.cyclic(1009).table.tolist()]
+    for (r, c), entry in cells.items():
+        row = rows[r].split(" ")
+        row[c] = entry
+        rows[r] = " ".join(row)
+    return "1009\n" + "\n".join(rows) + "\n"
+
+
+def test_cayley_parser_reads_four_digit_entries():
+    """Entries of up to 4 digits, past D200's 3.  A late block holds a
+    sign, a negative zero, a zero-padded 4-digit entry and a 5-digit
+    over-width one; an earlier block holds only over-width entries, one of
+    them read as 5 from its last four digits but 10,005 by int()."""
+    cells = {(500, 0): "00500", (1000, 16): "+7", (1000, 9): "-0", (1001, 20): "0012",
+             (1002, 998): "00991"}
+    text = _cyclic_1009_text(cells)
+    assert len(text) > 60 * fg._BLOCK
+    G = fg._parse_cayley(text.encode())
+    assert np.array_equal(G.table, fg.cyclic(1009).table)
+    assert np.array_equal(G.table, _reference_from_cayley_text(text).table)
+    wide = _cyclic_1009_text({**cells, (500, 514): "10005"})
+    assert _parse_outcome(lambda t: fg._parse_cayley(t.encode()), wide) == \
+        _parse_outcome(_reference_from_cayley_text, wide)
+
+
+def test_cayley_parser_temporaries_stay_within_a_few_blocks():
+    """cyclic(1009)'s 4 MB text is parsed in about 60 blocks: the traced
+    peak, validation included, is the table plus at most 16 blocks' bytes
+    (10.3 measured).  Whole-text byte masks would take 4 MB more, and
+    whole-text int64 entry edges 16 MB."""
+    data = _cyclic_1009_text({}).encode()
+    tracemalloc.start()
+    try:
+        G = fg._parse_cayley(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= G.table.nbytes + 16 * fg._BLOCK, (peak - G.table.nbytes) / fg._BLOCK
+
+
 C11_ROW1 = "1 2 3 4 5 6 7 8 9 10 0"
 
 
